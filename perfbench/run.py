@@ -36,7 +36,7 @@ from contextlib import nullcontext  # noqa: E402
 from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
-from speed import timed  # noqa: E402
+from speed import probed  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -53,14 +53,13 @@ def _median_or_none(values):
 
 
 def import_seconds() -> float:
-    """Time to import the package in a fresh interpreter.
+    """Scaled time to import the package in a fresh interpreter.
 
     A module imports once per process, so each repeat of this part of the
     set-up needs its own interpreter.
     """
-    probe = ("import time; t = time.perf_counter(); import qgreedy; "
-             "print(time.perf_counter() - t)")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import speed; print(speed.probed(__import__, 'qgreedy')[2])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(SRC), str(HERE))))
     done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
                           capture_output=True, text=True, check=True)
     return float(done.stdout)
@@ -70,10 +69,9 @@ def measure(workload, seed: int, seconds: float, tracer) -> dict:
     """Set up, then run ops over the inputs, cycling, until ``seconds`` have
     passed and every input has run at least once.
 
-    Op times are kept in pairs (wall, scaled); set-up times are wall
-    times, which spread less than scaled ones.  mean_ratio comes from the
-    first pass alone, so it does not depend on how many ops fit in the
-    time.  With a tracer each op runs twice in a row on the same input,
+    Op times are kept in pairs (wall, scaled); set-up times are scaled by
+    speed.probed.  mean_ratio comes from the first pass alone, so it does
+    not depend on how many ops fit in the time.  With a tracer each op runs twice in a row on the same input,
     plain and then traced; both must return the same text.
     """
     from workloads import CheckFailed
@@ -81,10 +79,9 @@ def measure(workload, seed: int, seconds: float, tracer) -> dict:
     setups = []
     for _ in range(1 if tracer else SETUP_REPEATS):
         imported = 0.0 if tracer else import_seconds()
-        start = perf_counter()
         with tracer.active("setup") if tracer else nullcontext():
-            items = workload.setup(seed)
-        setups.append(imported + perf_counter() - start)
+            items, _, took = probed(workload.setup, seed)
+        setups.append(imported + took)
 
     refs = [workload.reference(item) for item in items]
     ratios = [None] * len(items)
@@ -138,7 +135,7 @@ def end_to_end(workload, m: dict) -> dict:
     note = f"median of {n} ops over {m['inputs']} inputs, scaled; wall "
     out = {
         "setup_s": (statistics.median(m["setups"]), "s",
-                    f"median of {len(m['setups'])} set-ups, wall time"),
+                    f"median of {len(m['setups'])} set-ups, scaled"),
         "op_s": (op_s, "s", f"the {what} below"),
         what: (op_s, "s", note + _fmt(_median_or_none(wall))),
         "peak_rss_mb": (max(self_kb, child_kb) / 1024.0, "MB",

@@ -31,7 +31,7 @@ from qgreedy.errors import QGreedyError
 from qgreedy.graph import is_independent
 from qgreedy.solver import SolverConfig, format_trace
 
-from speed import timed
+from speed import probed, timed
 from tracing import Tracer
 
 
@@ -71,6 +71,7 @@ class SolvePool:
     """
 
     units_per_op = 1
+    timer = staticmethod(timed)
 
     def graph(self, item):
         return item[0]
@@ -82,7 +83,7 @@ class SolvePool:
     def run(self, item, tracer: Tracer | None, op) -> Outcome:
         try:
             with tracer.active(op) if tracer else nullcontext():
-                trace, wall, scaled = timed(self.solve, item)
+                trace, wall, scaled = self.timer(self.solve, item)
         except QGreedyError:
             return Outcome(0.0, 0.0, "", 0.0, 1)
         check_maximal_independent(self.graph(item), trace)
@@ -116,6 +117,7 @@ class WarmP2(SolvePool):
 
     name = "warm-p2"
     N = 10000
+    timer = staticmethod(probed)  # ops of seconds; see speed.py
 
     def setup(self, seed):
         schedule = qgreedy.angles.load_default_angles(2).schedule
@@ -158,7 +160,7 @@ class Classical(SolvePool):
 
 SWEEP_PLAN = dict(
     sizes=(500, 2000),
-    instances=4,
+    instances=2,
     solvers=("greedy", "qgreedy"),
     depths=(1, 2),
     advice="shots",
@@ -181,7 +183,7 @@ def _sweep_child(plan_fields: dict, out_dir: str, op) -> dict:
         result = {"failed": False}
         try:
             with tracer.active(op) if tracer else nullcontext():
-                _, wall, scaled = timed(qgreedy.bench.run_plan, plan)
+                _, wall, scaled = probed(qgreedy.bench.run_plan, plan)
         except QGreedyError:
             result["failed"] = True
             return result
