@@ -2,44 +2,14 @@
 
 Classical greedy reduction on bounded-degree graphs, steered by locally
 simulated QAOA expectation values evaluated on per-vertex light cones.
+
+The package root re-exports the entry points of a typical solve; every
+other public name is imported from its module (``qgreedy.engines``,
+``qgreedy.angles`` and so on).
 """
 
-from .angles import (
-    AngleOptimum,
-    delta_cutoff,
-    load_default_angles,
-    optimize_tree_angles,
-    read_angle_file,
-    tree_energy,
-    write_angle_file,
-)
-from .bench import (
-    BenchmarkReport,
-    CurveFit,
-    ExperimentPlan,
-    fit_curve,
-    load_plan,
-    run_plan,
-)
-from .circuits import AngleSchedule, ConeCircuit, build_circuit
-from .cones import (
-    CanonicalKey,
-    CensusReport,
-    LightCone,
-    canonical_key,
-    enumerate_cones,
-    extract_lightcone,
-    tree_ball_size,
-)
-from .engines import (
-    ExpectationCache,
-    ExpectationRecord,
-    evaluate_cone,
-    expectation_contract,
-    expectation_p1_analytic,
-    expectation_statevector,
-    sample_shots,
-)
+from .angles import load_default_angles
+from .engines import ExpectationCache
 from .errors import (
     ContractionBudgetExceeded,
     NodeLimitExceeded,
@@ -47,33 +17,11 @@ from .errors import (
     RestartBudgetExceeded,
     StatevectorCapExceeded,
 )
-from .graph import (
-    Graph,
-    IsingParams,
-    energy,
-    energy_pauli,
-    generate_regular,
-    is_independent,
-    read_edge_list,
-    write_edge_list,
-)
-from .noise import (
-    NoiseParams,
-    NoiseRealization,
-    ShotPlan,
-    apply_noise,
-    fit_noise,
-    required_shots,
-)
+from .graph import generate_regular
 from .solver import (
-    SolveTrace,
     SolverConfig,
-    format_trace,
-    parse_trace,
     solve_classical_greedy,
-    solve_exact,
     solve_quantum_greedy,
-    worst_case_bound,
 )
 
 __version__ = "0.1.0"

@@ -6,8 +6,11 @@ pair, so the energy per vertex reduces to two tree expectations:
 
     e(gammas, betas) = (d/2) J <Z_u Z_v>_edge + h <Z_root>_vertex + offset
 
-with J = lam/4, h = (lam d - 2)/4, offset = (lam d - 4)/8.  Angles minimizing
-e on the tree are then reused on every instance of the same degree bound.
+with J, h and offset the coupling, field and offset of
+:class:`qgreedy.graph.IsingParams` at degree d.  Both expectations go
+through :func:`qgreedy.engines.expectation`, the router the solver uses.
+Angles minimizing e on the tree are then reused on every instance of the
+same degree bound.
 The minimized energy can only improve with depth since a depth-p schedule
 zero-padded to depth p+1 reproduces the same value.
 
@@ -26,17 +29,10 @@ from importlib import resources
 import numpy as np
 from scipy.optimize import minimize
 
-from .circuits import AngleSchedule, build_circuit
+from .circuits import AngleSchedule
 from .cones import LightCone, extract_lightcone, extract_lightcone_multi
-from .engines import (
-    CONTRACTION_BUDGET,
-    STATEVECTOR_CAP,
-    TREE_CONTRACT_THRESHOLD,
-    expectation_contract,
-    expectation_p1_analytic,
-    expectation_statevector,
-)
-from .graph import Graph
+from .engines import expectation, expectation_p1_analytic
+from .graph import Graph, IsingParams
 
 
 def _full_tree(depth: int, d: int) -> tuple[Graph, list[list[int]]]:
@@ -86,44 +82,28 @@ def edge_cone(depth: int, d: int) -> LightCone:
     return extract_lightcone_multi(g, (0, 1), depth)
 
 
-def _evaluate(cone: LightCone, schedule: AngleSchedule, observable,
-              statevector_cap: int, contraction_budget: int) -> float:
-    # same routing as engines.evaluate_cone: trees contract cheaply at any
-    # size, cyclic cones run dense while they fit
-    circ = build_circuit(cone, schedule, observable=observable)
-    if cone.size <= statevector_cap and not (
-        cone.is_tree and cone.size > TREE_CONTRACT_THRESHOLD
-    ):
-        return expectation_statevector(circ, cap=statevector_cap)
-    return expectation_contract(circ, budget=contraction_budget)
+def _energy(
+    schedule: AngleSchedule, vcone: LightCone, econe: LightCone
+) -> tuple[float, float, float]:
+    """(energy per vertex, <Z_root>, <Z_u Z_v>) on prebuilt tree cones."""
+    z, _ = expectation(vcone, schedule)
+    zz, _ = expectation(econe, schedule, observable=(0, 1))
+    d, ising = schedule.degree, IsingParams(schedule.lam)
+    e = (d / 2.0) * ising.coupling * zz + ising.field(d) * z + ising.offset(d)
+    return e, z, zz
 
 
-def tree_expectations(
-    schedule: AngleSchedule,
-    statevector_cap: int = STATEVECTOR_CAP,
-    contraction_budget: int = CONTRACTION_BUDGET,
-) -> tuple[float, float]:
+def tree_expectations(schedule: AngleSchedule) -> tuple[float, float]:
     """(<Z_root> on the vertex cone, <Z_u Z_v> on the edge cone)."""
     p, d = schedule.depth, schedule.degree
-    z = _evaluate(vertex_cone(p, d), schedule, (0,),
-                  statevector_cap, contraction_budget)
-    zz = _evaluate(edge_cone(p, d), schedule, (0, 1),
-                   statevector_cap, contraction_budget)
+    _, z, zz = _energy(schedule, vertex_cone(p, d), edge_cone(p, d))
     return z, zz
 
 
-def tree_energy(
-    schedule: AngleSchedule,
-    statevector_cap: int = STATEVECTOR_CAP,
-    contraction_budget: int = CONTRACTION_BUDGET,
-) -> float:
+def tree_energy(schedule: AngleSchedule) -> float:
     """Energy per vertex of a girth > 2p+1 d-regular graph."""
-    z, zz = tree_expectations(schedule, statevector_cap, contraction_budget)
-    d, lam = schedule.degree, schedule.lam
-    coupling = lam / 4.0
-    field = (lam * d - 2.0) / 4.0
-    offset = (lam * d - 4.0) / 8.0
-    return (d / 2.0) * coupling * zz + field * z + offset
+    p, d = schedule.depth, schedule.degree
+    return _energy(schedule, vertex_cone(p, d), edge_cone(p, d))[0]
 
 
 def normalize_schedule(schedule: AngleSchedule) -> AngleSchedule:
@@ -157,8 +137,6 @@ def optimize_tree_angles(
     lam: float = 1.0,
     seed: int = 0,
     restarts: int = 6,
-    statevector_cap: int = STATEVECTOR_CAP,
-    contraction_budget: int = CONTRACTION_BUDGET,
     warm_start: AngleSchedule | None = None,
 ) -> AngleOptimum:
     """Minimize the tree energy over 2*depth angles.
@@ -180,15 +158,10 @@ def optimize_tree_angles(
         )
     vcone = vertex_cone(depth, d)
     econe = edge_cone(depth, d)
-    coupling = lam / 4.0
-    field = (lam * d - 2.0) / 4.0
-    offset = (lam * d - 4.0) / 8.0
 
     def objective(x: np.ndarray) -> float:
         sched = AngleSchedule(depth, d, lam, tuple(x[:depth]), tuple(x[depth:]))
-        z = _evaluate(vcone, sched, (0,), statevector_cap, contraction_budget)
-        zz = _evaluate(econe, sched, (0, 1), statevector_cap, contraction_budget)
-        return (d / 2.0) * coupling * zz + field * z + offset
+        return _energy(sched, vcone, econe)[0]
 
     rng = np.random.default_rng(seed)
     starts = []
@@ -196,9 +169,7 @@ def optimize_tree_angles(
         prev = warm_start
         if prev is None:
             prev = optimize_tree_angles(
-                depth - 1, d, lam, seed=seed, restarts=restarts,
-                statevector_cap=statevector_cap,
-                contraction_budget=contraction_budget,
+                depth - 1, d, lam, seed=seed, restarts=restarts
             ).schedule
         starts.append(
             np.array(list(prev.gammas) + [0.0] + list(prev.betas) + [0.0])
@@ -224,17 +195,12 @@ def optimize_tree_angles(
     sched = normalize_schedule(
         AngleSchedule(depth, d, lam, tuple(best_x[:depth]), tuple(best_x[depth:]))
     )
-    z, zz = tree_expectations(sched, statevector_cap, contraction_budget)
-    energy = (d / 2.0) * coupling * zz + field * z + offset
+    energy, z, zz = _energy(sched, vcone, econe)
     return AngleOptimum(schedule=sched, energy=energy,
                         vertex_expectation=z, edge_expectation=zz)
 
 
-def delta_cutoff(
-    schedule: AngleSchedule,
-    statevector_cap: int = STATEVECTOR_CAP,
-    contraction_budget: int = CONTRACTION_BUDGET,
-) -> float:
+def delta_cutoff(schedule: AngleSchedule) -> float:
     """Smallest root-expectation shift a depth-p cone can resolve.
 
     For p >= 2: take the full tree cone and close a cycle across the edge of
@@ -247,10 +213,10 @@ def delta_cutoff(
     """
     p, d, lam = schedule.depth, schedule.degree, schedule.lam
     if p == 1:
+        ising = IsingParams(lam)
         values = sorted(
             expectation_p1_analytic(
-                k, (lam * k - 2.0) / 4.0,
-                schedule.gammas[0], schedule.betas[0], lam,
+                k, ising.field(k), schedule.gammas[0], schedule.betas[0], lam
             )
             for k in range(d + 1)
         )
@@ -259,7 +225,7 @@ def delta_cutoff(
 
     g, shells = _full_tree(p, d)
     base = extract_lightcone(g, 0, p)
-    v_base = _evaluate(base, schedule, (0,), statevector_cap, contraction_budget)
+    v_base, _ = expectation(base, schedule)
 
     # first shell-(p-1) vertex under root child 0, first under root child 1
     per_branch = len(shells[p - 1]) // d
@@ -275,7 +241,7 @@ def delta_cutoff(
     edges.append((a, b))
     mod = Graph(g.n, edges)
     cone = extract_lightcone(mod, 0, p)
-    v_mod = _evaluate(cone, schedule, (0,), statevector_cap, contraction_budget)
+    v_mod, _ = expectation(cone, schedule)
     return abs(v_base - v_mod)
 
 

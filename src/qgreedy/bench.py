@@ -66,6 +66,12 @@ class ExperimentPlan:
             raise ValueError("workers must be >= 1")
 
 
+_PLAN_KEYS = frozenset(
+    "sizes instances solvers depths lambda advice shots eta alpha sigma "
+    "noise_seed seed degree out angles_dir workers stamp".split()
+)
+
+
 def parse_plan(text: str) -> ExperimentPlan:
     """Line-oriented `key = value` plan text; '#' starts a comment."""
     raw: dict[str, str] = {}
@@ -76,7 +82,10 @@ def parse_plan(text: str) -> ExperimentPlan:
         if "=" not in line:
             raise ValueError(f"plan line is not key = value: {line!r}")
         key, _, val = line.partition("=")
-        raw[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in _PLAN_KEYS:
+            raise ValueError(f"unknown plan key {key!r}")
+        raw[key] = val.strip()
 
     def ints(key, default):
         if key not in raw:
@@ -182,7 +191,7 @@ def _run_instance(plan: ExperimentPlan, size: int, index: int) -> list[tuple]:
                     )
                 cfg = SolverConfig(
                     schedule=schedule,
-                    delta=None if plan.advice != "ideal" else 0.0,
+                    delta=None,
                     advice=plan.advice,
                     shots=plan.shots,
                     noise=noise,

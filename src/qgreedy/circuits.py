@@ -5,9 +5,12 @@ A depth-p schedule drives the alternating ansatz
     |gamma, beta> = e^{-i beta_p B} e^{-i gamma_p H} ... e^{-i beta_1 B}
                     e^{-i gamma_1 H} |+...+>,   B = sum_v X_v,
 
-with H the Ising cost restricted to the cone: ZZ weight lam/4 per causal
-edge and Z weight h_v = (lam * deg_v - 2)/4 per vertex, degrees in-cone.
-Gate "weight" w means the gate exp(-i * w * P) for Pauli string P.
+with H the Ising cost restricted to the cone: the coupling of
+:class:`qgreedy.graph.IsingParams` as ZZ weight on every causal edge and its
+field h_v for the vertex's in-cone degree as Z weight.  Gate "weight" w
+means the gate exp(-i * w * P) for Pauli string P.  Circuits are built by
+:func:`qgreedy.engines.expectation`, the one router that the solver and the
+angle optimizer share.
 
 Layer pruning drops gates that cannot reach the observable: counting layers
 k = 0..p-1 in application order, layer k keeps ZZ gates on edges whose
@@ -23,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cones import LightCone
+from .graph import IsingParams
 
 
 @dataclass(frozen=True)
@@ -95,9 +99,9 @@ def build_circuit(
             f"schedule depth {schedule.depth} != cone depth {cone.depth}"
         )
     p = cone.depth
-    lam = schedule.lam
-    deg = cone.in_degrees()
-    fields = [(lam * deg[v] - 2.0) / 4.0 for v in range(cone.size)]
+    ising = IsingParams(schedule.lam)
+    coupling = ising.coupling
+    fields = [ising.field(d) for d in cone.in_degrees()]
     if observable is None:
         observable = (0,)
     layers = []
@@ -111,7 +115,7 @@ def build_circuit(
             edge_reach = p - 1
             vert_reach = p
         zz = tuple(
-            (u, v, lam / 4.0 * gamma)
+            (u, v, coupling * gamma)
             for u, v in cone.edges
             if min(cone.dists[u], cone.dists[v]) <= edge_reach
         )
@@ -130,7 +134,7 @@ def build_circuit(
         layers=tuple(layers),
         observable=tuple(observable),
         uniform_layers=not prune_layers,
-        cost_zz=tuple((u, v, lam / 4.0) for u, v in cone.edges),
+        cost_zz=tuple((u, v, coupling) for u, v in cone.edges),
         cost_z=tuple((v, fields[v]) for v in range(cone.size)),
         gammas=schedule.gammas,
     )

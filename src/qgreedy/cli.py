@@ -37,6 +37,11 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def cutoff(text: str) -> float | None:
+    """--delta value: "auto" (None) or a number."""
+    return None if text == "auto" else float(text)
+
+
 def build_parser() -> _Parser:
     ap = _Parser(prog="qgreedy", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
@@ -76,7 +81,7 @@ def build_parser() -> _Parser:
     sol.add_argument("--angles", default=None, help="angle file (default: shipped)")
     sol.add_argument("--advice", choices=("ideal", "shots", "noise"), default="ideal")
     sol.add_argument("--shots", type=int, default=0)
-    sol.add_argument("--delta", default=None,
+    sol.add_argument("--delta", type=cutoff, default=None,
                      help='cutoff; a number, or "auto" (default: auto for '
                           "shot/noise advice, 0 for ideal)")
     sol.add_argument("--eta", type=float, default=0.0)
@@ -154,14 +159,8 @@ def _cmd_solve(args) -> int:
     noise = None
     if args.advice == "noise":
         noise = NoiseParams(args.eta, args.alpha, args.sigma, args.noise_seed)
-    if args.delta is None:
-        delta = 0.0 if args.advice == "ideal" else None
-    elif args.delta == "auto":
-        delta = None
-    else:
-        delta = float(args.delta)
     cfg = SolverConfig(
-        schedule=schedule, delta=delta, advice=args.advice,
+        schedule=schedule, delta=args.delta, advice=args.advice,
         shots=args.shots, noise=noise, seed=args.seed,
     )
     trace = solve_quantum_greedy(g, cfg)

@@ -114,15 +114,6 @@ def _extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone:
     )
 
 
-def affected_nodes(g: Graph, i: int, depth: int) -> list[int]:
-    """Nodes whose depth-``depth`` cone can change when N[i] is deleted.
-
-    Deletions touch the closed neighborhood of i, so any changed cone has its
-    root within distance depth+1 of i.  Taken before deletion.
-    """
-    return [node for node, _ in g.ball(i, depth + 1)]
-
-
 # -- canonical keys ---------------------------------------------------------
 
 

@@ -11,6 +11,13 @@ observable set):
 Each pair of routes agrees to tight tolerance on overlapping domains, which
 is the main guard against a silent convention error in any one of them.
 
+:func:`expectation` holds the one routing decision between the dense and
+contraction routes.  It serves both the solver, through
+:func:`evaluate_cone` (cache, then the closed form at depth 1), and the
+tree-angle optimizer in :mod:`qgreedy.angles`.  The qubit cap and the
+contraction budget are the module constants ``STATEVECTOR_CAP`` and
+``CONTRACTION_BUDGET``; only the router's own parameters override them.
+
 The contraction engine views the expectation as a classical partition
 function on a time-expanded copy of the cone graph: the cost layers are
 diagonal and the mixers factor per qubit, so after inserting a
@@ -37,6 +44,7 @@ import numpy as np
 from .circuits import AngleSchedule, ConeCircuit, build_circuit
 from .cones import LightCone, canonical_key
 from .errors import ContractionBudgetExceeded, StatevectorCapExceeded
+from .graph import IsingParams
 
 STATEVECTOR_CAP = 24
 CONTRACTION_BUDGET = 2**26  # max tensor entries per intermediate, ~1 GB
@@ -431,19 +439,42 @@ class ExpectationCache:
 TREE_CONTRACT_THRESHOLD = 16
 
 
+def expectation(
+    cone: LightCone,
+    schedule: AngleSchedule,
+    observable: tuple[int, ...] = (0,),
+    statevector_cap: int = STATEVECTOR_CAP,
+    contraction_budget: int = CONTRACTION_BUDGET,
+) -> tuple[float, str]:
+    """The one engine-routing decision: (<Z...> on ``observable``, engine).
+
+    Larger tree cones contract; other cones run dense while they fit under
+    the qubit cap and contract beyond it, falling back to dense if the
+    contraction budget trips first.  Raises ContractionBudgetExceeded when
+    no engine fits.
+    """
+    circ = build_circuit(cone, schedule, observable=observable)
+    dense_ok = cone.size <= statevector_cap
+    prefer_contract = cone.is_tree and cone.size > TREE_CONTRACT_THRESHOLD
+    if dense_ok and not prefer_contract:
+        return expectation_statevector(circ, cap=statevector_cap), "statevector"
+    try:
+        return expectation_contract(circ, budget=contraction_budget), "contraction"
+    except ContractionBudgetExceeded:
+        if not dense_ok:
+            raise
+        return expectation_statevector(circ, cap=statevector_cap), "statevector"
+
+
 def evaluate_cone(
     cone: LightCone,
     schedule: AngleSchedule,
     cache: ExpectationCache | None = None,
-    statevector_cap: int = STATEVECTOR_CAP,
-    contraction_budget: int = CONTRACTION_BUDGET,
 ):
     """Ideal <Z_root> for a cone, through the cache when one is given.
 
-    Routing: depth-1 cones use the closed form; larger tree cones contract;
-    cyclic cones run dense while they fit under the qubit cap and contract
-    beyond it, falling back to dense if the contraction budget trips first.
-    Returns (record, key).
+    Depth-1 cones use the closed form; deeper ones go through
+    :func:`expectation`.  Returns (record, key).
     """
     if cache is not None and cache.schedule.fingerprint != schedule.fingerprint:
         raise ValueError("cache was built for a different angle schedule")
@@ -454,28 +485,14 @@ def evaluate_cone(
             return hit, key
     if cone.depth == 1:
         deg = cone.in_degrees()[0]
-        h = (schedule.lam * deg - 2.0) / 4.0
         value = expectation_p1_analytic(
-            deg, h, schedule.gammas[0], schedule.betas[0], schedule.lam
+            deg, IsingParams(schedule.lam).field(deg),
+            schedule.gammas[0], schedule.betas[0], schedule.lam,
         )
-        record = ExpectationRecord(value=value, engine="analytic", cone_size=cone.size)
+        engine = "analytic"
     else:
-        circ = build_circuit(cone, schedule)
-        dense_ok = cone.size <= statevector_cap
-        prefer_contract = cone.is_tree and cone.size > TREE_CONTRACT_THRESHOLD
-        if dense_ok and not prefer_contract:
-            value = expectation_statevector(circ, cap=statevector_cap)
-            engine = "statevector"
-        else:
-            try:
-                value = expectation_contract(circ, budget=contraction_budget)
-                engine = "contraction"
-            except ContractionBudgetExceeded:
-                if not dense_ok:
-                    raise
-                value = expectation_statevector(circ, cap=statevector_cap)
-                engine = "statevector"
-        record = ExpectationRecord(value=value, engine=engine, cone_size=cone.size)
+        value, engine = expectation(cone, schedule)
+    record = ExpectationRecord(value=value, engine=engine, cone_size=cone.size)
     if cache is not None:
         cache.insert(key.data, record)
     return record, key

@@ -182,8 +182,9 @@ class Graph:
 
 def is_independent(g: Graph, nodes) -> bool:
     """True iff no edge of the original graph joins two of the given nodes."""
+    nodes = list(nodes)  # read an iterator once
     chosen = set(nodes)
-    if len(chosen) != len(list(nodes)):
+    if len(chosen) != len(nodes):
         return False
     for u in chosen:
         if not (0 <= u < g.n):

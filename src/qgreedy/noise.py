@@ -112,24 +112,6 @@ def required_shots(n: int, eps: float, gap: float) -> int:
     return math.ceil(math.log(n / eps) / gap**2)
 
 
-@dataclass(frozen=True)
-class ShotPlan:
-    n: int
-    eps: float
-    gap: float
-    shots: int
-
-    def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-
-    @classmethod
-    def for_problem(cls, n: int, eps: float, gap: float) -> "ShotPlan":
-        return cls(n=n, eps=eps, gap=gap, shots=required_shots(n, eps, gap))
-
-
 # -- realization file round trip ---------------------------------------------
 
 

@@ -27,13 +27,7 @@ import numpy as np
 
 from .circuits import AngleSchedule
 from .cones import extract_lightcone, key_digest
-from .engines import (
-    CONTRACTION_BUDGET,
-    STATEVECTOR_CAP,
-    ExpectationCache,
-    evaluate_cone,
-    sample_shots,
-)
+from .engines import ExpectationCache, evaluate_cone, sample_shots
 from .errors import NodeLimitExceeded
 from .graph import Graph, is_independent
 from .noise import NoiseParams, NoiseRealization, apply_noise
@@ -83,8 +77,6 @@ class SolverConfig:
     tie_break: str = "random"  # random | lowest
     full_recompute: bool = False
     include_isolated: bool = False  # opt-in fast path, off for reported numbers
-    statevector_cap: int = STATEVECTOR_CAP
-    contraction_budget: int = CONTRACTION_BUDGET
 
     def __post_init__(self):
         if self.advice not in ("ideal", "shots", "noise"):
@@ -110,11 +102,7 @@ def resolve_delta(cfg: SolverConfig) -> float:
         return 0.0
     from .angles import delta_cutoff
 
-    return delta_cutoff(
-        cfg.schedule,
-        statevector_cap=cfg.statevector_cap,
-        contraction_budget=cfg.contraction_budget,
-    )
+    return delta_cutoff(cfg.schedule)
 
 
 def _make_advice(cfg: SolverConfig):
@@ -169,13 +157,7 @@ def solve_quantum_greedy(
     while work.alive_count:
         for i in pending:
             cone = extract_lightcone(work, i, depth)
-            record, key = evaluate_cone(
-                cone,
-                cfg.schedule,
-                cache,
-                statevector_cap=cfg.statevector_cap,
-                contraction_budget=cfg.contraction_budget,
-            )
+            record, key = evaluate_cone(cone, cfg.schedule, cache)
             values[i] = advice(i, record, key)
             keys[i] = key.data.hex()
         candidates = None

@@ -169,6 +169,7 @@ def test_a05_classical_greedy_mean_ratio_calibration():
     print(f"mean r = {mean:.5f} over 100 instances of N=2000 in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_a06_deeper_advice_improves_mean_ratio(sched_p2, sched_p3, cache_p2,
                                                cache_p3):
     graphs = [generate_regular(200, 3, seed=1300 + i) for i in range(100)]
@@ -199,6 +200,7 @@ def test_a06_deeper_advice_improves_mean_ratio(sched_p2, sched_p3, cache_p2,
     assert float(np.mean(d32)) >= -sem32
 
 
+@pytest.mark.slow
 def test_a07_every_run_returns_an_independent_set(sched_p1, sched_p2, cache_p2):
     rng = np.random.default_rng(77)
     noise_grid = [
@@ -391,6 +393,7 @@ def test_a10b_noise_fit_recovers_generator_parameters(sched_p2, cache_p2):
     assert abs(mean_sigma - truth.sigma) <= 0.015
 
 
+@pytest.mark.slow
 def test_a10c_shrink_sweep_stays_valid_and_zero_shrink_is_noiseless(
     sched_p3, cache_p3
 ):

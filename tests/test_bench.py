@@ -67,6 +67,11 @@ class TestParsePlan:
         with pytest.raises(ValueError):
             parse_plan("sizes 10\n")
 
+    def test_unknown_key(self):
+        # a misspelt key must not silently leave its field at the default
+        with pytest.raises(ValueError, match="'instance'"):
+            parse_plan("sizes = 10\ninstance = 50\n")
+
     def test_unknown_solver(self):
         with pytest.raises(ValueError):
             parse_plan("sizes = 10\nsolvers = annealer\n")

@@ -73,6 +73,14 @@ class TestSolve:
         trace = parse_trace(capsys.readouterr().out)
         assert len(trace["order"]) == trace["set_size"]
 
+    def test_delta_auto_is_default(self, capsys):
+        # auto resolves to 0 for ideal advice, the default cutoff
+        main(["solve", "--n", "20", "--seed", "1", "--depth", "1"])
+        default = capsys.readouterr().out
+        assert main(["solve", "--n", "20", "--seed", "1", "--depth", "1",
+                     "--delta", "auto"]) == 0
+        assert capsys.readouterr().out == default
+
     def test_needs_input(self, capsys):
         assert main(["solve", "--solver", "greedy"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -125,6 +133,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--solver", "dynamite"])
         assert exc.value.code == 1
+
+    def test_bad_delta_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--n", "20", "--delta", "abc"])
+        assert exc.value.code == 1
+        assert "--delta" in capsys.readouterr().err
 
     def test_runtime_error(self, capsys):
         assert main(["solve", "--in", "/nonexistent/g.txt"]) == 2

@@ -14,7 +14,6 @@ from helpers import (
 from qgreedy.cones import (
     CensusReport,
     LightCone,
-    affected_nodes,
     canonical_key,
     dump_cone,
     enumerate_cones,
@@ -79,12 +78,6 @@ def test_multi_root_size():
     cone = extract_lightcone_multi(path(5), (1, 2), 1)
     assert sorted(cone.source_ids) == [0, 1, 2, 3]
     assert cone.dists == (0, 0, 1, 1)
-
-
-class TestAffectedNodes:
-    def test_matches_ball(self):
-        g = petersen()
-        assert affected_nodes(g, 0, 1) == [n for n, _ in g.ball(0, 2)]
 
 
 class TestCanonicalKeys:

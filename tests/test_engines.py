@@ -10,9 +10,11 @@ from qgreedy.angles import vertex_cone
 from qgreedy.circuits import AngleSchedule, build_circuit
 from qgreedy.cones import canonical_key, enumerate_cones, extract_lightcone
 from qgreedy.engines import (
+    TREE_CONTRACT_THRESHOLD,
     ExpectationCache,
     ExpectationRecord,
     evaluate_cone,
+    expectation,
     expectation_contract,
     expectation_p1_analytic,
     expectation_p1_edge,
@@ -20,6 +22,11 @@ from qgreedy.engines import (
     sample_shots,
 )
 from qgreedy.errors import ContractionBudgetExceeded, StatevectorCapExceeded
+from qgreedy.graph import Graph
+
+# the solver routes single-root observables, the angle optimizer edge ones;
+# each routing case runs on both (a loop keeps the test ids stable)
+OBSERVABLES = ((0,), (0, 1))
 
 
 def sched(gammas, betas, lam=1.0, degree=3):
@@ -223,31 +230,47 @@ class TestCacheAndRouting:
         cone = extract_lightcone(complete(4), 0, 2)
         rec, _ = evaluate_cone(cone, sched_p2)
         assert rec.engine == "statevector"
+        for obs in OBSERVABLES:
+            _, engine = expectation(cone, sched_p2, observable=obs)
+            assert engine == "statevector", obs
 
     def test_large_tree_routes_contraction(self, sched_p3):
-        rec, _ = evaluate_cone(vertex_cone(3, 3), sched_p3)
-        assert rec.engine == "contraction"
-        assert rec.cone_size == 22
+        cone = vertex_cone(3, 3)
+        assert cone.size == 22
+        for obs in OBSERVABLES:
+            _, engine = expectation(cone, sched_p3, observable=obs)
+            assert engine == "contraction", obs
 
     def test_budget_falls_back_to_dense(self, sched_p2):
-        cone = extract_lightcone(complete(4), 0, 2)
-        rec, _ = evaluate_cone(cone, sched_p2, statevector_cap=24,
-                               contraction_budget=16)
-        assert rec.engine == "statevector"
+        # a 17-vertex tree (root degree 4, then 3 children each) prefers
+        # contraction yet fits the qubit cap, so a tripped budget falls back
+        edges = [(0, k) for k in range(1, 5)]
+        edges += [(k, 2 + 3 * k + j) for k in range(1, 5) for j in range(3)]
+        cone = extract_lightcone(Graph(17, edges), 0, 2)
+        assert cone.is_tree and cone.size > TREE_CONTRACT_THRESHOLD
+        for obs in OBSERVABLES:
+            contracted, _ = expectation(cone, sched_p2, observable=obs)
+            dense, engine = expectation(cone, sched_p2, observable=obs,
+                                        statevector_cap=24, contraction_budget=16)
+            assert engine == "statevector", obs
+            assert dense == pytest.approx(contracted, abs=1e-12), obs
 
     def test_no_engine_fits_raises(self, sched_p2):
         cone = extract_lightcone(complete(4), 0, 2)
-        with pytest.raises(ContractionBudgetExceeded):
-            evaluate_cone(cone, sched_p2, statevector_cap=3,
-                          contraction_budget=16)
+        for obs in OBSERVABLES:
+            with pytest.raises(ContractionBudgetExceeded):
+                expectation(cone, sched_p2, observable=obs,
+                            statevector_cap=3, contraction_budget=16)
 
     def test_routing_values_agree(self, sched_p2):
-        # one cone through all three paths via forced routing knobs
+        # one cone through both routes via a forced qubit cap
         cone = extract_lightcone(complete(4), 0, 2)
-        dense, _ = evaluate_cone(cone, sched_p2)
-        contracted, _ = evaluate_cone(cone, sched_p2, statevector_cap=3)
-        assert contracted.engine == "contraction"
-        assert dense.value == pytest.approx(contracted.value, abs=1e-12)
+        for obs in OBSERVABLES:
+            dense, dense_engine = expectation(cone, sched_p2, observable=obs)
+            contracted, engine = expectation(cone, sched_p2, observable=obs,
+                                             statevector_cap=3)
+            assert (dense_engine, engine) == ("statevector", "contraction"), obs
+            assert dense == pytest.approx(contracted, abs=1e-12), obs
 
     def test_returned_key_is_canonical(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)

@@ -177,6 +177,11 @@ class TestIsIndependent:
     def test_petersen_maximum(self):
         assert is_independent(petersen(), [0, 2, 8, 9])
 
+    def test_generator_input(self):
+        # a one-shot iterator must be read once, not once per check
+        assert is_independent(path(4), (v for v in [0, 2]))
+        assert not is_independent(path(4), (v for v in [0, 1]))
+
 
 class TestGenerateRegular:
     def test_degrees_and_simplicity(self):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qgreedy.noise import (
     NoiseParams,
     NoiseRealization,
-    ShotPlan,
     apply_noise,
     fit_noise,
     read_noise_file,
@@ -148,16 +147,6 @@ class TestRequiredShots:
             required_shots(10, 1.5, 0.1)
         with pytest.raises(ValueError):
             required_shots(10, 0.05, 0.0)
-
-
-class TestShotPlan:
-    def test_for_problem(self):
-        plan = ShotPlan.for_problem(1000, 0.05, 0.1)
-        assert plan.shots == 991
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShotPlan(n=10, eps=0.05, gap=0.1, shots=0)
 
 
 class TestNoiseFile:
