@@ -22,12 +22,12 @@ decide when two advice values should count as tied.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .circuits import AngleSchedule
 from .cones import LightCone, extract_lightcone, extract_lightcone_multi
@@ -146,6 +146,8 @@ def optimize_tree_angles(
     recursion), plus seeded random points in [-pi/2, pi/2]^{2p}.
     Deterministic for fixed inputs.
     """
+    from scipy.optimize import minimize  # slow to import; only needed here
+
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if warm_start is not None and (
@@ -200,8 +202,11 @@ def optimize_tree_angles(
                         vertex_expectation=z, edge_expectation=zz)
 
 
+@functools.cache
 def delta_cutoff(schedule: AngleSchedule) -> float:
     """Smallest root-expectation shift a depth-p cone can resolve.
+
+    Computed once per schedule; later calls return the memoized value.
 
     For p >= 2: take the full tree cone and close a cycle across the edge of
     the cone with one cross edge between two last-shell-but-one vertices in

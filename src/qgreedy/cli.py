@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -38,8 +39,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cutoff(text: str) -> float | None:
-    """--delta value: "auto" (None) or a number."""
-    return None if text == "auto" else float(text)
+    """--delta value: "auto" (None) or a finite number >= 0."""
+    if text == "auto":
+        return None
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be \"auto\" or a finite number >= 0, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> _Parser:

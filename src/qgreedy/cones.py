@@ -10,10 +10,13 @@ the in-cone degree equals the alive degree; outermost-shell fields do not
 affect the root expectation, which is what makes the cone self-contained.
 
 Canonical keys realize rooted-isomorphism equality as byte equality, with no
-probabilistic hashing.  Tree cones (the common case during solver runs) use
-the classic sorted-subtree encoding; general cones run color refinement
-seeded with (distance, degree), then a backtracking search over color-class
-orderings with the root pinned, pruned by discovered automorphisms.
+probabilistic hashing.  They are defined for single-root cones only (edge
+cones of two roots are evaluated, never keyed).  Tree cones (the common case
+during solver runs) use the classic sorted-subtree encoding, built without
+recursion from the outermost shell inward; general cones run color
+refinement seeded with (distance, degree), then a backtracking search over
+color-class orderings with the root pinned, pruned by discovered
+automorphisms.
 """
 
 from __future__ import annotations
@@ -76,41 +79,46 @@ def extract_lightcone_multi(g: Graph, roots, depth: int) -> LightCone:
 
 
 def _extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone:
+    """BFS from the roots, recording causal edges as they are seen.
+
+    Expanding u at shell k-1 sees each causal edge once: to new and earlier
+    found shell-k vertices, and to shell-(k-1) vertices with a larger graph
+    id.  The depth-p shell is never expanded, so edges joining two of its
+    vertices are never recorded.
+    """
     if depth < 1:
         raise ValueError("cone depth must be >= 1")
     for r in roots:
         if not g.alive[r]:
             raise ValueError(f"node {r} is not alive")
-    dist: dict[int, int] = {}
-    order: list[int] = []
-    for r in roots:
-        dist[r] = 0
-        order.append(r)
+    adj, alive = g.adj, g.alive
+    local = {r: idx for idx, r in enumerate(roots)}
+    order = list(roots)
+    dists = [0] * len(roots)
+    edges = []
     frontier = list(roots)
     for k in range(1, depth + 1):
         nxt = []
         for u in frontier:
-            for v in g.adj[u]:
-                if g.alive[v] and v not in dist:
-                    dist[v] = k
+            a = local[u]
+            for v in adj[u]:
+                if not alive[v]:
+                    continue
+                b = local.get(v)
+                if b is None:
+                    b = local[v] = len(order)
                     order.append(v)
+                    dists.append(k)
                     nxt.append(v)
-        frontier = nxt
-    local = {node: idx for idx, node in enumerate(order)}
-    edges = []
-    for u in order:
-        du = dist[u]
-        for v in g.adj[u]:
-            if v in local and v > u and g.alive[v]:
-                if min(du, dist[v]) <= depth - 1:
-                    a, b = local[u], local[v]
+                    edges.append((a, b))
+                elif dists[b] == k:
+                    edges.append((a, b))
+                elif dists[b] == k - 1 and v > u:
                     edges.append((a, b) if a < b else (b, a))
+        frontier = nxt
     edges.sort()
     return LightCone(
-        depth=depth,
-        dists=tuple(dist[node] for node in order),
-        edges=tuple(edges),
-        source_ids=tuple(order),
+        depth=depth, dists=tuple(dists), edges=tuple(edges), source_ids=tuple(order)
     )
 
 
@@ -142,39 +150,43 @@ def canonical_key(cone: LightCone) -> CanonicalKey:
     The extraction depth is part of the key: structurally identical cones at
     different depths run different circuits, and everything keyed per cone
     (cache entries, noise offsets, shot streams) must not alias across
-    depths.
+    depths.  Keys are defined for single-root cones only: unless local id 0
+    is the one distance-0 vertex, this raises ValueError.
     """
-    if cone.is_tree:
+    if cone.dists.count(0) != 1 or cone.dists[0] != 0:
+        raise ValueError("canonical keys need exactly one root, at local id 0")
+    tree = cone.is_tree
+    if tree:
         data = b"T" + bytes([cone.depth]) + _tree_encoding(cone)
     else:
         data = b"G" + bytes([cone.depth]) + _search_encoding(cone)
     return CanonicalKey(
-        data=data, size=cone.size, edge_count=len(cone.edges), is_tree=cone.is_tree
+        data=data, size=cone.size, edge_count=len(cone.edges), is_tree=tree
     )
 
 
 def _tree_encoding(cone: LightCone) -> bytes:
     """Sorted-subtree encoding; canonical for rooted trees.
 
-    In a tree cone every edge joins consecutive shells, so children of v are
-    exactly its neighbors one shell further out.
+    In a tree cone every edge joins consecutive shells, so the parent of a
+    vertex is its one neighbor a shell further in.  Subtrees are encoded
+    from the outermost shell inward, so each is complete before its parent
+    takes it.
     """
-    adj = cone.adjacency()
     dists = cone.dists
-
-    def encode(v: int) -> bytes:
-        parts = sorted(encode(c) for c in adj[v] if dists[c] == dists[v] + 1)
-        return b"(" + b"".join(parts) + b")"
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    if old < cone.size + 100:
-        sys.setrecursionlimit(cone.size + 200)
-    try:
-        return encode(0)
-    finally:
-        sys.setrecursionlimit(old)
+    parent = [0] * len(dists)
+    for u, v in cone.edges:
+        if dists[u] < dists[v]:
+            parent[v] = u
+        else:
+            parent[u] = v
+    parts: list[list[bytes]] = [[] for _ in dists]
+    # by shell, not by local id: relabeled or parsed cones are not in BFS order
+    for v in sorted(range(1, len(dists)), key=dists.__getitem__, reverse=True):
+        sub = parts[v]
+        enc = b"(" + b"".join(sorted(sub)) + b")" if sub else b"()"
+        parts[parent[v]].append(enc)
+    return b"(" + b"".join(sorted(parts[0])) + b")"
 
 
 def _refine(n: int, adj: list[list[int]], colors: list[int]) -> list[int]:

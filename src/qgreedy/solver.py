@@ -8,6 +8,14 @@ so later passes recompute just that neighborhood; everything else keeps its
 cached value.  The construction never adds two adjacent vertices, so the
 output is an independent set no matter how wrong the advice values are.
 
+Selection reads an index instead of scanning every live value: a bucket of
+live nodes per distinct advice value, plus those values in ascending order
+(kept with bisect).  A step walks down from the top value while values stay
+within delta of it and sorts the union of those buckets, so a step costs
+its recomputed cones and the tie window, not the graph size.  Advice takes
+few distinct values (one per cone class, or per shot outcome), so the
+walk is short.
+
 Tie-breaking draws exactly one random index per step in both the quantum
 and classical solvers.  With matched seeds and optimized p=1 angles the two
 therefore produce identical selection sequences, since at p=1 the argmax
@@ -21,6 +29,7 @@ records cone key "-").
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +94,8 @@ class SolverConfig:
             raise ValueError("shot advice needs shots >= 1")
         if self.advice == "noise" and self.noise is None:
             raise ValueError("noise advice needs NoiseParams")
-        if self.delta is not None and self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        if self.delta is not None and not self.delta >= 0:
+            raise ValueError(f"delta must be >= 0, got {self.delta}")
         if self.tie_break not in ("random", "lowest"):
             raise ValueError(f"unknown tie break {self.tie_break!r}")
 
@@ -152,22 +161,47 @@ def solve_quantum_greedy(
 
     values: dict[int, float] = {}
     keys: dict[int, str] = {}
+    # selection index: advice value -> live nodes holding it, and the
+    # distinct values in ascending order
+    buckets: dict[float, set[int]] = {}
+    levels: list[float] = []
+
+    def forget(i: int) -> None:
+        v = values.pop(i)
+        bucket = buckets[v]
+        bucket.remove(i)
+        if not bucket:
+            del buckets[v]
+            del levels[bisect_left(levels, v)]
+
     pending = work.alive_nodes()
     step = 0
     while work.alive_count:
         for i in pending:
             cone = extract_lightcone(work, i, depth)
             record, key = evaluate_cone(cone, cfg.schedule, cache)
-            values[i] = advice(i, record, key)
+            if i in values:
+                forget(i)
+            v = values[i] = advice(i, record, key)
             keys[i] = key.data.hex()
+            bucket = buckets.get(v)
+            if bucket is None:
+                bucket = buckets[v] = set()
+                insort(levels, v)
+            bucket.add(i)
         candidates = None
         if cfg.include_isolated:
             isolated = sorted(i for i in values if work.degree(i) == 0)
             if isolated:
                 candidates = isolated
         if candidates is None:
-            vmax = max(values.values())
-            candidates = sorted(i for i, v in values.items() if v >= vmax - delta)
+            floor = levels[-1] - delta
+            tied: list[int] = []
+            for v in reversed(levels):
+                if v < floor:
+                    break
+                tied.extend(buckets[v])
+            candidates = sorted(tied)
         if cfg.tie_break == "lowest":
             pick = candidates[0]
         else:
@@ -177,8 +211,8 @@ def solve_quantum_greedy(
         chosen_value, chosen_key = values[pick], keys[pick]
         removed = work.remove_closed_neighborhood(pick)
         for r in removed:
-            values.pop(r, None)
-            keys.pop(r, None)
+            forget(r)
+            del keys[r]
         trace.steps.append(
             TraceStep(step, pick, chosen_value, chosen_key, len(removed))
         )

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgreedy.angles
 from qgreedy.angles import (
     AngleOptimum,
     delta_cutoff,
@@ -133,6 +138,29 @@ class TestDeltaCutoff:
         d2 = delta_cutoff(sched_p2)
         assert d2 == pytest.approx(0.03379517395650555, abs=1e-9)
         assert 0 < d2 < d1
+
+    def test_memoized_per_schedule(self, sched_p2, monkeypatch):
+        # a schedule no other test uses, so the first call computes
+        fresh = sched([g + 1e-3 for g in sched_p2.gammas], sched_p2.betas)
+        first = delta_cutoff(fresh)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("delta_cutoff re-evaluated a cone")
+
+        monkeypatch.setattr(qgreedy.angles, "expectation", fail)
+        assert delta_cutoff(fresh) == first
+        assert delta_cutoff(sched(fresh.gammas, fresh.betas)) == first
+
+
+def test_solver_import_skips_scipy_optimize():
+    # only optimize_tree_angles needs scipy.optimize; it is slow to import
+    code = (
+        "import sys, qgreedy, qgreedy.solver; "
+        "sys.exit('scipy.optimize' in sys.modules)"
+    )
+    src = str(Path(qgreedy.angles.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestAngleFiles:

@@ -140,6 +140,13 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "--delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "inf", "-inf"])
+    def test_nonfinite_or_negative_delta_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--n", "20", "--delta", value])
+        assert exc.value.code == 1
+        assert "--delta" in capsys.readouterr().err
+
     def test_runtime_error(self, capsys):
         assert main(["solve", "--in", "/nonexistent/g.txt"]) == 2
         assert "error:" in capsys.readouterr().err

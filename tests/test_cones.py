@@ -74,6 +74,56 @@ class TestExtraction:
         assert cone.in_degrees() == [3, 1, 1, 1]
 
 
+def _brute_force_cone(g, roots, depth):
+    """(dists by node, causal edges by node pair), straight from the
+    definition: BFS distances, then every alive edge whose nearer endpoint
+    is within depth-1."""
+    dist = {r: 0 for r in roots}
+    frontier = list(roots)
+    for k in range(1, depth + 1):
+        nxt = []
+        for u in frontier:
+            for v in g.neighbors_alive(u):
+                if v not in dist:
+                    dist[v] = k
+                    nxt.append(v)
+        frontier = nxt
+    edges = {
+        frozenset((u, v)) for u, v in g.edges_alive()
+        if u in dist and v in dist and min(dist[u], dist[v]) <= depth - 1
+    }
+    return dist, edges
+
+
+def test_extraction_matches_definition():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for trial in range(12):
+        g = generate_regular(40, 3, 300 + trial)
+        for _ in range(trial % 4):
+            g.remove_closed_neighborhood(int(rng.choice(g.alive_nodes())))
+        for depth in (1, 2, 3, 4):
+            for v in g.alive_nodes()[::3]:
+                for roots in [(v,)] + [(v, u) for u in g.neighbors_alive(v)[:1]]:
+                    if len(roots) == 1:
+                        cone = extract_lightcone(g, v, depth)
+                    else:
+                        cone = extract_lightcone_multi(g, roots, depth)
+                    dist, edges = _brute_force_cone(g, roots, depth)
+                    ids = cone.source_ids
+                    assert ids[: len(roots)] == roots
+                    assert sorted(ids) == sorted(dist)
+                    assert cone.dists == tuple(dist[x] for x in ids)
+                    # BFS order: shells never go back inward
+                    assert list(cone.dists) == sorted(cone.dists)
+                    assert list(cone.edges) == sorted(set(cone.edges))
+                    assert all(a < b for a, b in cone.edges)
+                    seen = {frozenset((ids[a], ids[b])) for a, b in cone.edges}
+                    assert seen == edges
+                    checked += 1
+    assert checked > 1000
+
+
 def test_multi_root_size():
     cone = extract_lightcone_multi(path(5), (1, 2), 1)
     assert sorted(cone.source_ids) == [0, 1, 2, 3]
@@ -111,6 +161,19 @@ class TestCanonicalKeys:
         k1 = canonical_key(extract_lightcone(g1, 2, 2))
         k2 = canonical_key(extract_lightcone(g2, 1, 2))
         assert k1.data != k2.data
+
+    def test_multi_root_rejected(self):
+        # the tree encoder would follow root 0 only, so these three cones of
+        # sizes 3, 4 and 5 would all share one key
+        for cone in (
+            LightCone(1, (0, 0, 1), ((0, 1), (0, 2))),
+            LightCone(1, (0, 0, 1, 1), ((0, 1), (0, 2), (1, 3))),
+            LightCone(1, (0, 0, 1, 1, 1), ((0, 1), (0, 2), (1, 3), (1, 4))),
+            extract_lightcone_multi(complete(4), (0, 1), 2),
+            LightCone(1, (1, 0), ((0, 1),)),  # root not at local id 0
+        ):
+            with pytest.raises(ValueError, match="root"):
+                canonical_key(cone)
 
     def test_key_carries_facts(self):
         cone = extract_lightcone(complete(4), 0, 2)

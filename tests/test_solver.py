@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +195,41 @@ class TestQuantumGreedy:
         assert first.key_hex == expect
 
 
+class TestTraceDigest:
+    """Selection is pinned byte for byte: any change to the loop, the advice
+    sources or the cone layers that alters a pick, value or key shows here.
+    The grid crosses depth, advice source, delta (0, auto, fixed), tie break
+    and incremental versus full recomputation."""
+
+    # SHA-256 over the concatenated format_trace texts, in grid order
+    DIGEST = "deafc89aacee8d75c1edcebe27c0e8f8b8f041fd8730e9bdcd6bc686cd55863c"
+
+    def test_grid_digest(self, sched_p1, sched_p2):
+        noise = NoiseParams(eta=0.05, alpha=-0.02, sigma=0.03, seed=9)
+        advice = [
+            {},
+            {"advice": "shots", "shots": 64},
+            {"advice": "noise", "noise": noise},
+        ]
+        runs = {
+            1: (sched_p1, None, generate_regular(60, 3, 41)),
+            # a cache of its own: a class keeps the value of the first cone
+            # evaluated for it, and isomorphic cones can differ in the last ulp
+            2: (sched_p2, ExpectationCache(sched_p2), generate_regular(40, 3, 42)),
+        }
+        grid = itertools.product(
+            (1, 2), advice, (0.0, None, 0.05), ("random", "lowest"),
+            (False, True),
+        )
+        h = hashlib.sha256()
+        for idx, (depth, extra, delta, tie, full) in enumerate(grid):
+            sched, cache, g = runs[depth]
+            cfg = SolverConfig(schedule=sched, delta=delta, seed=idx,
+                               tie_break=tie, full_recompute=full, **extra)
+            h.update(format_trace(solve_quantum_greedy(g, cfg, cache)).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestSolverConfig:
     def test_advice_validation(self, sched_p1):
         with pytest.raises(ValueError):
@@ -204,6 +242,12 @@ class TestSolverConfig:
             SolverConfig(schedule=sched_p1, delta=-0.1)
         with pytest.raises(ValueError):
             SolverConfig(schedule=sched_p1, tie_break="best")
+
+    def test_nan_delta_rejected(self, sched_p1):
+        # NaN passes a "< 0" check; with it every value would count as tied
+        with pytest.raises(ValueError, match="delta"):
+            SolverConfig(schedule=sched_p1, delta=float("nan"),
+                         tie_break="lowest")
 
     def test_delta_auto_resolution(self, sched_p1):
         ideal = SolverConfig(schedule=sched_p1, delta=None)
