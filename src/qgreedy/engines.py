@@ -48,6 +48,8 @@ from .graph import IsingParams
 
 STATEVECTOR_CAP = 24
 CONTRACTION_BUDGET = 2**26  # max tensor entries per intermediate, ~1 GB
+# persisted cache format; bump when the file layout or engine values change
+CACHE_VERSION = 1
 
 
 # -- closed forms for p = 1 -------------------------------------------------
@@ -378,7 +380,8 @@ class ExpectationCache:
     store would alias values, so the schedule fingerprint is checked on
     every use.  Reads are lock-free; inserts serialize on a lock.  When a
     directory is given (or QGREEDY_CACHE_DIR is set), entries persist as one
-    JSON file per schedule fingerprint.
+    JSON file per schedule fingerprint; the file also holds the format
+    version and the fingerprint, and loading one that differs raises.
     """
 
     def __init__(self, schedule: AngleSchedule, directory: str | None = None):
@@ -411,11 +414,21 @@ class ExpectationCache:
         with self._lock:
             self._store[key_data] = record
 
+    def _header(self) -> dict:
+        # the fingerprint as JSON reads it back: tuples become lists
+        fingerprint = json.loads(json.dumps(self.schedule.fingerprint))
+        return {"version": CACHE_VERSION, "fingerprint": fingerprint}
+
     def _load(self) -> None:
         if self._path and os.path.exists(self._path):
             with open(self._path) as fh:
                 raw = json.load(fh)
-            for hx, (value, engine, size) in raw.items():
+            if any(raw.get(k) != v for k, v in self._header().items()):
+                raise ValueError(
+                    f"{self._path}: not a version {CACHE_VERSION} cache of "
+                    "this angle schedule"
+                )
+            for hx, (value, engine, size) in raw["entries"].items():
                 self._store[bytes.fromhex(hx)] = ExpectationRecord(
                     value=value, engine=engine, cone_size=size
                 )
@@ -424,10 +437,11 @@ class ExpectationCache:
         if not self._path:
             return
         with self._lock:
-            raw = {
+            entries = {
                 k.hex(): [r.value, r.engine, r.cone_size]
                 for k, r in self._store.items()
             }
+        raw = dict(self._header(), entries=entries)
         tmp = self._path + ".tmp"
         with open(tmp, "w") as fh:
             json.dump(raw, fh)

@@ -1,34 +1,36 @@
 """Greedy MIS solvers: expectation-steered, classical min-degree, and exact.
 
-The quantum-enhanced loop repeatedly evaluates <Z_i> on the depth-p cone of
-every live vertex, picks the maximum (values within delta of the max count
-as tied), adds the winner to the set, and deletes its closed neighborhood.
-Deleting a neighborhood only disturbs cones within distance p+1 of the pick,
-so later passes recompute just that neighborhood; everything else keeps its
-cached value.  The construction never adds two adjacent vertices, so the
-output is an independent set no matter how wrong the advice values are.
+Both greedy solvers run one loop and differ only in how they score a live
+vertex: the quantum-enhanced score is the advice value of <Z_i> on the
+depth-p cone of i, the classical one is minus the degree of i (depth 1).
+Each step picks the top score (scores within delta of it count as tied),
+adds the winner to the set and deletes its closed neighborhood.  That
+only disturbs scores within distance depth+1 of the pick, so only that
+ball is rescored.  The loop never adds two adjacent vertices, so the
+output is independent no matter how wrong the scores are.
 
-Selection reads an index instead of scanning every live value: a bucket of
-live nodes per distinct advice value, plus those values in ascending order
-(kept with bisect).  A step walks down from the top value while values stay
-within delta of it and sorts the union of those buckets, so a step costs
-its recomputed cones and the tie window, not the graph size.  Advice takes
-few distinct values (one per cone class, or per shot outcome), so the
-walk is short.
+With ``include_isolated`` the quantum score ranks a degree-0 vertex at
+infinity, above every advice value.  A vertex turns isolated only when its
+last neighbors are deleted, at distance 2 from the pick, so that rank is
+always current.
 
-Tie-breaking draws exactly one random index per step in both the quantum
-and classical solvers.  With matched seeds and optimized p=1 angles the two
-therefore produce identical selection sequences, since at p=1 the argmax
-candidates are exactly the minimum-degree vertices.
+Selection reads an index, not every live score: an ascending list of live
+nodes per distinct rank, and the ranks in ascending order, both kept with
+bisect.  The candidates are the lists of the ranks within delta of the top
+(the top list as it stands when it is alone), so a step costs its rescored
+vertices and the tie window, not the graph size.
 
-Trace equality between solvers means equal selection sequences and removal
-counts; the recorded per-step value is solver-specific (an expectation for
-the quantum loop, the chosen vertex degree for the classical one, which
-records cone key "-").
+Tie-breaking draws exactly one random index per step over the candidates
+in ascending id order.  With matched seeds and optimized p=1 angles the two
+greedy solvers therefore make identical selections, since at p=1 the
+argmax candidates are exactly the minimum-degree vertices.  The recorded
+per-step value is solver-specific: an advice value for the quantum loop,
+the chosen degree (with cone key "-") for the classical one.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
@@ -40,8 +42,6 @@ from .engines import ExpectationCache, evaluate_cone, sample_shots
 from .errors import NodeLimitExceeded
 from .graph import Graph, is_independent
 from .noise import NoiseParams, NoiseRealization, apply_noise
-
-_DEAD_DEGREE = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class SolverConfig:
     seed: int = 0
     tie_break: str = "random"  # random | lowest
     full_recompute: bool = False
-    include_isolated: bool = False  # opt-in fast path, off for reported numbers
+    include_isolated: bool = False  # degree-0 nodes rank first; off in reports
 
     def __post_init__(self):
         if self.advice not in ("ideal", "shots", "noise"):
@@ -94,8 +94,8 @@ class SolverConfig:
             raise ValueError("shot advice needs shots >= 1")
         if self.advice == "noise" and self.noise is None:
             raise ValueError("noise advice needs NoiseParams")
-        if self.delta is not None and not self.delta >= 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if self.delta is not None and not 0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite, >= 0: {self.delta}")
         if self.tie_break not in ("random", "lowest"):
             raise ValueError(f"unknown tie break {self.tie_break!r}")
 
@@ -145,116 +145,100 @@ def _make_advice(cfg: SolverConfig):
     return noisy_advice
 
 
-def solve_quantum_greedy(
-    g: Graph, cfg: SolverConfig, cache: ExpectationCache | None = None
-) -> SolveTrace:
+def _greedy(g: Graph, depth: int, score, delta: float, tie_break: str,
+            seed: int, full_recompute: bool) -> SolveTrace:
+    """The greedy loop.  ``score(work, i)`` gives (rank, value, key hex) of
+    live node i from the alive nodes within ``depth`` of it; the loop picks
+    by rank and records value and key hex."""
     if g.alive_count == 0:
         raise ValueError("graph has no alive nodes")
-    if cache is None:
-        cache = ExpectationCache(cfg.schedule)
     work = g.copy()
-    depth = cfg.depth
-    delta = resolve_delta(cfg)
-    advice = _make_advice(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     trace = SolveTrace(n=work.alive_count)
-
-    values: dict[int, float] = {}
-    keys: dict[int, str] = {}
-    # selection index: advice value -> live nodes holding it, and the
-    # distinct values in ascending order
-    buckets: dict[float, set[int]] = {}
+    scored: dict[int, tuple[float, float, str]] = {}
+    # selection index: rank -> live nodes holding it in ascending id order,
+    # and the distinct ranks in ascending order
+    buckets: dict[float, list[int]] = {}
     levels: list[float] = []
 
     def forget(i: int) -> None:
-        v = values.pop(i)
-        bucket = buckets[v]
-        bucket.remove(i)
+        rank = scored.pop(i)[0]
+        bucket = buckets[rank]
+        del bucket[bisect_left(bucket, i)]
         if not bucket:
-            del buckets[v]
-            del levels[bisect_left(levels, v)]
+            del buckets[rank]
+            del levels[bisect_left(levels, rank)]
 
     pending = work.alive_nodes()
-    step = 0
     while work.alive_count:
         for i in pending:
-            cone = extract_lightcone(work, i, depth)
-            record, key = evaluate_cone(cone, cfg.schedule, cache)
-            if i in values:
+            if i in scored:
                 forget(i)
-            v = values[i] = advice(i, record, key)
-            keys[i] = key.data.hex()
-            bucket = buckets.get(v)
-            if bucket is None:
-                bucket = buckets[v] = set()
-                insort(levels, v)
-            bucket.add(i)
-        candidates = None
-        if cfg.include_isolated:
-            isolated = sorted(i for i in values if work.degree(i) == 0)
-            if isolated:
-                candidates = isolated
-        if candidates is None:
-            floor = levels[-1] - delta
-            tied: list[int] = []
-            for v in reversed(levels):
-                if v < floor:
-                    break
-                tied.extend(buckets[v])
-            candidates = sorted(tied)
-        if cfg.tie_break == "lowest":
+            scored[i] = score(work, i)
+            rank = scored[i][0]
+            if rank in buckets:
+                insort(buckets[rank], i)
+            else:
+                buckets[rank] = [i]
+                insort(levels, rank)
+        lo = bisect_left(levels, levels[-1] - delta)  # first tied rank
+        if lo == len(levels) - 1:
+            candidates = buckets[levels[-1]]
+        else:
+            candidates = sorted(i for v in levels[lo:] for i in buckets[v])
+        if tie_break == "lowest":
             pick = candidates[0]
         else:
             pick = candidates[int(rng.integers(len(candidates)))]
-        # neighborhood whose cones the deletion can touch, taken pre-deletion
+        # neighborhood whose scores the deletion can touch, taken pre-deletion
         affected = [node for node, _ in work.ball(pick, depth + 1)]
-        chosen_value, chosen_key = values[pick], keys[pick]
+        _, value, key_hex = scored[pick]
         removed = work.remove_closed_neighborhood(pick)
         for r in removed:
             forget(r)
-            del keys[r]
         trace.steps.append(
-            TraceStep(step, pick, chosen_value, chosen_key, len(removed))
+            TraceStep(len(trace.steps), pick, value, key_hex, len(removed))
         )
-        step += 1
-        if cfg.full_recompute:
+        if full_recompute:
             pending = work.alive_nodes()
         else:
             pending = [x for x in affected if work.alive[x]]
     return trace
 
 
+def solve_quantum_greedy(
+    g: Graph, cfg: SolverConfig, cache: ExpectationCache | None = None
+) -> SolveTrace:
+    if cache is None:
+        cache = ExpectationCache(cfg.schedule)
+    advice = _make_advice(cfg)
+
+    def score(work: Graph, i: int) -> tuple[float, float, str]:
+        cone = extract_lightcone(work, i, cfg.depth)
+        record, key = evaluate_cone(cone, cfg.schedule, cache)
+        value = advice(i, record, key)
+        if cfg.include_isolated and work.degree(i) == 0:
+            return math.inf, value, key.data.hex()
+        return value, value, key.data.hex()
+
+    return _greedy(g, cfg.depth, score, resolve_delta(cfg), cfg.tie_break,
+                   cfg.seed, cfg.full_recompute)
+
+
 def solve_classical_greedy(
     g: Graph, seed: int = 0, tie_break: str = "random"
 ) -> SolveTrace:
     """Repeatedly pick uniformly among minimum-degree vertices."""
-    if g.alive_count == 0:
-        raise ValueError("graph has no alive nodes")
     if tie_break not in ("random", "lowest"):
         raise ValueError(f"unknown tie break {tie_break!r}")
-    work = g.copy()
-    rng = np.random.default_rng(seed)
-    trace = SolveTrace(n=work.alive_count)
-    degs = np.full(work.n, _DEAD_DEGREE, dtype=np.int64)
-    for i in work.alive_nodes():
-        degs[i] = work.degree(i)
-    step = 0
-    while work.alive_count:
-        dmin = int(degs.min())
-        candidates = np.flatnonzero(degs == dmin)  # ascending ids
-        if tie_break == "lowest":
-            pick = int(candidates[0])
-        else:
-            pick = int(candidates[int(rng.integers(candidates.size))])
-        removed = work.remove_closed_neighborhood(pick)
-        degs[removed] = _DEAD_DEGREE
-        for r in removed:
-            for x in work.adj[r]:
-                if work.alive[x]:
-                    degs[x] = work.degree(x)
-        trace.steps.append(TraceStep(step, pick, float(dmin), "-", len(removed)))
-        step += 1
-    return trace
+
+    def score(work: Graph, i: int) -> tuple[int, float, str]:
+        d = work.degree(i)
+        return -d, float(d), "-"
+
+    # a deletion changes degrees only at distance 2 from the pick, inside
+    # the depth-1 loop's rescored ball
+    return _greedy(g, 1, score, 0, tie_break, seed, False)
 
 
 def worst_case_bound(d: int) -> float:

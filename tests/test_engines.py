@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -218,6 +219,30 @@ class TestCacheAndRouting:
         cache.save()
         fresh = ExpectationCache(sched_p2, directory=str(tmp_path))
         assert fresh.get(key.data) == rec
+
+    def test_persisted_foreign_file_rejected(self, sched_p2, tmp_path):
+        # files are named by a truncated hash of the fingerprint, so another
+        # schedule's file can sit at this cache's path; it must not be served
+        other = AngleSchedule(
+            depth=2, degree=sched_p2.degree, lam=sched_p2.lam,
+            gammas=tuple(x + 0.1 for x in sched_p2.gammas),
+            betas=sched_p2.betas,
+        )
+        foreign = ExpectationCache(other, directory=str(tmp_path / "other"))
+        evaluate_cone(extract_lightcone(complete(4), 0, 2), other, foreign)
+        foreign.save()
+        mine = ExpectationCache(sched_p2, directory=str(tmp_path / "mine"))
+        mine.save()
+        [path] = (tmp_path / "mine").glob("*.json")
+        [foreign_path] = (tmp_path / "other").glob("*.json")
+        foreign_text = foreign_path.read_text()
+        header_less = json.dumps(json.loads(foreign_text)["entries"])
+        own = json.loads(path.read_text())
+        other_version = json.dumps(dict(own, version=own["version"] + 1))
+        for text in (foreign_text, header_less, other_version):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=path.name):
+                ExpectationCache(sched_p2, directory=str(tmp_path / "mine"))
 
     def test_depth1_routes_analytic(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)

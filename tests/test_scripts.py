@@ -1,0 +1,47 @@
+"""Smoke tests for the experiment scripts: each runs as a subprocess on a
+tiny input, exits 0 and prints its expected lines."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_noise_sweep():
+    lines = run_script("noise_sweep.py", "--n", "20", "--depth", "1",
+                       "--instances", "2", "--eta-steps", "2")
+    assert lines[0] == "N=20 depth=1 instances=2"
+    assert len(lines) == 3
+    for line, eta in zip(lines[1:], ("0.000", "0.100")):
+        assert re.fullmatch(rf"eta {eta}  mean_r 0\.\d{{5}}  sem \d\.\d{{5}}",
+                            line), line
+
+
+def test_run_bench(tmp_path):
+    out = tmp_path / "bench.csv"
+    plan = tmp_path / "tiny.plan"
+    plan.write_text(
+        "sizes = 20\ninstances = 2\nsolvers = greedy qgreedy\n"
+        f"depths = 1 2\nadvice = ideal\nworkers = 1\nout = {out}\n"
+    )
+    lines = run_script("run_bench.py", "--plan", str(plan))
+    rows = [line.split() for line in lines if line.startswith("size ")]
+    assert [(r[1], r[2], r[4]) for r in rows] == [
+        ("20", "greedy", "0"), ("20", "qgreedy", "1"), ("20", "qgreedy", "2"),
+    ]
+    # at p=1 the steered loop picks exactly the min-degree vertices
+    assert rows[0][6] == rows[1][6]
+    assert any(line.startswith("depth trend at N=20:") for line in lines)
+    assert lines[-1] == f"wrote {out}"
+    assert out.exists()

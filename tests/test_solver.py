@@ -229,6 +229,41 @@ class TestTraceDigest:
             h.update(format_trace(solve_quantum_greedy(g, cfg, cache)).encode())
         assert h.hexdigest() == self.DIGEST
 
+    # SHA-256 over the classical texts, then the include_isolated texts
+    ISOLATED_DIGEST = "0f5784b70d135d856f034bad021ee5ed65cff50bb2670d2182895adf4b849ac1"
+
+    def test_classical_and_isolated_digest(self, sched_p1, sched_p2):
+        rng = np.random.default_rng(43)
+        regular = [generate_regular(n, 3, 43 + n) for n in (40, 200)]
+        sparse = [random_graph(rng, n, 2.0 / n) for n in (30, 60, 120)]
+        # the isolated-first rule only matters if there are isolated nodes
+        assert all(any(s.degree(i) == 0 for i in range(s.n)) for s in sparse)
+        h = hashlib.sha256()
+        for idx, (g, tie) in enumerate(
+            itertools.product(regular + sparse, ("random", "lowest"))
+        ):
+            trace = solve_classical_greedy(g, seed=idx, tie_break=tie)
+            h.update(format_trace(trace).encode())
+        noise = NoiseParams(eta=0.05, alpha=-0.02, sigma=0.03, seed=9)
+        advice = [
+            {},
+            {"advice": "shots", "shots": 64},
+            {"advice": "noise", "noise": noise},
+        ]
+        runs = {
+            1: (sched_p1, None),
+            2: (sched_p2, ExpectationCache(sched_p2)),  # see test_grid_digest
+        }
+        grid = itertools.product(
+            (1, 2), advice, (0.0, None, 0.05), ("random", "lowest"), sparse
+        )
+        for idx, (depth, extra, delta, tie, g) in enumerate(grid):
+            sched, cache = runs[depth]
+            cfg = SolverConfig(schedule=sched, delta=delta, seed=idx,
+                               tie_break=tie, include_isolated=True, **extra)
+            h.update(format_trace(solve_quantum_greedy(g, cfg, cache)).encode())
+        assert h.hexdigest() == self.ISOLATED_DIGEST
+
 
 class TestSolverConfig:
     def test_advice_validation(self, sched_p1):
@@ -244,10 +279,12 @@ class TestSolverConfig:
             SolverConfig(schedule=sched_p1, tie_break="best")
 
     def test_nan_delta_rejected(self, sched_p1):
-        # NaN passes a "< 0" check; with it every value would count as tied
-        with pytest.raises(ValueError, match="delta"):
-            SolverConfig(schedule=sched_p1, delta=float("nan"),
-                         tie_break="lowest")
+        # NaN passes a "< 0" check; with it every value would count as tied.
+        # inf - inf is NaN too, at the infinite rank of an isolated node.
+        for delta in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="delta"):
+                SolverConfig(schedule=sched_p1, delta=delta,
+                             tie_break="lowest")
 
     def test_delta_auto_resolution(self, sched_p1):
         ideal = SolverConfig(schedule=sched_p1, delta=None)
