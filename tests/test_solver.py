@@ -195,74 +195,111 @@ class TestQuantumGreedy:
         assert first.key_hex == expect
 
 
+def _grid_traces(sched_p1, sched_p2):
+    """p=1,2 x ideal/shot/noise x delta 0/auto/0.05 x both tie breaks x
+    incremental/full, in that order."""
+    noise = NoiseParams(eta=0.05, alpha=-0.02, sigma=0.03, seed=9)
+    advice = [
+        {},
+        {"advice": "shots", "shots": 64},
+        {"advice": "noise", "noise": noise},
+    ]
+    runs = {
+        1: (sched_p1, None, generate_regular(60, 3, 41)),
+        # a cache of its own, so the p=2 traces cannot lean on what the
+        # session's other tests put in a shared one
+        2: (sched_p2, ExpectationCache(sched_p2), generate_regular(40, 3, 42)),
+    }
+    grid = itertools.product(
+        (1, 2), advice, (0.0, None, 0.05), ("random", "lowest"),
+        (False, True),
+    )
+    for idx, (depth, extra, delta, tie, full) in enumerate(grid):
+        sched, cache, g = runs[depth]
+        cfg = SolverConfig(schedule=sched, delta=delta, seed=idx,
+                           tie_break=tie, full_recompute=full, **extra)
+        yield solve_quantum_greedy(g, cfg, cache)
+
+
+def _isolated_traces(sched_p1, sched_p2):
+    """Classical solves, then include_isolated solves on sparse graphs."""
+    rng = np.random.default_rng(43)
+    regular = [generate_regular(n, 3, 43 + n) for n in (40, 200)]
+    sparse = [random_graph(rng, n, 2.0 / n) for n in (30, 60, 120)]
+    # the isolated-first rule only matters if there are isolated nodes
+    assert all(any(s.degree(i) == 0 for i in range(s.n)) for s in sparse)
+    for idx, (g, tie) in enumerate(
+        itertools.product(regular + sparse, ("random", "lowest"))
+    ):
+        yield solve_classical_greedy(g, seed=idx, tie_break=tie)
+    noise = NoiseParams(eta=0.05, alpha=-0.02, sigma=0.03, seed=9)
+    advice = [
+        {},
+        {"advice": "shots", "shots": 64},
+        {"advice": "noise", "noise": noise},
+    ]
+    runs = {
+        1: (sched_p1, None),
+        2: (sched_p2, ExpectationCache(sched_p2)),  # see _grid_traces
+    }
+    grid = itertools.product(
+        (1, 2), advice, (0.0, None, 0.05), ("random", "lowest"), sparse
+    )
+    for idx, (depth, extra, delta, tie, g) in enumerate(grid):
+        sched, cache = runs[depth]
+        cfg = SolverConfig(schedule=sched, delta=delta, seed=idx,
+                           tie_break=tie, include_isolated=True, **extra)
+        yield solve_quantum_greedy(g, cfg, cache)
+
+
+def _picks(trace) -> str:
+    """A trace without its values: node order, cone keys and set size."""
+    lines = [f"{s.node} {s.key_hex}" for s in trace.steps]
+    return "\n".join(lines) + f"\nset_size {trace.set_size}\n"
+
+
+def _digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
+
+
 class TestTraceDigest:
     """Selection is pinned byte for byte: any change to the loop, the advice
     sources or the cone layers that alters a pick, value or key shows here.
     The grid crosses depth, advice source, delta (0, auto, fixed), tie break
-    and incremental versus full recomputation."""
+    and incremental versus full recomputation.  The pick digests leave the
+    values out, so they hold across engine changes that move a value by an
+    ulp but flip no pick."""
 
     # SHA-256 over the concatenated format_trace texts, in grid order
     DIGEST = "deafc89aacee8d75c1edcebe27c0e8f8b8f041fd8730e9bdcd6bc686cd55863c"
+    # SHA-256 over the same traces' picks (see _picks)
+    PICK_DIGEST = "980f186850e1b9707066c1d25219daae51985cbceee7d0bf9907a53ff55aa69d"
 
     def test_grid_digest(self, sched_p1, sched_p2):
-        noise = NoiseParams(eta=0.05, alpha=-0.02, sigma=0.03, seed=9)
-        advice = [
-            {},
-            {"advice": "shots", "shots": 64},
-            {"advice": "noise", "noise": noise},
-        ]
-        runs = {
-            1: (sched_p1, None, generate_regular(60, 3, 41)),
-            # a cache of its own: a class keeps the value of the first cone
-            # evaluated for it, and isomorphic cones can differ in the last ulp
-            2: (sched_p2, ExpectationCache(sched_p2), generate_regular(40, 3, 42)),
-        }
-        grid = itertools.product(
-            (1, 2), advice, (0.0, None, 0.05), ("random", "lowest"),
-            (False, True),
-        )
-        h = hashlib.sha256()
-        for idx, (depth, extra, delta, tie, full) in enumerate(grid):
-            sched, cache, g = runs[depth]
-            cfg = SolverConfig(schedule=sched, delta=delta, seed=idx,
-                               tie_break=tie, full_recompute=full, **extra)
-            h.update(format_trace(solve_quantum_greedy(g, cfg, cache)).encode())
-        assert h.hexdigest() == self.DIGEST
+        traces = _grid_traces(sched_p1, sched_p2)
+        assert _digest(format_trace(t) for t in traces) == self.DIGEST
+
+    def test_grid_pick_digest(self, sched_p1, sched_p2):
+        traces = _grid_traces(sched_p1, sched_p2)
+        assert _digest(_picks(t) for t in traces) == self.PICK_DIGEST
 
     # SHA-256 over the classical texts, then the include_isolated texts
     ISOLATED_DIGEST = "0f5784b70d135d856f034bad021ee5ed65cff50bb2670d2182895adf4b849ac1"
+    ISOLATED_PICK_DIGEST = (
+        "65933520d820b3294f92467d6fe0bafe92e7953d215bc1d9cce2b4dbcfc3b33c"
+    )
 
     def test_classical_and_isolated_digest(self, sched_p1, sched_p2):
-        rng = np.random.default_rng(43)
-        regular = [generate_regular(n, 3, 43 + n) for n in (40, 200)]
-        sparse = [random_graph(rng, n, 2.0 / n) for n in (30, 60, 120)]
-        # the isolated-first rule only matters if there are isolated nodes
-        assert all(any(s.degree(i) == 0 for i in range(s.n)) for s in sparse)
-        h = hashlib.sha256()
-        for idx, (g, tie) in enumerate(
-            itertools.product(regular + sparse, ("random", "lowest"))
-        ):
-            trace = solve_classical_greedy(g, seed=idx, tie_break=tie)
-            h.update(format_trace(trace).encode())
-        noise = NoiseParams(eta=0.05, alpha=-0.02, sigma=0.03, seed=9)
-        advice = [
-            {},
-            {"advice": "shots", "shots": 64},
-            {"advice": "noise", "noise": noise},
-        ]
-        runs = {
-            1: (sched_p1, None),
-            2: (sched_p2, ExpectationCache(sched_p2)),  # see test_grid_digest
-        }
-        grid = itertools.product(
-            (1, 2), advice, (0.0, None, 0.05), ("random", "lowest"), sparse
-        )
-        for idx, (depth, extra, delta, tie, g) in enumerate(grid):
-            sched, cache = runs[depth]
-            cfg = SolverConfig(schedule=sched, delta=delta, seed=idx,
-                               tie_break=tie, include_isolated=True, **extra)
-            h.update(format_trace(solve_quantum_greedy(g, cfg, cache)).encode())
-        assert h.hexdigest() == self.ISOLATED_DIGEST
+        traces = _isolated_traces(sched_p1, sched_p2)
+        assert _digest(format_trace(t) for t in traces) == self.ISOLATED_DIGEST
+
+    def test_classical_and_isolated_pick_digest(self, sched_p1, sched_p2):
+        traces = _isolated_traces(sched_p1, sched_p2)
+        assert (_digest(_picks(t) for t in traces)
+                == self.ISOLATED_PICK_DIGEST)
 
 
 class TestSolverConfig:
