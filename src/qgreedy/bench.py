@@ -5,7 +5,9 @@ one shared instance set per size from the master seed and runs every
 configured solver on every instance, so depth-to-depth and solver-to-solver
 comparisons are paired.  Per-instance results are flushed to a sidecar file
 as they finish, and reruns skip rows already present, so an interrupted run
-resumes where it stopped.
+resumes where it stopped.  The sidecar's first line holds a digest of the
+plan fields that decide the results (all but ``workers``, ``out`` and
+``stamp``); a plan never resumes a sidecar written by another plan.
 
 Reference constants reported alongside the aggregates: the asymptotic mean
 ratio of the classical min-degree greedy on large random 3-regular graphs,
@@ -15,6 +17,8 @@ ratio of the classical min-degree greedy on large random 3-regular graphs,
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -206,10 +210,24 @@ def _partial_path(plan: ExperimentPlan) -> str:
     return plan.out + ".partial"
 
 
-def _load_partial(path) -> dict[tuple, float]:
+def _partial_header(plan: ExperimentPlan) -> str:
+    """First line of the sidecar: a digest of the plan's identity fields."""
+    identity = dataclasses.asdict(plan)
+    for how_or_where in ("workers", "out", "stamp"):
+        del identity[how_or_where]
+    text = json.dumps(identity, sort_keys=True)
+    return f"# plan {hashlib.sha256(text.encode()).hexdigest()}\n"
+
+
+def _load_partial(path, header: str) -> dict[tuple, float]:
     done = {}
-    if os.path.exists(path):
+    if os.path.exists(path) and os.path.getsize(path):
         with open(path) as fh:
+            if fh.readline() != header:
+                raise ValueError(
+                    f"{path}: not written by this plan; move it away or "
+                    "change out to start afresh"
+                )
             for line in fh:
                 parts = line.split()
                 if len(parts) != 5:
@@ -219,19 +237,31 @@ def _load_partial(path) -> dict[tuple, float]:
     return done
 
 
+def _cells(plan: ExperimentPlan) -> list[tuple[str, int]]:
+    """The plan's (solver, depth) cells; depth 0 is the classical baseline."""
+    return [
+        (solver, depth)
+        for solver in plan.solvers
+        for depth in (plan.depths if solver == "qgreedy" else (0,))
+    ]
+
+
 def run_plan(plan: ExperimentPlan) -> BenchmarkReport:
-    done = _load_partial(_partial_path(plan))
+    header = _partial_header(plan)
+    done = _load_partial(_partial_path(plan), header)
     todo = [
         (size, index)
         for size in plan.sizes
         for index in range(plan.instances)
         if any(
             (size, solver, depth, index) not in done
-            for solver in plan.solvers
-            for depth in (plan.depths if solver == "qgreedy" else (0,))
+            for solver, depth in _cells(plan)
         )
     ]
     with open(_partial_path(plan), "a") as partial:
+        if partial.tell() == 0:
+            partial.write(header)
+
         def flush(rows):
             for size, solver, depth, index, r in rows:
                 key = (size, solver, depth, index)
@@ -254,15 +284,8 @@ def run_plan(plan: ExperimentPlan) -> BenchmarkReport:
 
     rows = []
     for size in sorted(set(plan.sizes)):
-        cells = sorted(
-            {(solver, depth) for (s, solver, depth, _i) in done if s == size}
-        )
-        for solver, depth in cells:
-            rs = [
-                r
-                for (s, sv, dp, _i), r in done.items()
-                if (s, sv, dp) == (size, solver, depth)
-            ]
+        for solver, depth in sorted(set(_cells(plan))):
+            rs = [done[size, solver, depth, i] for i in range(plan.instances)]
             mean = float(np.mean(rs))
             sem = float(np.std(rs, ddof=1) / math.sqrt(len(rs))) if len(rs) > 1 else 0.0
             rows.append(

@@ -14,16 +14,17 @@ angle optimizer share.
 
 Layer pruning drops gates that cannot reach the observable: counting layers
 k = 0..p-1 in application order, layer k keeps ZZ gates on edges whose
-nearer endpoint is within distance p-k-1 of the root and single-qubit gates
-on vertices within distance p-k.  The pruned circuit is exactly
-value-preserving; unpruned circuits share one gate layout across layers,
-which the dense simulator exploits.
+nearer endpoint is within distance p-k-1 of the observable and
+single-qubit gates on vertices within distance p-k.  The pruned circuit is
+exactly value-preserving, and it is the one the router evaluates; the
+unpruned circuit, with every gate in every layer, serves the tests as the
+dense oracle's input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cones import LightCone
 from .graph import IsingParams
@@ -78,13 +79,6 @@ class ConeCircuit:
     depth: int
     layers: tuple[Layer, ...]
     observable: tuple[int, ...] = (0,)
-    # True when every layer applies the full gate layout (unpruned build);
-    # the dense engine then builds one unit-gamma cost diagonal and scales it.
-    uniform_layers: bool = field(default=False, compare=False)
-    # unit-gamma cost structure: weights for gamma = 1
-    cost_zz: tuple[tuple[int, int, float], ...] = field(default=(), compare=False)
-    cost_z: tuple[tuple[int, float], ...] = field(default=(), compare=False)
-    gammas: tuple[float, ...] = field(default=(), compare=False)
 
 
 def build_circuit(
@@ -102,39 +96,36 @@ def build_circuit(
     ising = IsingParams(schedule.lam)
     coupling = ising.coupling
     fields = [ising.field(d) for d in cone.in_degrees()]
-    if observable is None:
-        observable = (0,)
+    observable = (0,) if observable is None else tuple(observable)
+    # distance to the observable through the cone's edges, capped at p; for
+    # the roots it is cone.dists
+    dists = [p] * cone.size
+    frontier = set(observable)
+    for q in frontier:
+        dists[q] = 0
+    adj = cone.adjacency()
+    for d in range(1, p):
+        frontier = {w for v in frontier for w in adj[v] if dists[w] > d}
+        for w in frontier:
+            dists[w] = d
     layers = []
     for k in range(p):
         gamma = schedule.gammas[k]
         beta = schedule.betas[k]
-        if prune_layers:
-            edge_reach = p - k - 1
-            vert_reach = p - k
-        else:
-            edge_reach = p - 1
-            vert_reach = p
+        edge_reach = p - k - 1 if prune_layers else p  # unpruned: every gate
+        vert_reach = edge_reach + 1
         zz = tuple(
             (u, v, coupling * gamma)
             for u, v in cone.edges
-            if min(cone.dists[u], cone.dists[v]) <= edge_reach
+            if min(dists[u], dists[v]) <= edge_reach
         )
         z = tuple(
             (v, fields[v] * gamma)
             for v in range(cone.size)
-            if cone.dists[v] <= vert_reach
+            if dists[v] <= vert_reach
         )
-        x = tuple(
-            (v, beta) for v in range(cone.size) if cone.dists[v] <= vert_reach
-        )
+        x = tuple((v, beta) for v in range(cone.size) if dists[v] <= vert_reach)
         layers.append(Layer(zz=zz, z=z, x=x))
     return ConeCircuit(
-        n_qubits=cone.size,
-        depth=p,
-        layers=tuple(layers),
-        observable=tuple(observable),
-        uniform_layers=not prune_layers,
-        cost_zz=tuple((u, v, coupling) for u, v in cone.edges),
-        cost_z=tuple((v, fields[v]) for v in range(cone.size)),
-        gammas=schedule.gammas,
+        n_qubits=cone.size, depth=p, layers=tuple(layers), observable=observable
     )

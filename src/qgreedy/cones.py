@@ -165,6 +165,41 @@ def canonical_key(cone: LightCone) -> CanonicalKey:
     )
 
 
+def cone_from_key(data: bytes) -> LightCone:
+    """The cone a canonical key describes, labeled shell by shell.
+
+    Isomorphic cones share a key, so whatever is computed on this cone is a
+    function of the class alone.  A ``G`` key holds the size, the distance
+    labels and the edges in canonical labels, which are already ordered by
+    shell; a ``T`` key is parsed from its parentheses, each "(" opening a
+    child of the innermost open vertex.
+    """
+    kind, depth = data[:1], data[1]
+    if kind == b"G":
+        n = data[2]
+        pairs = data[3 + n:]
+        edges = tuple(zip(pairs[::2], pairs[1::2]))
+        return LightCone(depth=depth, dists=tuple(data[3:3 + n]), edges=edges)
+    if kind != b"T":
+        raise ValueError(f"not a canonical key: {data[:8]!r}")
+    parent: list[int] = []
+    dists: list[int] = []
+    stack: list[int] = []
+    for c in data[2:]:
+        if c == ord("("):
+            parent.append(stack[-1] if stack else -1)
+            dists.append(len(stack))
+            stack.append(len(dists) - 1)
+        else:
+            stack.pop()
+    order = sorted(range(len(dists)), key=dists.__getitem__)
+    label = [0] * len(order)
+    for i, v in enumerate(order):
+        label[v] = i
+    edges = tuple(sorted((label[parent[v]], label[v]) for v in order[1:]))
+    return LightCone(depth=depth, dists=tuple(sorted(dists)), edges=edges)
+
+
 def _tree_encoding(cone: LightCone) -> bytes:
     """Sorted-subtree encoding; canonical for rooted trees.
 

@@ -11,45 +11,52 @@ observable set):
 Each pair of routes agrees to tight tolerance on overlapping domains, which
 is the main guard against a silent convention error in any one of them.
 
-:func:`expectation` holds the one routing decision between the dense and
-contraction routes.  It serves both the solver, through
-:func:`evaluate_cone` (cache, then the closed form at depth 1), and the
-tree-angle optimizer in :mod:`qgreedy.angles`.  The qubit cap and the
-contraction budget are the module constants ``STATEVECTOR_CAP`` and
-``CONTRACTION_BUDGET``; only the router's own parameters override them.
+:func:`expectation` holds the one routing decision: every cone contracts
+on its pruned circuit, and the dense route runs only when the contraction
+plan's peak-entry estimate trips the budget and the cone fits under the
+qubit cap.  Otherwise dense statevector evolution is the test oracle.  The
+router serves both the solver, through :func:`evaluate_cone` (cache, then
+the closed form at depth 1), and the tree-angle optimizer in
+:mod:`qgreedy.angles`.  The qubit cap and the contraction budget are the
+module constants ``STATEVECTOR_CAP`` and ``CONTRACTION_BUDGET``; only the
+router's own parameters override them.
 
 The contraction engine views the expectation as a classical partition
 function on a time-expanded copy of the cone graph: the cost layers are
 diagonal and the mixers factor per qubit, so after inserting a
 computational basis between every layer, each (vertex, time slice) pair
-carries one size-4 variable (its forward and backward spin at that
-slice).  Mixer transfer matrices link consecutive slices of a vertex,
-each causal edge couples same-slice neighbors with a 4x4 phase kernel,
-and the shared measurement slice is summed into each vertex's last
-factor up front.  Variables are then eliminated greedily by smallest
-resulting cluster; on trees this collapses leaf chains first, keeping
-the peak intermediate exponential in the layer count only.
+where the vertex has a gate carries one size-4 variable (its forward and
+backward spin at that slice); a pruned vertex has none for the slices
+after its last gate.  Mixer transfer matrices link consecutive slices of
+a vertex, each causal edge couples same-slice neighbors with a 4x4 phase
+kernel, and the shared measurement slice is summed into each vertex's
+last factor up front.  Variables are then eliminated greedily by smallest
+resulting cluster, each by one einsum over its cluster; on trees this
+collapses leaf chains first, keeping the peak intermediate exponential in
+the layer count only.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import json
 import math
 import os
-import json
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import AngleSchedule, ConeCircuit, build_circuit
-from .cones import LightCone, canonical_key
+from .cones import LightCone, canonical_key, cone_from_key
 from .errors import ContractionBudgetExceeded, StatevectorCapExceeded
 from .graph import IsingParams
 
 STATEVECTOR_CAP = 24
 CONTRACTION_BUDGET = 2**26  # max tensor entries per intermediate, ~1 GB
 # persisted cache format; bump when the file layout or engine values change
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 # -- closed forms for p = 1 -------------------------------------------------
@@ -136,26 +143,13 @@ def expectation_statevector(circ: ConeCircuit, cap: int = STATEVECTOR_CAP) -> fl
             spin_cache[q] = arr
         return arr
 
-    unit_diag = None
-    if circ.uniform_layers:
-        unit_diag = np.zeros(shape, dtype=np.float64)
-        for u, v, w in circ.cost_zz:
-            unit_diag += w * (spin_axis(u) * spin_axis(v))
-        for v, w in circ.cost_z:
-            unit_diag += w * spin_axis(v)
-
-    for k, layer in enumerate(circ.layers):
-        if unit_diag is not None:
-            gamma = circ.gammas[k]
-            if gamma != 0.0:
-                state *= np.exp(-1j * gamma * unit_diag)
-        else:
-            diag = np.zeros(shape, dtype=np.float64)
-            for u, v, w in layer.zz:
-                diag += w * (spin_axis(u) * spin_axis(v))
-            for v, w in layer.z:
-                diag += w * spin_axis(v)
-            state *= np.exp(-1j * diag)
+    for layer in circ.layers:
+        diag = np.zeros(shape, dtype=np.float64)
+        for u, v, w in layer.zz:
+            diag += w * (spin_axis(u) * spin_axis(v))
+        for v, w in layer.z:
+            diag += w * spin_axis(v)
+        state *= np.exp(-1j * diag)
         for q, beta in layer.x:
             if beta == 0.0:
                 continue
@@ -182,67 +176,53 @@ _TAU_B = 1.0 - 2.0 * (np.arange(4) >> 1 & 1)  # backward spin per pair state
 _EDGE_DIFF = (
     _TAU_B[:, None] * _TAU_B[None, :] - _TAU_F[:, None] * _TAU_F[None, :]
 )
+_MEASURED = np.array([1.0, -1.0])  # measurement slice, one bit per vertex
 
 
-def _vertex_profiles(circ: ConeCircuit, p: int):
-    """Per-vertex (z weights, mixer angles, in-observable) tuples.
-
-    In symmetric cones many vertices share a profile, and their local
-    factors are identical; callers key a memo on the profile.
-    """
-    zw = [[0.0] * p for _ in range(circ.n_qubits)]
-    xw: list[list[float | None]] = [[None] * p for _ in range(circ.n_qubits)]
-    for k, layer in enumerate(circ.layers):
-        for v, w in layer.z:
-            zw[v][k] = w
-        for v, b in layer.x:
-            xw[v][k] = b
-    obs = set(circ.observable)
-    return [
-        (tuple(zw[v]), tuple(xw[v]), v in obs) for v in range(circ.n_qubits)
-    ]
+def _transfer(beta: float, nxt_f: np.ndarray, nxt_b: np.ndarray) -> np.ndarray:
+    """Mixer e^{-i beta X} on the forward branch, its conjugate on the back."""
+    cb, sb = math.cos(beta), math.sin(beta)
+    mf = np.where(_TAU_F[:, None] == nxt_f[None, :], cb, -1j * sb)
+    mb = np.where(_TAU_B[:, None] == nxt_b[None, :], cb, 1j * sb)
+    return mf * mb
 
 
-def _vertex_factors(profile, p: int):
+@functools.lru_cache(maxsize=4096)
+def _vertex_factors(profile):
     """Mixer transfer chain plus the locally summed measurement slice.
 
-    One size-4 variable per time slice 0..p-1 holds the vertex's forward
-    and backward spin where the phase layers act.  The mixer after layer
-    k links slice k to slice k+1; the mixer after the last layer lands on
-    the shared measurement slice, which couples to nothing else and is
-    summed out here.  Returns (p-1 transfer matrices, final slice weight).
+    ``profile`` is ((z weight, mixer angle) per gated slice, observed).  One
+    size-4 variable per gated slice holds the vertex's forward and backward
+    spin where that phase layer acts.  The mixer after a slice links it to
+    the next gated one, since no gate acts on the vertex in between; the
+    mixer after the last lands on the shared measurement slice, which
+    couples to nothing else and is summed out here.  Returns (transfer
+    matrices, final slice weight), read-only, since calls share them.
     """
-    zw, xw, observed = profile
-    f, b = _TAU_F, _TAU_B
-    diag = []
-    for k in range(p):
-        if zw[k] != 0.0:
-            diag.append(np.exp(-1j * zw[k] * (f - b)))
-        else:
-            diag.append(np.ones(4, dtype=np.complex128))
+    steps, observed = profile
+    diag = [np.exp(-1j * z * (_TAU_F - _TAU_B)) for z, _ in steps]
     diag[0] = diag[0] * 0.5  # |+> overlap, both branches
-
-    def transfer(bk, nxt_f, nxt_b):
-        if bk is None:
-            eq = (f[:, None] == nxt_f[None, :]) & (b[:, None] == nxt_b[None, :])
-            return eq.astype(np.complex128)
-        cb = math.cos(bk)
-        sb = math.sin(bk)
-        mf = np.where(f[:, None] == nxt_f[None, :], cb, -1j * sb)
-        mb = np.where(b[:, None] == nxt_b[None, :], cb, 1j * sb)  # conjugate
-        return mf * mb
-
-    chain = [diag[k][:, None] * transfer(xw[k], f, b) for k in range(p - 1)]
-    shared = np.array([1.0, -1.0])  # measurement slice, one bit per vertex
-    last = transfer(xw[p - 1], shared, shared)
+    chain = [
+        d[:, None] * _transfer(beta, _TAU_F, _TAU_B)
+        for d, (_, beta) in zip(diag, steps[:-1])
+    ]
+    last = _transfer(steps[-1][1], _MEASURED, _MEASURED)
     if observed:
-        last = last * shared[None, :]
-    return chain, diag[p - 1] * last.sum(axis=1)
+        last = last * _MEASURED[None, :]
+    last = diag[-1] * last.sum(axis=1)
+    for arr in (*chain, last):
+        arr.flags.writeable = False
+    return tuple(chain), last
 
 
-def _edge_slice_kernel(w: float) -> np.ndarray:
-    """4x4 coupling for one edge in one layer: exp(i w (b b' - f f'))."""
-    return np.exp(1j * w * _EDGE_DIFF)
+@functools.lru_cache(maxsize=4096)
+def _edge_kernel(w: float) -> np.ndarray:
+    """4x4 coupling for one edge in one layer: exp(i w (b b' - f f')).
+
+    Read-only, since calls share it."""
+    kernel = np.exp(1j * w * _EDGE_DIFF)
+    kernel.flags.writeable = False
+    return kernel
 
 
 def expectation_contract(
@@ -250,99 +230,103 @@ def expectation_contract(
 ) -> float:
     """Contract the cone's path-integral network.
 
-    Variables live on (vertex, slice) pairs, so the accumulator cost is
-    4^cluster regardless of depth.  Elimination order is greedy
-    smallest-resulting-cluster with lexicographic variable-id tie-break;
-    the projected peak intermediate size is checked against ``budget``
-    before any tensor is built.
+    Variables live on the (vertex, slice) pairs where the vertex has a gate,
+    so the accumulator cost is 4^cluster regardless of depth.  Elimination
+    order is greedy smallest-resulting-cluster with lexicographic
+    variable-id tie-break; the projected peak intermediate size is checked
+    against ``budget`` before any tensor is built.  Each elimination is one
+    einsum over the cluster, with no path search.
     """
-    p = circ.depth
     n = circ.n_qubits
-
-    def var(v: int, k: int) -> int:
-        return v * p + k
-
-    # same-slice couplings; zero-weight entries drop out of the network
-    slice_edges: list[tuple[int, int, float]] = []
+    # gated slices per vertex, in layer order: [z weight, mixer angle];
+    # slice 0 always, so that a vertex without gates keeps one variable
+    steps = [{0: [0.0, 0.0]} for _ in range(n)]
+    couplings = []  # (u, v, slice, weight); zero weights drop out
     for k, layer in enumerate(circ.layers):
+        for v, w in layer.z:
+            steps[v].setdefault(k, [0.0, 0.0])[0] = w
+        for v, beta in layer.x:
+            steps[v].setdefault(k, [0.0, 0.0])[1] = beta
         for u, v, w in layer.zz:
             if w != 0.0:
-                slice_edges.append((var(u, k), var(v, k), w))
+                steps[u].setdefault(k, [0.0, 0.0])
+                steps[v].setdefault(k, [0.0, 0.0])
+                couplings.append((u, v, k, w))
+    var: dict[tuple[int, int], int] = {}  # (vertex, slice) -> variable id
+    first = []  # first variable of each vertex; its slices follow in order
+    for v in range(n):
+        first.append(len(var))
+        for k in steps[v]:
+            var[v, k] = len(var)
+    first.append(len(var))
 
     # plan elimination on the time-expanded graph and check the budget first
-    neighbors: dict[int, set[int]] = {x: set() for x in range(n * p)}
-    for a, b, _ in slice_edges:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+    sim: list[set[int]] = [set() for _ in var]
     for v in range(n):
-        for k in range(p - 1):
-            neighbors[var(v, k)].add(var(v, k + 1))
-            neighbors[var(v, k + 1)].add(var(v, k))
+        for x in range(first[v], first[v + 1] - 1):
+            sim[x].add(x + 1)
+            sim[x + 1].add(x)
+    edges = [(var[u, k], var[v, k], w) for u, v, k, w in couplings]
+    for a, b, _ in edges:
+        sim[a].add(b)
+        sim[b].add(a)
+    heap = [(len(nb), x) for x, nb in enumerate(sim)]
+    heapq.heapify(heap)
+    done = [False] * len(sim)
     plan = []
-    sim = {x: set(nb) for x, nb in neighbors.items()}
-    remaining = set(range(n * p))
     max_cluster = 1
-    while remaining:
-        pick = min(remaining, key=lambda x: (len(sim[x]), x))
-        max_cluster = max(max_cluster, len(sim[pick]) + 1)
+    while heap:
+        size, pick = heapq.heappop(heap)
+        if done[pick] or size != len(sim[pick]):
+            continue  # stale entry: eliminated, or its cluster changed
+        done[pick] = True
         plan.append(pick)
+        max_cluster = max(max_cluster, size + 1)
         nbrs = sim[pick]
         for a in nbrs:
             sim[a].discard(pick)
-        for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    sim[a].add(b)
-        remaining.discard(pick)
+            sim[a].update(b for b in nbrs if b != a)
+            heapq.heappush(heap, (len(sim[a]), a))
     entries = 4**max_cluster  # peak accumulator before summing the variable
     if entries > budget:
         raise ContractionBudgetExceeded(max_cluster - 1, entries, budget)
 
-    # factors: (vars tuple, ndarray with one size-4 axis per var);
-    # elimination never writes into factor arrays, so equal-profile vertices
-    # share one set of chain arrays
-    factors: list[tuple[tuple[int, ...], np.ndarray]] = []
-    profiles = _vertex_profiles(circ, p)
-    chain_cache: dict = {}
+    # factors keyed by their ascending variable tuple, so two factors on the
+    # same variables multiply into one; ``touching`` indexes them by variable
+    factors: dict[tuple[int, ...], np.ndarray] = {}
+    touching: list[set[tuple[int, ...]]] = [set() for _ in var]
+
+    def add(key: tuple[int, ...], arr: np.ndarray) -> None:
+        if key in factors:
+            factors[key] = factors[key] * arr
+        else:
+            factors[key] = arr
+            for y in key:
+                touching[y].add(key)
+
+    observed = set(circ.observable)
     for v in range(n):
-        built = chain_cache.get(profiles[v])
-        if built is None:
-            built = _vertex_factors(profiles[v], p)
-            chain_cache[profiles[v]] = built
-        chain, last = built
-        for k, mat in enumerate(chain):
-            factors.append(((var(v, k), var(v, k + 1)), mat))
-        factors.append(((var(v, p - 1),), last))
-    kernel_cache: dict[float, np.ndarray] = {}
-    for a, b, w in slice_edges:
-        k_mat = kernel_cache.get(w)
-        if k_mat is None:
-            k_mat = _edge_slice_kernel(w)
-            kernel_cache[w] = k_mat
-        factors.append(((a, b), k_mat))
+        gated = tuple(tuple(zx) for zx in steps[v].values())
+        chain, last = _vertex_factors((gated, v in observed))
+        for x, mat in enumerate(chain, first[v]):
+            add((x, x + 1), mat)
+        add((first[v + 1] - 1,), last)
+    for a, b, w in edges:
+        add((min(a, b), max(a, b)), _edge_kernel(w))  # a symmetric kernel
 
     for x in plan:
-        group = [f for f in factors if x in f[0]]
-        factors = [f for f in factors if x not in f[0]]
-        out_vars: list[int] = []
-        for fvars, _ in group:
-            for y in fvars:
-                if y != x and y not in out_vars:
-                    out_vars.append(y)
-        all_vars = [x] + out_vars
-        letter = {y: chr(97 + i) for i, y in enumerate(all_vars)}
-        eq = (
-            ",".join("".join(letter[y] for y in fvars) for fvars, _ in group)
-            + "->"
-            + "".join(letter[y] for y in out_vars)
-        )
-        summed = np.einsum(eq, *(arr for _, arr in group), optimize=True)
-        factors.append((tuple(out_vars), summed))
-
-    total = 1.0 + 0.0j
-    for _, arr in factors:
-        total *= complex(arr)
-    return float(total.real)
+        group = sorted(touching[x])
+        out = sorted({y for key in group for y in key} - {x})
+        axis = {y: i for i, y in enumerate(out)}
+        axis[x] = len(out)
+        operands = []
+        for key in group:
+            for y in key:
+                if y != x:
+                    touching[y].discard(key)
+            operands += (factors.pop(key), [axis[y] for y in key])
+        add(tuple(out), np.einsum(*operands, list(range(len(out)))))
+    return float(complex(factors.get((), 1.0)).real)
 
 
 # -- finite-shot estimates --------------------------------------------------
@@ -448,11 +432,6 @@ class ExpectationCache:
         os.replace(tmp, self._path)
 
 
-# Tree cones contract in linear time at O(p) rank, so above this size the
-# contraction engine wins over the dense route even well under the qubit cap.
-TREE_CONTRACT_THRESHOLD = 16
-
-
 def expectation(
     cone: LightCone,
     schedule: AngleSchedule,
@@ -462,20 +441,16 @@ def expectation(
 ) -> tuple[float, str]:
     """The one engine-routing decision: (<Z...> on ``observable``, engine).
 
-    Larger tree cones contract; other cones run dense while they fit under
-    the qubit cap and contract beyond it, falling back to dense if the
-    contraction budget trips first.  Raises ContractionBudgetExceeded when
+    Every cone contracts on its pruned circuit.  Only when the contraction
+    plan's peak-entry estimate trips the budget does a cone that fits under
+    the qubit cap fall back to dense.  Raises ContractionBudgetExceeded when
     no engine fits.
     """
-    circ = build_circuit(cone, schedule, observable=observable)
-    dense_ok = cone.size <= statevector_cap
-    prefer_contract = cone.is_tree and cone.size > TREE_CONTRACT_THRESHOLD
-    if dense_ok and not prefer_contract:
-        return expectation_statevector(circ, cap=statevector_cap), "statevector"
+    circ = build_circuit(cone, schedule, prune_layers=True, observable=observable)
     try:
         return expectation_contract(circ, budget=contraction_budget), "contraction"
     except ContractionBudgetExceeded:
-        if not dense_ok:
+        if cone.size > statevector_cap:
             raise
         return expectation_statevector(circ, cap=statevector_cap), "statevector"
 
@@ -497,15 +472,18 @@ def evaluate_cone(
         hit = cache.get(key.data)
         if hit is not None:
             return hit, key
-    if cone.depth == 1:
-        deg = cone.in_degrees()[0]
+    # evaluate the class's own cone, so the value depends on the class alone
+    # and not on which member of it reached the cache first
+    canon = cone_from_key(key.data)
+    if canon.depth == 1:
+        deg = canon.in_degrees()[0]
         value = expectation_p1_analytic(
             deg, IsingParams(schedule.lam).field(deg),
             schedule.gammas[0], schedule.betas[0], schedule.lam,
         )
         engine = "analytic"
     else:
-        value, engine = expectation(cone, schedule)
+        value, engine = expectation(canon, schedule)
     record = ExpectationRecord(value=value, engine=engine, cone_size=cone.size)
     if cache is not None:
         cache.insert(key.data, record)

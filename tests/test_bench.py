@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -156,12 +157,47 @@ class TestRunPlan:
 
     def test_partial_rows_parse(self, mini):
         plan, _ = mini
-        rows = [ln.split() for ln in open(plan.out + ".partial")]
+        header, *lines = open(plan.out + ".partial")
+        assert header.startswith("# plan ")
+        rows = [ln.split() for ln in lines]
         assert len(rows) == 6  # 3 instances x (greedy + qgreedy p1)
         for row in rows:
             assert len(row) == 5
             assert 0.0 < float(row[4]) <= 1.0
 
+
+    def test_resume_refuses_another_plan(self, tmp_path):
+        # same out, another seed: the old rows must not come back as new
+        plan = ExperimentPlan(sizes=(10,), instances=2, seed=0,
+                              out=str(tmp_path / "r.csv"), stamp=False)
+        run_plan(plan)
+        partial = tmp_path / "r.csv.partial"
+        before = partial.read_bytes()
+        reseeded = dataclasses.replace(plan, seed=99)
+        with pytest.raises(ValueError, match="r.csv.partial"):
+            run_plan(reseeded)
+        assert partial.read_bytes() == before
+        # a sidecar without the header is refused too
+        partial.write_text(before.decode().split("\n", 1)[1])
+        with pytest.raises(ValueError, match="r.csv.partial"):
+            run_plan(plan)
+        # how and where a plan runs is not part of its identity
+        partial.write_bytes(before)
+        run_plan(dataclasses.replace(plan, workers=2, stamp=True))
+        assert partial.read_bytes() == before
+
+    def test_leaked_cell_not_aggregated(self, tmp_path):
+        # a row of a (solver, depth) the plan does not list stays out of
+        # the report and the CSV
+        plan = ExperimentPlan(sizes=(10,), instances=2, seed=3,
+                              out=str(tmp_path / "l.csv"), stamp=False)
+        run_plan(plan)
+        clean = open(plan.out).read()
+        with open(plan.out + ".partial", "a") as fh:
+            fh.write("10 qgreedy 3 0 0.5\n")
+        report = run_plan(plan)
+        assert [(r.solver, r.depth) for r in report.rows] == [("greedy", 0)]
+        assert open(plan.out).read() == clean
 
 class TestReportRow:
     def test_stamp_header(self, tmp_path):

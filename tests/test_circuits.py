@@ -55,7 +55,6 @@ class TestBuildCircuit:
             assert w == 0.0
         assert all(b == 0.25 for _, b in layer.x)
         assert circ.observable == (0,)
-        assert circ.uniform_layers
 
     def test_depth_mismatch_rejected(self):
         cone = extract_lightcone(complete(4), 0, 1)
@@ -68,7 +67,6 @@ class TestBuildCircuit:
         pruned = build_circuit(
             cone, sched((0.3, 0.7), (0.2, 0.4)), prune_layers=True
         )
-        assert not pruned.uniform_layers
         # layer 0 touches everything; layer 1 only what can reach the root
         assert len(pruned.layers[0].zz) == len(full.layers[0].zz)
         assert len(pruned.layers[1].zz) < len(full.layers[1].zz)

@@ -15,6 +15,7 @@ from qgreedy.cones import (
     CensusReport,
     LightCone,
     canonical_key,
+    cone_from_key,
     dump_cone,
     enumerate_cones,
     extract_lightcone,
@@ -204,6 +205,27 @@ class TestCanonicalKeys:
         cone = extract_lightcone(g, int(rng.integers(14)), 2)
         assert canonical_key(relabel_cone(cone, rng)).data == canonical_key(cone).data
 
+
+    def test_cone_from_key_round_trip(self):
+        # the rebuilt cone is a member of the key's class, numbered shell by
+        # shell with the root at local id 0
+        rng = np.random.default_rng(6)
+        cones = [c for d in (1, 2) for c in enumerate_cones(d)[1][::3]]
+        for _ in range(40):
+            g = random_degree3_graph(rng, 16)
+            cones.append(extract_lightcone(g, int(rng.integers(16)),
+                                           int(rng.integers(1, 4))))
+        trees = 0
+        for cone in cones:
+            key = canonical_key(cone)
+            rebuilt = cone_from_key(key.data)
+            assert canonical_key(rebuilt).data == key.data
+            assert rooted_isomorphic(rebuilt, cone)
+            assert list(rebuilt.dists) == sorted(rebuilt.dists)
+            trees += cone.is_tree
+        assert 0 < trees < len(cones)
+        with pytest.raises(ValueError):
+            cone_from_key(b"X\x02()")
 
 class TestKeyDigest:
     def test_deterministic_and_distinct(self):

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, random_degree3_graph
+from helpers import complete, random_degree3_graph, relabel_cone
 from qgreedy.angles import vertex_cone
 from qgreedy.circuits import AngleSchedule, build_circuit
-from qgreedy.cones import canonical_key, enumerate_cones, extract_lightcone
+from qgreedy.cones import (
+    canonical_key,
+    dump_cone,
+    enumerate_cones,
+    extract_lightcone,
+)
 from qgreedy.engines import (
-    TREE_CONTRACT_THRESHOLD,
     ExpectationCache,
     ExpectationRecord,
     evaluate_cone,
@@ -153,6 +157,14 @@ class TestContraction:
         with pytest.raises(ContractionBudgetExceeded):
             expectation_contract(circ, budget=16)
 
+    def test_high_degree_cone(self, sched_p2):
+        # more factors meet at the hub than one einsum takes operands; those
+        # on the same variables are multiplied together as they arrive
+        star = Graph(81, [(0, k) for k in range(1, 81)])
+        for root in (0, 1):
+            value, engine = expectation(extract_lightcone(star, root, 2), sched_p2)
+            assert engine == "contraction" and -1.0 <= value <= 1.0
+
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_random_cone_agreement(self, seed):
@@ -164,6 +176,26 @@ class TestContraction:
         assert expectation_contract(circ) == pytest.approx(
             expectation_statevector(circ), abs=1e-10
         )
+
+    def test_pruned_contraction_matches_dense_oracle(self):
+        # the solver's path (contraction on the pruned circuit) against the
+        # oracle (dense on the unpruned one), cyclic cones included
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 24:
+            p = 2 + checked % 2
+            g = random_degree3_graph(rng, 14)
+            cone = extract_lightcone(g, int(rng.integers(14)), p)
+            if cone.size > 14:
+                continue
+            s = sched(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
+            for obs in OBSERVABLES:
+                pruned = build_circuit(cone, s, prune_layers=True, observable=obs)
+                full = build_circuit(cone, s, observable=obs)
+                assert expectation_contract(pruned) == pytest.approx(
+                    expectation_statevector(full), abs=1e-12
+                ), (p, obs, dump_cone(cone))
+            checked += 1
 
 
 class TestSampleShots:
@@ -251,13 +283,19 @@ class TestCacheAndRouting:
         circ = build_circuit(cone, sched_p1)
         assert rec.value == pytest.approx(expectation_statevector(circ), abs=1e-10)
 
-    def test_small_nontree_routes_dense(self, sched_p2):
+    def test_small_nontree_routes_contraction(self, sched_p2):
+        # a cyclic cone far under the qubit cap still contracts, on its
+        # pruned circuit, to the value of the unpruned circuit run dense
         cone = extract_lightcone(complete(4), 0, 2)
         rec, _ = evaluate_cone(cone, sched_p2)
-        assert rec.engine == "statevector"
+        assert rec.engine == "contraction"
         for obs in OBSERVABLES:
-            _, engine = expectation(cone, sched_p2, observable=obs)
-            assert engine == "statevector", obs
+            value, engine = expectation(cone, sched_p2, observable=obs)
+            assert engine == "contraction", obs
+            oracle = expectation_statevector(
+                build_circuit(cone, sched_p2, observable=obs)
+            )
+            assert value == pytest.approx(oracle, abs=1e-12), obs
 
     def test_large_tree_routes_contraction(self, sched_p3):
         cone = vertex_cone(3, 3)
@@ -267,12 +305,12 @@ class TestCacheAndRouting:
             assert engine == "contraction", obs
 
     def test_budget_falls_back_to_dense(self, sched_p2):
-        # a 17-vertex tree (root degree 4, then 3 children each) prefers
-        # contraction yet fits the qubit cap, so a tripped budget falls back
+        # a 17-vertex tree (root degree 4, then 3 children each) fits the
+        # qubit cap, so a tripped budget falls back
         edges = [(0, k) for k in range(1, 5)]
         edges += [(k, 2 + 3 * k + j) for k in range(1, 5) for j in range(3)]
         cone = extract_lightcone(Graph(17, edges), 0, 2)
-        assert cone.is_tree and cone.size > TREE_CONTRACT_THRESHOLD
+        assert cone.is_tree
         for obs in OBSERVABLES:
             contracted, _ = expectation(cone, sched_p2, observable=obs)
             dense, engine = expectation(cone, sched_p2, observable=obs,
@@ -288,14 +326,29 @@ class TestCacheAndRouting:
                             statevector_cap=3, contraction_budget=16)
 
     def test_routing_values_agree(self, sched_p2):
-        # one cone through both routes via a forced qubit cap
+        # one cyclic cone through both routes via a forced contraction budget
         cone = extract_lightcone(complete(4), 0, 2)
         for obs in OBSERVABLES:
-            dense, dense_engine = expectation(cone, sched_p2, observable=obs)
-            contracted, engine = expectation(cone, sched_p2, observable=obs,
-                                             statevector_cap=3)
-            assert (dense_engine, engine) == ("statevector", "contraction"), obs
+            contracted, engine = expectation(cone, sched_p2, observable=obs)
+            dense, dense_engine = expectation(cone, sched_p2, observable=obs,
+                                              contraction_budget=16)
+            assert (engine, dense_engine) == ("contraction", "statevector"), obs
             assert dense == pytest.approx(contracted, abs=1e-12), obs
+
+    def test_isomorphic_cones_get_equal_values(self, sched_p2, sched_p3):
+        # a class's value is computed on the cone its key describes, so any
+        # member, first into a fresh cache, gives the same bits
+        rng = np.random.default_rng(8)
+        for schedule in (sched_p2, sched_p3):
+            p = schedule.depth
+            for _ in range(6):
+                g = random_degree3_graph(rng, 12)
+                cone = extract_lightcone(g, int(rng.integers(12)), p)
+                values = {
+                    evaluate_cone(c, schedule, ExpectationCache(schedule))[0].value
+                    for c in [cone] + [relabel_cone(cone, rng) for _ in range(3)]
+                }
+                assert len(values) == 1, dump_cone(cone)
 
     def test_returned_key_is_canonical(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)

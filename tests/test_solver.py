@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import complete, k33, path, petersen, random_graph
+from qgreedy.angles import load_default_angles
 from qgreedy.engines import ExpectationCache
 from qgreedy.errors import NodeLimitExceeded
 from qgreedy.graph import Graph, generate_regular, is_independent
@@ -183,6 +184,32 @@ class TestQuantumGreedy:
         )
         assert trace.order == [0]
 
+    def test_trace_independent_of_cache_history(self, sched_p2):
+        # a class's value is its own, not that of whichever isomorphic cone
+        # reached a shared cache first (at delta 0 an ulp can flip a pick)
+        g = generate_regular(40, 3, 42)
+        cfg = SolverConfig(schedule=sched_p2, seed=0, delta=0.0)
+        fresh = format_trace(
+            solve_quantum_greedy(g, cfg, ExpectationCache(sched_p2))
+        )
+        filled = ExpectationCache(sched_p2)
+        for seed in range(5):
+            solve_quantum_greedy(generate_regular(60, 3, seed),
+                                 SolverConfig(schedule=sched_p2, seed=seed),
+                                 filled)
+        assert format_trace(solve_quantum_greedy(g, cfg, filled)) == fresh
+
+    def test_p4_solve_completes(self):
+        # every cone here was over the contraction budget on its unpruned
+        # circuit; pruned, p=4 contracts well inside it
+        g = generate_regular(30, 3, 1)
+        schedule = load_default_angles(4).schedule
+        trace = solve_quantum_greedy(g, SolverConfig(schedule=schedule))
+        chosen = trace.chosen
+        assert is_independent(g, chosen)
+        assert all(v in chosen or any(u in chosen for u in g.neighbors_alive(v))
+                   for v in range(g.n))
+
     def test_trace_records_canonical_keys(self, sched_p1):
         from qgreedy.cones import canonical_key, extract_lightcone
 
@@ -206,8 +233,7 @@ def _grid_traces(sched_p1, sched_p2):
     ]
     runs = {
         1: (sched_p1, None, generate_regular(60, 3, 41)),
-        # a cache of its own, so the p=2 traces cannot lean on what the
-        # session's other tests put in a shared one
+        # one cache for the p=2 solves of the grid
         2: (sched_p2, ExpectationCache(sched_p2), generate_regular(40, 3, 42)),
     }
     grid = itertools.product(
@@ -274,7 +300,7 @@ class TestTraceDigest:
     ulp but flip no pick."""
 
     # SHA-256 over the concatenated format_trace texts, in grid order
-    DIGEST = "deafc89aacee8d75c1edcebe27c0e8f8b8f041fd8730e9bdcd6bc686cd55863c"
+    DIGEST = "41afd6c55c050baf60669597bd50a1e0021da44bcf3784a296ad5a4aaa4e8933"
     # SHA-256 over the same traces' picks (see _picks)
     PICK_DIGEST = "980f186850e1b9707066c1d25219daae51985cbceee7d0bf9907a53ff55aa69d"
 
@@ -287,7 +313,7 @@ class TestTraceDigest:
         assert _digest(_picks(t) for t in traces) == self.PICK_DIGEST
 
     # SHA-256 over the classical texts, then the include_isolated texts
-    ISOLATED_DIGEST = "0f5784b70d135d856f034bad021ee5ed65cff50bb2670d2182895adf4b849ac1"
+    ISOLATED_DIGEST = "5729b4ea1c30f5a72c08ed5a20d5e58334e0b0e70ffefd08c37b1cd564dc4b15"
     ISOLATED_PICK_DIGEST = (
         "65933520d820b3294f92467d6fe0bafe92e7953d215bc1d9cce2b4dbcfc3b33c"
     )
