@@ -30,19 +30,19 @@ backward spin at that slice); a pruned vertex has none for the slices
 after its last gate.  Mixer transfer matrices link consecutive slices of
 a vertex, each causal edge couples same-slice neighbors with a 4x4 phase
 kernel, and the shared measurement slice is summed into each vertex's
-last factor up front.  Variables are then eliminated greedily by smallest
-resulting cluster, each by one einsum over its cluster; on trees this
-collapses leaf chains first, keeping the peak intermediate exponential in
-the layer count only.
+last factor up front.  The elimination order is planned on bitmasks of
+the time-expanded graph: greedy minimum degree, ties to the lowest vertex
+and, within a vertex, to its latest slice, so a vertex's chain is
+eliminated from its last slice back.  On trees this collapses leaf chains
+first, keeping the peak intermediate exponential in the layer count only.
+Each elimination is one einsum over its cluster.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import json
 import math
-import os
 import threading
 from dataclasses import dataclass
 
@@ -55,8 +55,6 @@ from .graph import IsingParams
 
 STATEVECTOR_CAP = 24
 CONTRACTION_BUDGET = 2**26  # max tensor entries per intermediate, ~1 GB
-# persisted cache format; bump when the file layout or engine values change
-CACHE_VERSION = 2
 
 
 # -- closed forms for p = 1 -------------------------------------------------
@@ -189,30 +187,37 @@ def _transfer(beta: float, nxt_f: np.ndarray, nxt_b: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4096)
 def _vertex_factors(profile):
-    """Mixer transfer chain plus the locally summed measurement slice.
+    """Mixer transfer chain with the measurement slice summed in.
 
     ``profile`` is ((z weight, mixer angle) per gated slice, observed).  One
     size-4 variable per gated slice holds the vertex's forward and backward
     spin where that phase layer acts.  The mixer after a slice links it to
     the next gated one, since no gate acts on the vertex in between; the
     mixer after the last lands on the shared measurement slice, which
-    couples to nothing else and is summed out here.  Returns (transfer
-    matrices, final slice weight), read-only, since calls share them.
+    couples to nothing else and is summed into the last slice's weight.
+    Returns the chain from the last slice back: matrix j has axes (j-th
+    latest slice, the slice before it), and the first carries the last
+    slice's weight.  A vertex with one gated slice gets that weight alone,
+    a vector.  Read-only, since calls share them.
     """
     steps, observed = profile
     diag = [np.exp(-1j * z * (_TAU_F - _TAU_B)) for z, _ in steps]
     diag[0] = diag[0] * 0.5  # |+> overlap, both branches
     chain = [
-        d[:, None] * _transfer(beta, _TAU_F, _TAU_B)
+        (d[:, None] * _transfer(beta, _TAU_F, _TAU_B)).T
         for d, (_, beta) in zip(diag, steps[:-1])
-    ]
+    ][::-1]
     last = _transfer(steps[-1][1], _MEASURED, _MEASURED)
     if observed:
         last = last * _MEASURED[None, :]
     last = diag[-1] * last.sum(axis=1)
-    for arr in (*chain, last):
+    if chain:
+        chain[0] = last[:, None] * chain[0]
+    else:
+        chain = [last]
+    for arr in chain:
         arr.flags.writeable = False
-    return tuple(chain), last
+    return tuple(chain)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -225,17 +230,60 @@ def _edge_kernel(w: float) -> np.ndarray:
     return kernel
 
 
+def _bits(mask: int) -> list[int]:
+    """Set bit positions of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _elimination_order(nb: list[int]) -> tuple[list[int], int]:
+    """Greedy min-degree elimination order and its largest cluster.
+
+    ``nb[x]`` is the bitmask of variable x's neighbours.  Each step removes
+    the variable of fewest remaining neighbours, lowest id first, and joins
+    its neighbours into a clique; the cluster is the variable plus its
+    neighbours at that moment.
+    """
+    nb = list(nb)
+    heap = [(m.bit_count(), x) for x, m in enumerate(nb)]
+    heapq.heapify(heap)
+    done = [False] * len(nb)
+    order = []
+    max_cluster = 1
+    while heap:
+        size, pick = heapq.heappop(heap)
+        if done[pick] or size != nb[pick].bit_count():
+            continue  # stale entry: eliminated, or its cluster changed
+        done[pick] = True
+        order.append(pick)
+        max_cluster = max(max_cluster, size + 1)
+        nbrs = nb[pick]
+        for a in _bits(nbrs):
+            old = nb[a]
+            new = (old | nbrs) & ~(1 << a | 1 << pick)
+            nb[a] = new
+            if new != old:
+                heapq.heappush(heap, (new.bit_count(), a))
+    return order, max_cluster
+
+
 def expectation_contract(
     circ: ConeCircuit, budget: int = CONTRACTION_BUDGET
 ) -> float:
     """Contract the cone's path-integral network.
 
     Variables live on the (vertex, slice) pairs where the vertex has a gate,
-    so the accumulator cost is 4^cluster regardless of depth.  Elimination
-    order is greedy smallest-resulting-cluster with lexicographic
-    variable-id tie-break; the projected peak intermediate size is checked
-    against ``budget`` before any tensor is built.  Each elimination is one
-    einsum over the cluster, with no path search.
+    so the accumulator cost is 4^cluster regardless of depth.  They are
+    numbered vertex by vertex, each vertex's from its last gated slice
+    back, and eliminated in the min-degree order of
+    :func:`_elimination_order`, so ties go to the lowest vertex and, within
+    it, to its latest slice.  The projected peak intermediate size is
+    checked against ``budget`` before any tensor is built.  Each elimination
+    is one einsum over the cluster, with no path search.
     """
     n = circ.n_qubits
     # gated slices per vertex, in layer order: [z weight, mixer angle];
@@ -253,80 +301,81 @@ def expectation_contract(
                 steps[v].setdefault(k, [0.0, 0.0])
                 couplings.append((u, v, k, w))
     var: dict[tuple[int, int], int] = {}  # (vertex, slice) -> variable id
-    first = []  # first variable of each vertex; its slices follow in order
+    first = []  # each vertex's last slice; its earlier slices follow
     for v in range(n):
         first.append(len(var))
-        for k in steps[v]:
+        for k in reversed(steps[v]):
             var[v, k] = len(var)
     first.append(len(var))
 
     # plan elimination on the time-expanded graph and check the budget first
-    sim: list[set[int]] = [set() for _ in var]
+    nb = [0] * len(var)
     for v in range(n):
         for x in range(first[v], first[v + 1] - 1):
-            sim[x].add(x + 1)
-            sim[x + 1].add(x)
+            nb[x] |= 1 << x + 1
+            nb[x + 1] |= 1 << x
     edges = [(var[u, k], var[v, k], w) for u, v, k, w in couplings]
     for a, b, _ in edges:
-        sim[a].add(b)
-        sim[b].add(a)
-    heap = [(len(nb), x) for x, nb in enumerate(sim)]
-    heapq.heapify(heap)
-    done = [False] * len(sim)
-    plan = []
-    max_cluster = 1
-    while heap:
-        size, pick = heapq.heappop(heap)
-        if done[pick] or size != len(sim[pick]):
-            continue  # stale entry: eliminated, or its cluster changed
-        done[pick] = True
-        plan.append(pick)
-        max_cluster = max(max_cluster, size + 1)
-        nbrs = sim[pick]
-        for a in nbrs:
-            sim[a].discard(pick)
-            sim[a].update(b for b in nbrs if b != a)
-            heapq.heappush(heap, (len(sim[a]), a))
+        nb[a] |= 1 << b
+        nb[b] |= 1 << a
+    plan, max_cluster = _elimination_order(nb)
     entries = 4**max_cluster  # peak accumulator before summing the variable
     if entries > budget:
         raise ContractionBudgetExceeded(max_cluster - 1, entries, budget)
 
-    # factors keyed by their ascending variable tuple, so two factors on the
-    # same variables multiply into one; ``touching`` indexes them by variable
-    factors: dict[tuple[int, ...], np.ndarray] = {}
-    touching: list[set[tuple[int, ...]]] = [set() for _ in var]
+    # relabel the variables by their place in the plan; a factor then waits
+    # in the bucket of its lowest variable, the first of them eliminated,
+    # keyed by the bitmask of its variables (axes ascending), so two factors
+    # on the same variables multiply into one
+    rank = [0] * len(plan)
+    for i, x in enumerate(plan):
+        rank[x] = i
+    buckets: list[dict[int, tuple[np.ndarray, list[int]]]] = [{} for _ in plan]
 
-    def add(key: tuple[int, ...], arr: np.ndarray) -> None:
-        if key in factors:
-            factors[key] = factors[key] * arr
+    def add(key: int, ys: list[int], arr: np.ndarray) -> None:
+        bucket = buckets[ys[0]]
+        if key in bucket:
+            arr = bucket[key][0] * arr
+        bucket[key] = arr, ys
+
+    def add_pair(a: int, b: int, mat: np.ndarray) -> None:
+        a, b = rank[a], rank[b]
+        if a < b:
+            add(1 << a | 1 << b, [a, b], mat)
         else:
-            factors[key] = arr
-            for y in key:
-                touching[y].add(key)
+            add(1 << a | 1 << b, [b, a], mat.T)
 
     observed = set(circ.observable)
     for v in range(n):
         gated = tuple(tuple(zx) for zx in steps[v].values())
-        chain, last = _vertex_factors((gated, v in observed))
-        for x, mat in enumerate(chain, first[v]):
-            add((x, x + 1), mat)
-        add((first[v + 1] - 1,), last)
+        chain = _vertex_factors((gated, v in observed))
+        if chain[0].ndim == 1:
+            r = rank[first[v]]
+            add(1 << r, [r], chain[0])
+        else:
+            for x, mat in enumerate(chain, first[v]):
+                add_pair(x, x + 1, mat)
     for a, b, w in edges:
-        add((min(a, b), max(a, b)), _edge_kernel(w))  # a symmetric kernel
+        add_pair(a, b, _edge_kernel(w))
 
-    for x in plan:
-        group = sorted(touching[x])
-        out = sorted({y for key in group for y in key} - {x})
-        axis = {y: i for i, y in enumerate(out)}
-        axis[x] = len(out)
-        operands = []
+    value = 1.0
+    for x, group in enumerate(buckets):
+        out = 0
         for key in group:
-            for y in key:
-                if y != x:
-                    touching[y].discard(key)
-            operands += (factors.pop(key), [axis[y] for y in key])
-        add(tuple(out), np.einsum(*operands, list(range(len(out)))))
-    return float(complex(factors.get((), 1.0)).real)
+            out |= key
+        out ^= 1 << x
+        ys = _bits(out)
+        axis = {y: i for i, y in enumerate(ys, 1)}
+        axis[x] = 0
+        operands = []
+        for arr, fys in group.values():
+            operands += (arr, [axis[y] for y in fys])
+        arr = np.einsum(*operands, list(range(1, len(ys) + 1)))
+        if ys:
+            add(out, ys, arr)
+        else:
+            value = value * arr
+    return float(complex(value).real)
 
 
 # -- finite-shot estimates --------------------------------------------------
@@ -362,31 +411,14 @@ class ExpectationCache:
 
     One cache serves exactly one angle schedule; mixing schedules in a single
     store would alias values, so the schedule fingerprint is checked on
-    every use.  Reads are lock-free; inserts serialize on a lock.  When a
-    directory is given (or QGREEDY_CACHE_DIR is set), entries persist as one
-    JSON file per schedule fingerprint; the file also holds the format
-    version and the fingerprint, and loading one that differs raises.
+    every use.  Reads are lock-free; inserts serialize on a lock.  The store
+    lives in memory only.
     """
 
-    def __init__(self, schedule: AngleSchedule, directory: str | None = None):
+    def __init__(self, schedule: AngleSchedule):
         self.schedule = schedule
         self._store: dict[bytes, ExpectationRecord] = {}
         self._lock = threading.Lock()
-        if directory is None:
-            directory = os.environ.get("QGREEDY_CACHE_DIR") or None
-        self._path = None
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-            tag = "_".join(
-                [
-                    f"p{schedule.depth}",
-                    f"d{schedule.degree}",
-                    f"lam{schedule.lam:.6g}",
-                    f"{abs(hash(schedule.fingerprint)) % 16**8:08x}",
-                ]
-            )
-            self._path = os.path.join(directory, f"expectations_{tag}.json")
-            self._load()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -397,39 +429,6 @@ class ExpectationCache:
     def insert(self, key_data: bytes, record: ExpectationRecord) -> None:
         with self._lock:
             self._store[key_data] = record
-
-    def _header(self) -> dict:
-        # the fingerprint as JSON reads it back: tuples become lists
-        fingerprint = json.loads(json.dumps(self.schedule.fingerprint))
-        return {"version": CACHE_VERSION, "fingerprint": fingerprint}
-
-    def _load(self) -> None:
-        if self._path and os.path.exists(self._path):
-            with open(self._path) as fh:
-                raw = json.load(fh)
-            if any(raw.get(k) != v for k, v in self._header().items()):
-                raise ValueError(
-                    f"{self._path}: not a version {CACHE_VERSION} cache of "
-                    "this angle schedule"
-                )
-            for hx, (value, engine, size) in raw["entries"].items():
-                self._store[bytes.fromhex(hx)] = ExpectationRecord(
-                    value=value, engine=engine, cone_size=size
-                )
-
-    def save(self) -> None:
-        if not self._path:
-            return
-        with self._lock:
-            entries = {
-                k.hex(): [r.value, r.engine, r.cone_size]
-                for k, r in self._store.items()
-            }
-        raw = dict(self._header(), entries=entries)
-        tmp = self._path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(raw, fh)
-        os.replace(tmp, self._path)
 
 
 def expectation(

@@ -1,0 +1,61 @@
+"""The names the traced benchmark rebinds must still exist.
+
+``perfbench/tracing.py`` wraps library functions by module attribute, and a
+name it cannot find turns its per-layer metrics into "absent".  These tests
+load the tracer by path and only read it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import qgreedy.solver
+from helpers import complete
+from qgreedy import engines
+from qgreedy.angles import vertex_cone
+from qgreedy.cones import extract_lightcone
+from qgreedy.engines import ExpectationCache
+from qgreedy.graph import generate_regular
+from qgreedy.solver import SolverConfig
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves(tracing):
+    targets = [(m, path) for m, path, _, _ in tracing.SPAN_TARGETS]
+    targets.append(tracing.CACHE_TARGET)
+    assert [t for t in targets if tracing._resolve(*t) is None] == []
+
+
+def test_key_spans_read_the_cone(tracing, sched_p2):
+    # the key span is named from canonical_key's first argument, a LightCone
+    tracer = tracing.Tracer()
+    cyclic = extract_lightcone(complete(4), 0, 2)
+    with tracer.active(0):
+        for cone in (cyclic, vertex_cone(2, 3)):
+            engines.evaluate_cone(cone, sched_p2)
+    names = [span[0] for span in tracer.spans]
+    assert "cones.key_cyclic" in names and "cones.key_tree" in names
+
+
+def test_traced_solve_reports_every_layer(tracing, sched_p2):
+    tracer = tracing.Tracer()
+    cfg = SolverConfig(schedule=sched_p2)
+    with tracer.active(0):
+        qgreedy.solver.solve_quantum_greedy(
+            generate_regular(12, 3, 1), cfg, ExpectationCache(sched_p2)
+        )
+    assert tracer.absent == set()
+    names = {span[0] for span in tracer.spans}
+    assert {"solver.quantum", "engines.evaluate", "engines.contract"} <= names
+    metrics = tracing.layer_metrics(tracer, "ops", 1)
+    assert [n for n, (value, _) in metrics.items() if value == "absent"] == []

@@ -300,7 +300,7 @@ class TestTraceDigest:
     ulp but flip no pick."""
 
     # SHA-256 over the concatenated format_trace texts, in grid order
-    DIGEST = "41afd6c55c050baf60669597bd50a1e0021da44bcf3784a296ad5a4aaa4e8933"
+    DIGEST = "f5fa13b535a8831942af8635213ccbf506c0b09377bb08a862dd8ea414132bed"
     # SHA-256 over the same traces' picks (see _picks)
     PICK_DIGEST = "980f186850e1b9707066c1d25219daae51985cbceee7d0bf9907a53ff55aa69d"
 
@@ -313,7 +313,7 @@ class TestTraceDigest:
         assert _digest(_picks(t) for t in traces) == self.PICK_DIGEST
 
     # SHA-256 over the classical texts, then the include_isolated texts
-    ISOLATED_DIGEST = "5729b4ea1c30f5a72c08ed5a20d5e58334e0b0e70ffefd08c37b1cd564dc4b15"
+    ISOLATED_DIGEST = "fef8b1bbdd8e7d61d70389cb13a28062bba37880a1886ae523376449d4f6c0f9"
     ISOLATED_PICK_DIGEST = (
         "65933520d820b3294f92467d6fe0bafe92e7953d215bc1d9cce2b4dbcfc3b33c"
     )
