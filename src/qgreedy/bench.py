@@ -31,7 +31,12 @@ from .angles import load_default_angles, read_angle_file
 from .engines import ExpectationCache
 from .graph import generate_regular
 from .noise import NoiseParams
-from .solver import SolverConfig, solve_classical_greedy, solve_quantum_greedy
+from .solver import (
+    SolverConfig,
+    check_advice,
+    solve_classical_greedy,
+    solve_quantum_greedy,
+)
 
 GREEDY_ASYMPTOTE = 6.0 * math.log(1.5) - 2.0  # ~0.43283
 PRIORITIZED_SEARCH_RATIO = 0.445330
@@ -66,6 +71,9 @@ class ExperimentPlan:
                 raise ValueError(f"unknown solver {s!r}")
         if "qgreedy" in self.solvers and not self.depths:
             raise ValueError("qgreedy requested but no depths given")
+        if any(p < 1 for p in self.depths):
+            raise ValueError(f"depths must be >= 1: {self.depths}")
+        check_advice(self.advice, self.shots, self.noise)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -74,6 +82,10 @@ _PLAN_KEYS = frozenset(
     "sizes instances solvers depths lambda advice shots eta alpha sigma "
     "noise_seed seed degree out angles_dir workers stamp".split()
 )
+
+
+_STAMP_TOKENS = {"true": True, "1": True, "yes": True,
+                 "false": False, "0": False, "no": False}
 
 
 def parse_plan(text: str) -> ExperimentPlan:
@@ -96,6 +108,9 @@ def parse_plan(text: str) -> ExperimentPlan:
             return default
         return tuple(int(t) for t in raw[key].replace(",", " ").split())
 
+    stamp = raw.get("stamp", "true").lower()
+    if stamp not in _STAMP_TOKENS:
+        raise ValueError(f"stamp must be true/false, 1/0 or yes/no: {stamp!r}")
     noise = None
     if any(k in raw for k in ("eta", "alpha", "sigma", "noise_seed")):
         noise = NoiseParams(
@@ -120,7 +135,7 @@ def parse_plan(text: str) -> ExperimentPlan:
         out=raw.get("out", "bench.csv"),
         angles_dir=raw.get("angles_dir"),
         workers=int(raw.get("workers", 1)),
-        stamp=raw.get("stamp", "true").lower() not in ("false", "0", "no"),
+        stamp=_STAMP_TOKENS[stamp],
     )
 
 

@@ -86,17 +86,21 @@ def build_parser() -> _Parser:
     sol.add_argument("--degree", type=int, default=3)
     sol.add_argument("--solver", choices=("qgreedy", "greedy", "exact"),
                      default="qgreedy")
-    sol.add_argument("--angles", default=None, help="angle file (default: shipped)")
-    sol.add_argument("--advice", choices=("ideal", "shots", "noise"), default="ideal")
-    sol.add_argument("--shots", type=int, default=0)
-    sol.add_argument("--delta", type=cutoff, default=None,
+    # the flags below are read by some solvers and advice sources only;
+    # they stay unset unless given, so that a flag the run would ignore is
+    # caught as a usage error; _SOLVE_DEFAULTS fills in the rest
+    unset = argparse.SUPPRESS
+    sol.add_argument("--angles", default=unset, help="angle file (default: shipped)")
+    sol.add_argument("--advice", choices=("ideal", "shots", "noise"), default=unset)
+    sol.add_argument("--shots", type=int, default=unset)
+    sol.add_argument("--delta", type=cutoff, default=unset,
                      help='cutoff; a number, or "auto" (default: auto for '
                           "shot/noise advice, 0 for ideal)")
-    sol.add_argument("--eta", type=float, default=0.0)
-    sol.add_argument("--alpha", type=float, default=0.0)
-    sol.add_argument("--sigma", type=float, default=0.0)
-    sol.add_argument("--noise-seed", type=int, default=0)
-    sol.add_argument("--node-limit", type=int, default=40)
+    sol.add_argument("--eta", type=float, default=unset)
+    sol.add_argument("--alpha", type=float, default=unset)
+    sol.add_argument("--sigma", type=float, default=unset)
+    sol.add_argument("--noise-seed", type=int, default=unset)
+    sol.add_argument("--node-limit", type=int, default=unset)
 
     cen = add("census", help="enumerate depth-p cones of max degree d")
     cen.add_argument("--degree", type=int, default=3)
@@ -139,7 +143,47 @@ def _cmd_angles(args) -> int:
     return 0
 
 
+_SOLVE_DEFAULTS = dict(
+    angles=None, advice="ideal", shots=0, delta=None,
+    eta=0.0, alpha=0.0, sigma=0.0, noise_seed=0, node_limit=40,
+)
+_QUANTUM_FLAGS = (
+    "angles", "advice", "shots", "delta", "eta", "alpha", "sigma", "noise_seed"
+)
+_NOISE_FLAGS = ("eta", "alpha", "sigma", "noise_seed")
+
+
+def _solve_usage_error(args) -> str | None:
+    """Why these solve flags cannot run as given, or None.
+
+    A flag that the chosen solver or advice source does not read is an
+    error rather than silently ignored.
+    """
+    solver = args.solver
+    unread = {}  # flag dest -> the choice that does not read it
+    if solver != "exact":
+        unread["node_limit"] = f"--solver {solver}"
+    if solver != "qgreedy":
+        unread.update(dict.fromkeys(_QUANTUM_FLAGS, f"--solver {solver}"))
+    else:
+        advice = getattr(args, "advice", _SOLVE_DEFAULTS["advice"])
+        shots = getattr(args, "shots", _SOLVE_DEFAULTS["shots"])
+        if advice == "shots" and shots < 1:
+            return "--advice shots needs --shots >= 1"
+        if advice != "shots":
+            unread["shots"] = f"--advice {advice}"
+        if advice != "noise":
+            unread.update(dict.fromkeys(_NOISE_FLAGS, f"--advice {advice}"))
+    for dest, choice in unread.items():
+        if hasattr(args, dest):
+            return f"--{dest.replace('_', '-')} is not read with {choice}"
+    if solver != "qgreedy" and args.depth != 1:
+        return f"--depth is not read with --solver {solver}"
+    return None
+
+
 def _cmd_solve(args) -> int:
+    args = argparse.Namespace(**{**_SOLVE_DEFAULTS, **vars(args)})
     if args.infile:
         with open(args.infile) as fh:
             g = read_edge_list(fh.read())
@@ -230,6 +274,10 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
+    if args.command == "solve":
+        problem = _solve_usage_error(args)
+        if problem:
+            parser.error(problem)
     try:
         return _COMMANDS[args.command](args)
     except (QGreedyError, ValueError, OSError) as exc:

@@ -21,6 +21,12 @@ the closed form at depth 1), and the tree-angle optimizer in
 module constants ``STATEVECTOR_CAP`` and ``CONTRACTION_BUDGET``; only the
 router's own parameters override them.
 
+A solve meets the same few labelled cones thousands of times, so each
+:class:`ExpectationCache` also memoizes the canonical key of the labelled
+cones it has seen, at most ``_KEY_MEMO_SIZE`` of them (4096, the bound of
+this module's ``lru_cache``s), oldest evicted first.  The memo belongs to
+its cache: a fresh cache keys every cone afresh.
+
 The contraction engine views the expectation as a classical partition
 function on a time-expanded copy of the cone graph: the cost layers are
 diagonal and the mixers factor per qubit, so after inserting a
@@ -49,12 +55,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import AngleSchedule, ConeCircuit, build_circuit
-from .cones import LightCone, canonical_key, cone_from_key
+from .cones import CanonicalKey, LightCone, canonical_key, cone_from_key
 from .errors import ContractionBudgetExceeded, StatevectorCapExceeded
 from .graph import IsingParams
 
 STATEVECTOR_CAP = 24
 CONTRACTION_BUDGET = 2**26  # max tensor entries per intermediate, ~1 GB
+_KEY_MEMO_SIZE = 4096  # labelled cones per cache whose keys are memoized
 
 
 # -- closed forms for p = 1 -------------------------------------------------
@@ -413,11 +420,18 @@ class ExpectationCache:
     store would alias values, so the schedule fingerprint is checked on
     every use.  Reads are lock-free; inserts serialize on a lock.  The store
     lives in memory only.
+
+    The cache also maps labelled cones (equal when depth, distance labels
+    and edges are, whatever their source ids) to their canonical keys, so
+    a cone met again skips :func:`canonical_key`.  That memo is this
+    cache's own and holds at most ``_KEY_MEMO_SIZE`` cones, evicting the
+    oldest first.
     """
 
     def __init__(self, schedule: AngleSchedule):
         self.schedule = schedule
         self._store: dict[bytes, ExpectationRecord] = {}
+        self._keys: dict[tuple, CanonicalKey] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -429,6 +443,19 @@ class ExpectationCache:
     def insert(self, key_data: bytes, record: ExpectationRecord) -> None:
         with self._lock:
             self._store[key_data] = record
+
+    def key_of(self, cone: LightCone) -> CanonicalKey:
+        """``canonical_key(cone)``, memoized by the labelled cone."""
+        # the fields of the cone's own equality, a cheaper dict key
+        labelled = cone.depth, cone.dists, cone.edges
+        key = self._keys.get(labelled)
+        if key is None:
+            key = canonical_key(cone)
+            with self._lock:
+                if len(self._keys) >= _KEY_MEMO_SIZE:
+                    del self._keys[next(iter(self._keys))]
+                self._keys[labelled] = key
+        return key
 
 
 def expectation(
@@ -464,10 +491,13 @@ def evaluate_cone(
     Depth-1 cones use the closed form; deeper ones go through
     :func:`expectation`.  Returns (record, key).
     """
-    if cache is not None and cache.schedule.fingerprint != schedule.fingerprint:
-        raise ValueError("cache was built for a different angle schedule")
-    key = canonical_key(cone)
-    if cache is not None:
+    if cache is None:
+        key = canonical_key(cone)
+    else:
+        if (cache.schedule is not schedule
+                and cache.schedule.fingerprint != schedule.fingerprint):
+            raise ValueError("cache was built for a different angle schedule")
+        key = cache.key_of(cone)
         hit = cache.get(key.data)
         if hit is not None:
             return hit, key

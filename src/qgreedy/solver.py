@@ -75,6 +75,16 @@ class SolveTrace:
         return len(self.steps) / self.n
 
 
+def check_advice(advice: str, shots: int, noise: NoiseParams | None) -> None:
+    """Raise ValueError unless the advice source has what it reads."""
+    if advice not in ("ideal", "shots", "noise"):
+        raise ValueError(f"unknown advice source {advice!r}")
+    if advice == "shots" and shots < 1:
+        raise ValueError("shot advice needs shots >= 1")
+    if advice == "noise" and noise is None:
+        raise ValueError("noise advice needs NoiseParams")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     schedule: AngleSchedule
@@ -88,12 +98,7 @@ class SolverConfig:
     include_isolated: bool = False  # degree-0 nodes rank first; off in reports
 
     def __post_init__(self):
-        if self.advice not in ("ideal", "shots", "noise"):
-            raise ValueError(f"unknown advice source {self.advice!r}")
-        if self.advice == "shots" and self.shots < 1:
-            raise ValueError("shot advice needs shots >= 1")
-        if self.advice == "noise" and self.noise is None:
-            raise ValueError("noise advice needs NoiseParams")
+        check_advice(self.advice, self.shots, self.noise)
         if self.delta is not None and not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite, >= 0: {self.delta}")
         if self.tie_break not in ("random", "lowest"):

@@ -1,7 +1,10 @@
-"""Shared test utilities: small named graphs, random graph draws, and a
-brute-force rooted-isomorphism oracle for canonical-key checks."""
+"""Shared test utilities: small named graphs, random graph draws, a
+brute-force rooted-isomorphism oracle for canonical-key checks, and the
+benchmark's tracer loaded by path."""
 
+import importlib.util
 from itertools import permutations
+from pathlib import Path
 
 from qgreedy.cones import LightCone
 from qgreedy.graph import Graph
@@ -109,3 +112,14 @@ def rooted_isomorphic(c1: LightCone, c2: LightCone) -> bool:
         return False
 
     return extend(0, {})
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """``perfbench/tracing.py`` as a module, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

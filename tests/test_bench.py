@@ -16,6 +16,7 @@ from qgreedy.bench import (
     parse_plan,
     run_plan,
 )
+from qgreedy.solver import SolverConfig
 
 PLAN_TEXT = """\
 # small comparison run
@@ -64,6 +65,15 @@ class TestParsePlan:
     def test_stamp_falsy_tokens(self, token):
         assert parse_plan(f"sizes = 5\nstamp = {token}\n").stamp is False
 
+    @pytest.mark.parametrize("token", ["true", "1", "yes", "TRUE", "Yes"])
+    def test_stamp_truthy_tokens(self, token):
+        assert parse_plan(f"sizes = 5\nstamp = {token}\n").stamp is True
+
+    @pytest.mark.parametrize("token", ["flase", "2", "off", "tru"])
+    def test_stamp_other_tokens_rejected(self, token):
+        with pytest.raises(ValueError, match="stamp"):
+            parse_plan(f"sizes = 5\nstamp = {token}\n")
+
     def test_bad_line(self):
         with pytest.raises(ValueError):
             parse_plan("sizes 10\n")
@@ -88,6 +98,38 @@ class TestParsePlan:
             ExperimentPlan(sizes=(10,), instances=0)
         with pytest.raises(ValueError):
             ExperimentPlan(sizes=(10,), instances=1, workers=0)
+
+    @pytest.mark.parametrize("depths", [(0,), (2, -1)])
+    def test_depths_below_one_rejected(self, depths):
+        with pytest.raises(ValueError, match="depths"):
+            ExperimentPlan(sizes=(10,), instances=1, solvers=("qgreedy",),
+                           depths=depths)
+
+    @pytest.mark.parametrize("fields", [
+        dict(advice="shots"),
+        dict(advice="shots", shots=-3),
+        dict(advice="noise"),
+        dict(advice="oracle"),
+    ])
+    def test_advice_rejected_as_solver_config_does(self, fields, sched_p1):
+        with pytest.raises(ValueError) as config_error:
+            SolverConfig(schedule=sched_p1, **fields)
+        with pytest.raises(ValueError) as plan_error:
+            ExperimentPlan(sizes=(10,), instances=1, solvers=("qgreedy",),
+                           depths=(1,), **fields)
+        assert str(plan_error.value) == str(config_error.value)
+
+    @pytest.mark.parametrize("line", [
+        "advice = shots", "depths = 0", "stamp = flase",
+    ])
+    def test_bad_plan_fails_before_any_work(self, tmp_path, line):
+        out = tmp_path / "r.csv"
+        path = tmp_path / "plan.txt"
+        path.write_text(f"sizes = 10\nsolvers = greedy qgreedy\ndepths = 1\n"
+                        f"out = {out}\n{line}\n")
+        with pytest.raises(ValueError):
+            run_plan(load_plan(path))
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_load_plan_round_trip(self, tmp_path):
         path = tmp_path / "plan.txt"

@@ -81,6 +81,22 @@ class TestSolve:
                      "--delta", "auto"]) == 0
         assert capsys.readouterr().out == default
 
+    def test_node_limit_is_read(self, capsys):
+        assert main(["solve", "--n", "16", "--solver", "exact",
+                     "--node-limit", "10"]) == 2
+        assert "limited to 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("advice", [
+        ["--advice", "shots", "--shots", "50"],
+        ["--advice", "noise", "--eta", "0.05", "--noise-seed", "3"],
+    ])
+    def test_advice_flags_are_read(self, capsys, advice):
+        main(["solve", "--n", "20", "--seed", "1", "--depth", "2"])
+        ideal = capsys.readouterr().out
+        assert main(["solve", "--n", "20", "--seed", "1", "--depth", "2",
+                     *advice]) == 0
+        assert capsys.readouterr().out != ideal
+
     def test_needs_input(self, capsys):
         assert main(["solve", "--solver", "greedy"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -146,6 +162,28 @@ class TestExitCodes:
             main(["solve", "--n", "20", "--delta", value])
         assert exc.value.code == 1
         assert "--delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        # flags the chosen solver or advice source would ignore
+        (["--solver", "greedy", "--advice", "shots", "--shots", "5",
+          "--depth", "3"], "--advice"),
+        (["--solver", "greedy", "--depth", "3"], "--depth"),
+        (["--solver", "exact", "--delta", "0.1"], "--delta"),
+        (["--shots", "-3"], "--shots"),
+        (["--advice", "noise", "--shots", "5"], "--shots"),
+        (["--eta", "0.1"], "--eta"),
+        (["--advice", "shots", "--shots", "5", "--noise-seed", "1"],
+         "--noise-seed"),
+        (["--node-limit", "30"], "--node-limit"),
+        # shot advice without a usable shot count
+        (["--advice", "shots"], "--shots"),
+        (["--advice", "shots", "--shots", "0"], "--shots"),
+    ])
+    def test_solve_flag_misuse_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--n", "20", *argv])
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
 
     def test_runtime_error(self, capsys):
         assert main(["solve", "--in", "/nonexistent/g.txt"]) == 2

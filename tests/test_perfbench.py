@@ -1,17 +1,22 @@
-"""The names the traced benchmark rebinds must still exist.
+"""The names the traced benchmark rebinds must still exist, and the
+benchmark runs.
 
 ``perfbench/tracing.py`` wraps library functions by module attribute, and a
 name it cannot find turns its per-layer metrics into "absent".  These tests
-load the tracer by path and only read it.
+load the tracer by path and only read it.  The smoke test runs
+``perfbench/run.py`` as a subprocess; it may create the git-ignored
+``perfbench/out/``.
 """
 
-import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import qgreedy.solver
-from helpers import complete
+from helpers import complete, load_tracing
 from qgreedy import engines
 from qgreedy.angles import vertex_cone
 from qgreedy.cones import extract_lightcone
@@ -19,15 +24,13 @@ from qgreedy.engines import ExpectationCache
 from qgreedy.graph import generate_regular
 from qgreedy.solver import SolverConfig
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tracing()
 
 
 def test_every_target_resolves(tracing):
@@ -59,3 +62,22 @@ def test_traced_solve_reports_every_layer(tracing, sched_p2):
     assert {"solver.quantum", "engines.evaluate", "engines.contract"} <= names
     metrics = tracing.layer_metrics(tracer, "ops", 1)
     assert [n for n, (value, _) in metrics.items() if value == "absent"] == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ["cold-p3", "warm-p2"])
+def test_benchmark_smoke(workload):
+    # the benchmark's result is the last stdout line: one JSON object with
+    # every end-to-end metric that BENCHMARK.json names
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for metric in declared["end_to_end"]:
+        value = result["metrics"][metric["name"]]["value"]
+        assert isinstance(value, (int, float)) and value == value, metric
