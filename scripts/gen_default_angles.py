@@ -13,7 +13,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from qgreedy.angles import optimize_tree_angles, write_angle_file  # noqa: E402
+from qgreedy import angles  # noqa: E402
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src/qgreedy/data/angles"
 # diminishing returns past a few restarts once the padded start is available
@@ -33,7 +33,7 @@ def main() -> int:
     prev = None
     for depth in range(1, args.max_depth + 1):
         t0 = time.time()
-        opt = optimize_tree_angles(
+        opt = angles.optimize_tree_angles(
             depth,
             args.degree,
             args.lam,
@@ -41,8 +41,8 @@ def main() -> int:
             restarts=RESTARTS.get(depth, 2),
             warm_start=prev,
         )
-        path = args.out_dir / f"p{depth}_d{args.degree}_lam{args.lam:g}.txt"
-        write_angle_file(path, opt)
+        path = args.out_dir / angles.angle_file_name(depth, args.degree, args.lam)
+        angles.write_angle_file(path, opt)
         print(
             f"p={depth}: energy {opt.energy:+.12f}  "
             f"({time.time() - t0:.1f}s)  -> {path.name}",

@@ -8,6 +8,7 @@ switched on as well, reseeded per (eta, instance).
 """
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 
@@ -15,11 +16,11 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from qgreedy.angles import load_default_angles  # noqa: E402
+from qgreedy.bench import solver_config  # noqa: E402
 from qgreedy.engines import ExpectationCache  # noqa: E402
 from qgreedy.graph import generate_regular  # noqa: E402
 from qgreedy.noise import NoiseParams  # noqa: E402
-from qgreedy.solver import SolverConfig, solve_quantum_greedy  # noqa: E402
+from qgreedy.solver import solve_quantum_greedy  # noqa: E402
 
 
 def main() -> int:
@@ -34,8 +35,9 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    schedule = load_default_angles(args.depth).schedule
-    cache = ExpectationCache(schedule)
+    base = solver_config(args.depth, 3, 1.0, advice="noise", delta=0.0,
+                         noise=NoiseParams(0.0, args.alpha, args.sigma))
+    cache = ExpectationCache(base.schedule)
     graphs = [
         generate_regular(args.n, 3, seed=args.seed + i)
         for i in range(args.instances)
@@ -45,17 +47,12 @@ def main() -> int:
         eta = args.eta_max * k / (args.eta_steps - 1) if args.eta_steps > 1 else 0.0
         ratios = []
         for i, g in enumerate(graphs):
-            cfg = SolverConfig(
-                schedule=schedule,
-                advice="noise",
-                delta=0.0,
-                noise=NoiseParams(eta, args.alpha, args.sigma,
-                                  seed=1000 * k + i),
-                seed=args.seed + i,
-            )
+            noise = dataclasses.replace(base.noise, eta=eta, seed=1000 * k + i)
+            cfg = dataclasses.replace(base, noise=noise, seed=args.seed + i)
             ratios.append(solve_quantum_greedy(g, cfg, cache).ratio)
         mean = float(np.mean(ratios))
-        sem = float(np.std(ratios, ddof=1) / np.sqrt(len(ratios)))
+        sem = (float(np.std(ratios, ddof=1) / np.sqrt(len(ratios)))
+               if len(ratios) > 1 else 0.0)  # one instance: 0, as in bench
         print(f"eta {eta:5.3f}  mean_r {mean:.5f}  sem {sem:.5f}")
     return 0
 

@@ -301,9 +301,14 @@ def read_angle_file(path) -> AngleOptimum:
         return parse_angle_text(fh.read())
 
 
+def angle_file_name(depth: int, d: int, lam: float) -> str:
+    """File name of the (depth, degree, lambda) schedule, shipped or not."""
+    return f"p{depth}_d{d}_lam{lam:g}.txt"
+
+
 def load_default_angles(depth: int, d: int = 3, lam: float = 1.0) -> AngleOptimum:
     """Schedule shipped with the package, optimized by scripts/gen_default_angles.py."""
-    name = f"p{depth}_d{d}_lam{lam:g}.txt"
+    name = angle_file_name(depth, d, lam)
     ref = resources.files("qgreedy").joinpath("data", "angles", name)
     try:
         text = ref.read_text()

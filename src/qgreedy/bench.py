@@ -7,7 +7,8 @@ comparisons are paired.  Per-instance results are flushed to a sidecar file
 as they finish, and reruns skip rows already present, so an interrupted run
 resumes where it stopped.  The sidecar's first line holds a digest of the
 plan fields that decide the results (all but ``workers``, ``out`` and
-``stamp``); a plan never resumes a sidecar written by another plan.
+``stamp``); a plan never resumes a sidecar written by another plan.  Angle
+files are read and checked before the sidecar is opened.
 
 Reference constants reported alongside the aggregates: the asymptotic mean
 ratio of the classical min-degree greedy on large random 3-regular graphs,
@@ -27,8 +28,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .angles import load_default_angles, read_angle_file
+from .angles import angle_file_name, load_default_angles, read_angle_file
 from .engines import ExpectationCache
+from .errors import AngleFileMismatch
 from .graph import generate_regular
 from .noise import NoiseParams
 from .solver import (
@@ -172,11 +174,22 @@ def _derived_seed(*entropy) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
 
 
-def _load_schedule(plan: ExperimentPlan, depth: int):
-    if plan.angles_dir:
-        name = f"p{depth}_d{plan.degree}_lam{plan.lam:g}.txt"
-        return read_angle_file(os.path.join(plan.angles_dir, name)).schedule
-    return load_default_angles(depth, plan.degree, plan.lam).schedule
+def solver_config(depth, degree, lam, angles=None, **fields) -> SolverConfig:
+    """The one SolverConfig builder: ``fields`` plus the shipped schedule for
+    (depth, degree, lam) or the angle file ``angles``, whose header must agree
+    with each value given (else AngleFileMismatch); None takes the file's."""
+    if angles is None:
+        # called through this module's global, which perfbench rebinds
+        schedule = load_default_angles(depth, degree, lam).schedule
+        angles = angle_file_name(depth, degree, lam)
+    else:
+        schedule = read_angle_file(angles).schedule
+    for name, asked, found in [("depth", depth, schedule.depth),
+                               ("degree", degree, schedule.degree),
+                               ("lambda", lam, schedule.lam)]:
+        if asked is not None and asked != found:
+            raise AngleFileMismatch(angles, name, asked, found)
+    return SolverConfig(schedule=schedule, **fields)
 
 
 # per-process expectation caches, keyed by schedule fingerprint
@@ -191,33 +204,23 @@ def _cache_for(schedule) -> ExpectationCache:
     return cache
 
 
-def _run_instance(plan: ExperimentPlan, size: int, index: int) -> list[tuple]:
-    """All (solver, depth) ratios for one shared instance."""
+def _run_instance(plan: ExperimentPlan, configs, size: int, index: int) -> list[tuple]:
+    """All (solver, depth) ratios for one shared instance, from each depth's config."""
     g = generate_regular(size, plan.degree, _derived_seed(plan.seed, size, index))
     solver_seed = _derived_seed(plan.seed, size, index, 1)
     out = []
-    for solver in plan.solvers:
+    for solver, depth in _cells(plan):
         if solver == "greedy":
             trace = solve_classical_greedy(g, seed=solver_seed)
-            out.append((size, "greedy", 0, index, trace.ratio))
         else:
-            for depth in plan.depths:
-                schedule = _load_schedule(plan, depth)
-                noise = plan.noise
-                if noise is not None:
-                    noise = dataclasses.replace(
-                        noise, seed=_derived_seed(noise.seed, size, index)
-                    )
-                cfg = SolverConfig(
-                    schedule=schedule,
-                    delta=None,
-                    advice=plan.advice,
-                    shots=plan.shots,
-                    noise=noise,
-                    seed=solver_seed,
+            noise = configs[depth].noise
+            if noise is not None:
+                noise = dataclasses.replace(
+                    noise, seed=_derived_seed(noise.seed, size, index)
                 )
-                trace = solve_quantum_greedy(g, cfg, _cache_for(schedule))
-                out.append((size, "qgreedy", depth, index, trace.ratio))
+            cfg = dataclasses.replace(configs[depth], seed=solver_seed, noise=noise)
+            trace = solve_quantum_greedy(g, cfg, _cache_for(cfg.schedule))
+        out.append((size, solver, depth, index, trace.ratio))
     return out
 
 
@@ -262,6 +265,14 @@ def _cells(plan: ExperimentPlan) -> list[tuple[str, int]]:
 
 
 def run_plan(plan: ExperimentPlan) -> BenchmarkReport:
+    configs = {}
+    for depth in plan.depths if "qgreedy" in plan.solvers else ():
+        name = angle_file_name(depth, plan.degree, plan.lam)
+        angles = os.path.join(plan.angles_dir, name) if plan.angles_dir else None
+        configs[depth] = solver_config(
+            depth, plan.degree, plan.lam, angles,
+            advice=plan.advice, shots=plan.shots, noise=plan.noise,
+        )
     header = _partial_header(plan)
     done = _load_partial(_partial_path(plan), header)
     todo = [
@@ -288,14 +299,14 @@ def run_plan(plan: ExperimentPlan) -> BenchmarkReport:
         if plan.workers > 1 and len(todo) > 1:
             with ProcessPoolExecutor(max_workers=plan.workers) as pool:
                 futures = [
-                    pool.submit(_run_instance, plan, size, index)
+                    pool.submit(_run_instance, plan, configs, size, index)
                     for size, index in todo
                 ]
                 for fut in futures:
                     flush(fut.result())
         else:
             for size, index in todo:
-                flush(_run_instance(plan, size, index))
+                flush(_run_instance(plan, configs, size, index))
 
     rows = []
     for size in sorted(set(plan.sizes)):

@@ -10,19 +10,13 @@ import math
 import sys
 
 from . import __version__
-from .angles import (
-    load_default_angles,
-    optimize_tree_angles,
-    read_angle_file,
-    write_angle_file,
-)
-from .bench import load_plan, run_plan
+from .angles import angle_file_name, optimize_tree_angles, write_angle_file
+from .bench import load_plan, run_plan, solver_config
 from .cones import enumerate_cones
-from .errors import QGreedyError
+from .errors import AngleFileMismatch, QGreedyError
 from .graph import generate_regular, read_edge_list, write_edge_list
 from .noise import NoiseParams, fit_noise, required_shots
 from .solver import (
-    SolverConfig,
     format_trace,
     solve_classical_greedy,
     solve_exact,
@@ -51,20 +45,15 @@ def cutoff(text: str) -> float | None:
 
 
 def build_parser() -> _Parser:
-    ap = _Parser(prog="qgreedy", description=__doc__)
-    ap.add_argument("--version", action="version", version=__version__)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    ap.add_argument("--depth", type=int, default=1)
-    ap.add_argument("--out", default=None)
-
-    # the same flags are valid after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering a value given before it
+    # shared flags are valid before and after the subcommand; SUPPRESS keeps the
+    # subparser from clobbering a value given before it, and marks it as given
     shared = _Parser(add_help=False)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     shared.add_argument("--lambda", dest="lam", type=float, default=argparse.SUPPRESS)
     shared.add_argument("--depth", type=int, default=argparse.SUPPRESS)
     shared.add_argument("--out", default=argparse.SUPPRESS)
+    ap = _Parser(prog="qgreedy", description=__doc__, parents=[shared])
+    ap.add_argument("--version", action="version", version=__version__)
 
     sub = ap.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -88,7 +77,7 @@ def build_parser() -> _Parser:
                      default="qgreedy")
     # the flags below are read by some solvers and advice sources only;
     # they stay unset unless given, so that a flag the run would ignore is
-    # caught as a usage error; _SOLVE_DEFAULTS fills in the rest
+    # caught as a usage error; _DEFAULTS fills in the rest
     unset = argparse.SUPPRESS
     sol.add_argument("--angles", default=unset, help="angle file (default: shipped)")
     sol.add_argument("--advice", choices=("ideal", "shots", "noise"), default=unset)
@@ -137,18 +126,19 @@ def _cmd_angles(args) -> int:
     opt = optimize_tree_angles(
         args.depth, args.degree, args.lam, seed=args.seed, restarts=args.restarts
     )
-    out = args.out or f"p{args.depth}_d{args.degree}_lam{args.lam:g}.txt"
+    out = args.out or angle_file_name(args.depth, args.degree, args.lam)
     write_angle_file(out, opt)
     print(f"wrote {out} energy {opt.energy:.17g}")
     return 0
 
 
-_SOLVE_DEFAULTS = dict(
-    angles=None, advice="ideal", shots=0, delta=None,
+# values of unset flags; an unset --delta leaves SolverConfig's auto
+_DEFAULTS = dict(
+    seed=0, lam=1.0, depth=1, out=None, angles=None, advice="ideal", shots=0,
     eta=0.0, alpha=0.0, sigma=0.0, noise_seed=0, node_limit=40,
 )
 _QUANTUM_FLAGS = (
-    "angles", "advice", "shots", "delta", "eta", "alpha", "sigma", "noise_seed"
+    "angles", "advice", "shots", "delta", "depth", "eta", "alpha", "sigma", "noise_seed"
 )
 _NOISE_FLAGS = ("eta", "alpha", "sigma", "noise_seed")
 
@@ -166,8 +156,8 @@ def _solve_usage_error(args) -> str | None:
     if solver != "qgreedy":
         unread.update(dict.fromkeys(_QUANTUM_FLAGS, f"--solver {solver}"))
     else:
-        advice = getattr(args, "advice", _SOLVE_DEFAULTS["advice"])
-        shots = getattr(args, "shots", _SOLVE_DEFAULTS["shots"])
+        advice = getattr(args, "advice", _DEFAULTS["advice"])
+        shots = getattr(args, "shots", _DEFAULTS["shots"])
         if advice == "shots" and shots < 1:
             return "--advice shots needs --shots >= 1"
         if advice != "shots":
@@ -177,13 +167,10 @@ def _solve_usage_error(args) -> str | None:
     for dest, choice in unread.items():
         if hasattr(args, dest):
             return f"--{dest.replace('_', '-')} is not read with {choice}"
-    if solver != "qgreedy" and args.depth != 1:
-        return f"--depth is not read with --solver {solver}"
     return None
 
 
 def _cmd_solve(args) -> int:
-    args = argparse.Namespace(**{**_SOLVE_DEFAULTS, **vars(args)})
     if args.infile:
         with open(args.infile) as fh:
             g = read_edge_list(fh.read())
@@ -204,17 +191,17 @@ def _cmd_solve(args) -> int:
         trace = solve_classical_greedy(g, seed=args.seed)
         _emit(format_trace(trace), args.out)
         return 0
-    if args.angles:
-        schedule = read_angle_file(args.angles).schedule
-    else:
-        schedule = load_default_angles(args.depth, args.degree, args.lam).schedule
     noise = None
     if args.advice == "noise":
         noise = NoiseParams(args.eta, args.alpha, args.sigma, args.noise_seed)
-    cfg = SolverConfig(
-        schedule=schedule, delta=args.delta, advice=args.advice,
-        shots=args.shots, noise=noise, seed=args.seed,
-    )
+    fields = dict(advice=args.advice, shots=args.shots, noise=noise, seed=args.seed)
+    if hasattr(args, "delta"):
+        fields["delta"] = args.delta
+    degree = None if args.angles else args.degree  # else --degree is the graph's
+    try:
+        cfg = solver_config(args.depth, degree, args.lam, args.angles, **fields)
+    except AngleFileMismatch as exc:  # only a given --depth or --lambda differs
+        build_parser().error(f"--{exc.name} disagrees with {exc}")
     trace = solve_quantum_greedy(g, cfg)
     _emit(format_trace(trace), args.out)
     return 0
@@ -278,6 +265,9 @@ def main(argv=None) -> int:
         problem = _solve_usage_error(args)
         if problem:
             parser.error(problem)
+    # with --angles, an unset --depth or --lambda takes the file's value
+    from_file = dict(depth=None, lam=None) if hasattr(args, "angles") else {}
+    args = argparse.Namespace(**{**_DEFAULTS, **from_file, **vars(args)})
     try:
         return _COMMANDS[args.command](args)
     except (QGreedyError, ValueError, OSError) as exc:

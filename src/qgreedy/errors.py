@@ -46,3 +46,11 @@ class NodeLimitExceeded(QGreedyError):
         super().__init__(f"exact solver limited to {limit} alive nodes, got {n}")
         self.n = n
         self.limit = limit
+
+
+class AngleFileMismatch(QGreedyError, ValueError):
+    """An angle file's header disagrees with a value the run asked for."""
+
+    def __init__(self, path, name, asked, found):
+        super().__init__(f"{path}: holds {name} {found}, not {asked}")
+        self.name = name  # "depth", "degree" or "lambda"

@@ -56,7 +56,7 @@ class IsingParams:
 class Graph:
     """Undirected simple graph with an alive mask for greedy reductions."""
 
-    __slots__ = ("n", "adj", "adjset", "alive", "_deg", "_alive_count", "_edge_count")
+    __slots__ = ("n", "adj", "adjset", "alive", "_deg", "_alive_count")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -81,7 +81,6 @@ class Graph:
         self.alive = [True] * n
         self._deg = [len(nbrs) for nbrs in self.adj]
         self._alive_count = n
-        self._edge_count = len(seen)
 
     # -- queries ------------------------------------------------------------
 
@@ -91,8 +90,8 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        """Number of edges with both endpoints alive."""
-        return self._edge_count
+        """Number of edges with both endpoints alive, counted on demand."""
+        return sum(1 for _ in self.edges_alive())
 
     def degree(self, i: int) -> int:
         """Alive degree of an alive node."""
@@ -126,7 +125,6 @@ class Graph:
         g.alive = list(self.alive)
         g._deg = list(self._deg)
         g._alive_count = self._alive_count
-        g._edge_count = self._edge_count
         return g
 
     # -- mutation -----------------------------------------------------------
@@ -136,15 +134,6 @@ class Graph:
         if not self.alive[i]:
             raise ValueError(f"node {i} is not alive")
         removed = [i] + [j for j in self.adj[i] if self.alive[j]]
-        removed_set = set(removed)
-        lost = 0
-        for r in removed:
-            for nbr in self.adj[r]:
-                if not self.alive[nbr]:
-                    continue
-                # survivor edges once each, internal edges once via r < nbr
-                if nbr not in removed_set or nbr > r:
-                    lost += 1
         for r in removed:
             self.alive[r] = False
         for r in removed:
@@ -152,7 +141,6 @@ class Graph:
                 if self.alive[nbr]:
                     self._deg[nbr] -= 1
         self._alive_count -= len(removed)
-        self._edge_count -= lost
         return removed
 
     # -- traversal ----------------------------------------------------------

@@ -88,7 +88,7 @@ def check_advice(advice: str, shots: int, noise: NoiseParams | None) -> None:
 @dataclass(frozen=True)
 class SolverConfig:
     schedule: AngleSchedule
-    delta: float | None = 0.0  # None = auto (0 ideal, delta_cutoff otherwise)
+    delta: float | None = None  # None = auto (0 ideal, delta_cutoff otherwise)
     advice: str = "ideal"  # ideal | shots | noise
     shots: int = 0
     noise: NoiseParams | None = None

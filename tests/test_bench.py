@@ -1,8 +1,10 @@
 import dataclasses
 import math
+from importlib import resources
 
 import pytest
 
+from qgreedy.angles import angle_file_name, load_default_angles, write_angle_file
 from qgreedy.bench import (
     CSV_COLUMNS,
     GREEDY_ASYMPTOTE,
@@ -15,8 +17,11 @@ from qgreedy.bench import (
     load_plan,
     parse_plan,
     run_plan,
+    solver_config,
 )
-from qgreedy.solver import SolverConfig
+from qgreedy.graph import generate_regular
+from qgreedy.noise import NoiseParams
+from qgreedy.solver import SolverConfig, solve_quantum_greedy
 
 PLAN_TEXT = """\
 # small comparison run
@@ -228,6 +233,23 @@ class TestRunPlan:
         run_plan(dataclasses.replace(plan, workers=2, stamp=True))
         assert partial.read_bytes() == before
 
+    def test_rows_use_per_instance_seeds(self, tmp_path):
+        # each instance reseeds the depth's config: graph, solver and noise
+        noise = NoiseParams(0.05, 0.0, 0.5, seed=9)  # offsets that move picks
+        plan = ExperimentPlan(sizes=(14,), instances=3, solvers=("qgreedy",),
+                              depths=(2,), advice="noise", noise=noise, seed=7,
+                              out=str(tmp_path / "n.csv"), stamp=False)
+        run_plan(plan)
+        _, *rows = open(plan.out + ".partial")
+        for i, row in enumerate(rows):
+            cfg = solver_config(
+                2, 3, 1.0, advice="noise", seed=_derived_seed(7, 14, i, 1),
+                noise=dataclasses.replace(noise, seed=_derived_seed(9, 14, i)),
+            )
+            g = generate_regular(14, 3, _derived_seed(7, 14, i))
+            ratio = solve_quantum_greedy(g, cfg).ratio
+            assert row.split() == ["14", "qgreedy", "2", str(i), f"{ratio:.17g}"]
+
     def test_leaked_cell_not_aggregated(self, tmp_path):
         # a row of a (solver, depth) the plan does not list stays out of
         # the report and the CSV
@@ -240,6 +262,54 @@ class TestRunPlan:
         report = run_plan(plan)
         assert [(r.solver, r.depth) for r in report.rows] == [("greedy", 0)]
         assert open(plan.out).read() == clean
+
+class TestAngleFiles:
+    def test_builder_checks_the_header(self, tmp_path):
+        path = tmp_path / "angles.txt"
+        write_angle_file(path, load_default_angles(2))
+        cfg = solver_config(None, None, None, path, seed=3)
+        assert cfg.schedule == load_default_angles(2).schedule
+        assert cfg.seed == 3 and cfg.delta is None
+        assert solver_config(2, 3, 1.0, path).schedule == cfg.schedule
+        for values in [(1, 3, 1.0), (2, 4, 1.0), (2, 3, 2.0)]:
+            with pytest.raises(ValueError, match="angles.txt"):
+                solver_config(*values, path)
+
+    def test_mismatched_file_fails_before_any_work(self, tmp_path):
+        # a depth-1 file that holds depth-2 angles
+        write_angle_file(tmp_path / "p1_d3_lam1.txt", load_default_angles(2))
+        plan = ExperimentPlan(sizes=(10,), instances=1, solvers=("qgreedy",),
+                              depths=(1,), angles_dir=str(tmp_path),
+                              out=str(tmp_path / "r.csv"), stamp=False)
+        with pytest.raises(ValueError, match="p1_d3_lam1.txt"):
+            run_plan(plan)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p1_d3_lam1.txt"]
+
+    def test_missing_file_fails_before_any_work(self, tmp_path):
+        plan = ExperimentPlan(sizes=(10,), instances=1, solvers=("qgreedy",),
+                              depths=(1,), degree=4, out=str(tmp_path / "r.csv"),
+                              stamp=False)
+        with pytest.raises(FileNotFoundError, match="d=4"):
+            run_plan(plan)
+        assert list(tmp_path.iterdir()) == []
+        # so the corrected plan starts afresh instead of meeting a sidecar
+        run_plan(dataclasses.replace(plan, degree=3))
+
+    def test_angles_dir_copies_match_shipped(self, tmp_path):
+        shipped = resources.files("qgreedy") / "data" / "angles"
+        for depth in (1, 2):
+            name = angle_file_name(depth, 3, 1.0)
+            (tmp_path / name).write_text((shipped / name).read_text())
+        plan = ExperimentPlan(sizes=(12,), instances=2,
+                              solvers=("greedy", "qgreedy"), depths=(1, 2),
+                              advice="shots", shots=200, seed=6,
+                              out=str(tmp_path / "shipped.csv"), stamp=False)
+        run_plan(plan)
+        copied = dataclasses.replace(plan, angles_dir=str(tmp_path),
+                                     out=str(tmp_path / "copied.csv"))
+        run_plan(copied)
+        assert open(copied.out).read() == open(plan.out).read()
+
 
 class TestReportRow:
     def test_stamp_header(self, tmp_path):

@@ -1,8 +1,14 @@
+from importlib import resources
+
 import pytest
 
+from qgreedy.angles import AngleOptimum, write_angle_file
+from qgreedy.circuits import AngleSchedule
 from qgreedy.cli import main
 from qgreedy.graph import read_edge_list
 from qgreedy.solver import parse_trace
+
+P2_FILE = str(resources.files("qgreedy") / "data" / "angles" / "p2_d3_lam1.txt")
 
 
 class TestGenerate:
@@ -97,6 +103,23 @@ class TestSolve:
                      *advice]) == 0
         assert capsys.readouterr().out != ideal
 
+    def test_angles_file_decides_or_agrees(self, capsys):
+        main(["solve", "--n", "30", "--seed", "4", "--depth", "2"])
+        shipped = capsys.readouterr().out
+        for argv in (["solve", "--angles", P2_FILE],
+                     ["solve", "--angles", P2_FILE, "--depth", "2", "--lambda", "1"],
+                     ["--depth", "2", "solve", "--angles", P2_FILE]):
+            assert main([*argv, "--n", "30", "--seed", "4"]) == 0
+            assert capsys.readouterr().out == shipped
+
+    def test_angles_file_sets_schedule_degree(self, tmp_path, capsys):
+        # --degree shapes the generated graph; the file's degree is not checked
+        path = tmp_path / "p1_d4.txt"
+        sched = AngleSchedule(1, 4, 1.0, (0.5,), (-0.3,))
+        write_angle_file(path, AngleOptimum(sched, 0.0, 0.0, 0.0))
+        assert main(["solve", "--n", "20", "--angles", str(path)]) == 0
+        assert parse_trace(capsys.readouterr().out)["set_size"] > 0
+
     def test_needs_input(self, capsys):
         assert main(["solve", "--solver", "greedy"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -184,6 +207,32 @@ class TestExitCodes:
             main(["solve", "--n", "20", *argv])
         assert exc.value.code == 1
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, found", [
+        (["solve", "--depth", "3"], "--depth", "depth 2"),
+        (["--depth", "1", "solve"], "--depth", "depth 2"),
+        (["solve", "--lambda", "2"], "--lambda", "lambda 1"),
+        (["--lambda", "1.5", "solve", "--depth", "2"], "--lambda", "lambda 1"),
+    ])
+    def test_angles_mismatch_is_usage_error(self, capsys, argv, flag, found):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--n", "20", "--angles", P2_FILE])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert flag in err and found in err and "p2_d3_lam1.txt" in err
+
+    def test_lambda_between_shipped_files_is_usage_error(self, capsys):
+        # the shipped file's name rounds lambda with :g; its header does not
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--n", "20", "--lambda", "1.0000001"])
+        assert exc.value.code == 1
+        assert "--lambda" in capsys.readouterr().err
+
+    def test_missing_angles_file_is_runtime_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "p2_d3_lam1.txt")
+        assert main(["solve", "--n", "20", "--angles", missing]) == 2
+        assert "p2_d3_lam1.txt" in capsys.readouterr().err
 
     def test_runtime_error(self, capsys):
         assert main(["solve", "--in", "/nonexistent/g.txt"]) == 2

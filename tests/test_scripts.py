@@ -15,6 +15,7 @@ def run_script(name: str, *args: str) -> list[str]:
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    assert "Warning" not in done.stderr, done.stderr
     return done.stdout.splitlines()
 
 
@@ -26,6 +27,10 @@ def test_noise_sweep():
     for line, eta in zip(lines[1:], ("0.000", "0.100")):
         assert re.fullmatch(rf"eta {eta}  mean_r 0\.\d{{5}}  sem \d\.\d{{5}}",
                             line), line
+    # one instance has no spread: sem 0, as bench reports it
+    lines = run_script("noise_sweep.py", "--n", "20", "--depth", "1",
+                       "--instances", "1", "--eta-steps", "1")
+    assert re.fullmatch(r"eta 0\.000  mean_r 0\.\d{5}  sem 0\.00000", lines[1]), lines
 
 
 def test_run_bench(tmp_path):

@@ -1,0 +1,55 @@
+"""Guards for logic that must live in one place: every SolverConfig is built
+by ``bench.solver_config``, and the angle file name is spelled out only by
+``angles.angle_file_name``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted([*(ROOT / "src" / "qgreedy").glob("*.py"),
+                  *(ROOT / "scripts").glob("*.py")])
+
+
+def _functions(tree):
+    return [n for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _owner(functions, lineno):
+    """Name of the innermost function spanning ``lineno``, or None."""
+    spans = [f for f in functions if f.lineno <= lineno <= f.end_lineno]
+    return max(spans, key=lambda f: f.lineno).name if spans else None
+
+
+def _sites(predicate):
+    """(file, function) of each source line or call the predicate picks."""
+    found = []
+    for path in SOURCES:
+        text = path.read_text()
+        tree = ast.parse(text)
+        for lineno in predicate(text, tree):
+            found.append((path.name, _owner(_functions(tree), lineno)))
+    return found
+
+
+def _solver_config_calls(text, tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", None) or getattr(func, "id", None)
+            if name == "SolverConfig":
+                yield node.lineno
+
+
+def _file_name_formats(text, tree):
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if "_lam{" in line:
+            yield lineno
+
+
+def test_solver_config_built_in_one_place():
+    assert _sites(_solver_config_calls) == [("bench.py", "solver_config")]
+
+
+def test_angle_file_name_spelled_once():
+    assert _sites(_file_name_formats) == [("angles.py", "angle_file_name")]

@@ -349,6 +349,11 @@ class TestSolverConfig:
                 SolverConfig(schedule=sched_p1, delta=delta,
                              tie_break="lowest")
 
+    def test_delta_defaults_to_auto(self, sched_p1):
+        assert SolverConfig(schedule=sched_p1).delta is None
+        shots = SolverConfig(schedule=sched_p1, advice="shots", shots=16)
+        assert resolve_delta(shots) == pytest.approx(0.23163617, abs=1e-6)
+
     def test_delta_auto_resolution(self, sched_p1):
         ideal = SolverConfig(schedule=sched_p1, delta=None)
         assert resolve_delta(ideal) == 0.0
