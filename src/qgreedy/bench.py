@@ -76,6 +76,8 @@ class ExperimentPlan:
         if any(p < 1 for p in self.depths):
             raise ValueError(f"depths must be >= 1: {self.depths}")
         check_advice(self.advice, self.shots, self.noise)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

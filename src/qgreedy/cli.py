@@ -44,11 +44,19 @@ def cutoff(text: str) -> float | None:
     return value
 
 
+def seed(text: str) -> int:
+    """--seed or --noise-seed value: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     # shared flags are valid before and after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value given before it, and marks it as given
     shared = _Parser(add_help=False)
-    shared.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    shared.add_argument("--seed", type=seed, default=argparse.SUPPRESS)
     shared.add_argument("--lambda", dest="lam", type=float, default=argparse.SUPPRESS)
     shared.add_argument("--depth", type=int, default=argparse.SUPPRESS)
     shared.add_argument("--out", default=argparse.SUPPRESS)
@@ -58,7 +66,10 @@ def build_parser() -> _Parser:
     sub = ap.add_subparsers(dest="command", parser_class=_Parser)
 
     def add(name, **kw):
-        return sub.add_parser(name, parents=[shared], **kw)
+        parser = sub.add_parser(name, parents=[shared], **kw)
+        # usage errors found after parsing print this subcommand's usage
+        parser.set_defaults(parser=parser)
+        return parser
 
     gen = add("generate", help="emit a random regular graph edge list")
     gen.add_argument("--n", type=int, required=True)
@@ -88,7 +99,7 @@ def build_parser() -> _Parser:
     sol.add_argument("--eta", type=float, default=unset)
     sol.add_argument("--alpha", type=float, default=unset)
     sol.add_argument("--sigma", type=float, default=unset)
-    sol.add_argument("--noise-seed", type=int, default=unset)
+    sol.add_argument("--noise-seed", type=seed, default=unset)
     sol.add_argument("--node-limit", type=int, default=unset)
 
     cen = add("census", help="enumerate depth-p cones of max degree d")
@@ -201,7 +212,7 @@ def _cmd_solve(args) -> int:
     try:
         cfg = solver_config(args.depth, degree, args.lam, args.angles, **fields)
     except AngleFileMismatch as exc:  # only a given --depth or --lambda differs
-        build_parser().error(f"--{exc.name} disagrees with {exc}")
+        args.parser.error(f"--{exc.name} disagrees with {exc}")
     trace = solve_quantum_greedy(g, cfg)
     _emit(format_trace(trace), args.out)
     return 0
@@ -264,7 +275,7 @@ def main(argv=None) -> int:
     if args.command == "solve":
         problem = _solve_usage_error(args)
         if problem:
-            parser.error(problem)
+            args.parser.error(problem)
     # with --angles, an unset --depth or --lambda takes the file's value
     from_file = dict(depth=None, lam=None) if hasattr(args, "angles") else {}
     args = argparse.Namespace(**{**_DEFAULTS, **from_file, **vars(args)})

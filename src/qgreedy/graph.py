@@ -113,10 +113,6 @@ class Graph:
                 if v > u and self.alive[v]:
                     yield (u, v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Adjacency in the original graph, ignoring the alive mask."""
-        return v in self.adjset[u]
-
     def copy(self) -> "Graph":
         g = Graph.__new__(Graph)
         g.n = self.n

@@ -33,6 +33,8 @@ class NoiseParams:
             raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class NoiseRealization:

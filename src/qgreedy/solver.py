@@ -30,6 +30,7 @@ the chosen degree (with cone key "-") for the classical one.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import AngleSchedule
-from .cones import extract_lightcone, key_digest
+from .cones import extract_lightcone
 from .engines import ExpectationCache, evaluate_cone, sample_shots
 from .errors import NodeLimitExceeded
 from .graph import Graph, is_independent
@@ -99,6 +100,8 @@ class SolverConfig:
 
     def __post_init__(self):
         check_advice(self.advice, self.shots, self.noise)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed}")
         if self.delta is not None and not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite, >= 0: {self.delta}")
         if self.tie_break not in ("random", "lowest"):
@@ -119,23 +122,46 @@ def resolve_delta(cfg: SolverConfig) -> float:
     return delta_cutoff(cfg.schedule)
 
 
+_LOW_128 = (1 << 128) - 1
+
+
 def _make_advice(cfg: SolverConfig):
     """Map (node, record, key) to the value the argmax actually sees.
 
-    Shot draws are seeded per (node, cone key): a value that is not
+    A shot draw depends only on (seed, node, cone key): a value that is not
     recomputed (its cone was untouched) equals what a recomputation would
     have produced, which is what makes incremental and full recomputation
-    agree even with finite shots.  Noise offsets are seeded per cone key
-    alone, so isomorphic cones share an offset.
+    agree even with finite shots.  Each draw hashes the triple, encoded as
+    ``b"{seed}:{node}:" + key bytes`` (injective, since decimal digits hold
+    no colon), with 256-bit BLAKE2b and sets the closure's own PCG64 to it:
+    the low 128 bits are the state, the high 128 the increment, forced odd.
+    This keys the generator directly by the triple, as counter-based
+    generators do (Salmon et al., "Parallel random numbers: as easy as 1,
+    2, 3", SC 2011), and skips a SeedSequence and a new generator per draw.
+    Noise offsets are seeded per cone key alone, so isomorphic cones share
+    an offset.
     """
     if cfg.advice == "ideal":
         return lambda node, record, key: record.value
     if cfg.advice == "shots":
+        # one generator per solve, reseeded by every draw; never shared
+        # between solves, threads or worker processes
+        bitgen = np.random.PCG64()
+        rng = np.random.Generator(bitgen)
+        prefix = b"%d:" % cfg.seed
+
         def shot_advice(node, record, key):
             ideal = min(1.0, max(-1.0, record.value))
-            rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, node, key_digest(key.data)])
-            )
+            digest = hashlib.blake2b(
+                prefix + b"%d:" % node + key.data, digest_size=32
+            ).digest()
+            word = int.from_bytes(digest, "little")
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": word & _LOW_128, "inc": (word >> 128) | 1},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
             return sample_shots(ideal, cfg.shots, rng)
 
         return shot_advice

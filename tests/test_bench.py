@@ -125,7 +125,8 @@ class TestParsePlan:
         assert str(plan_error.value) == str(config_error.value)
 
     @pytest.mark.parametrize("line", [
-        "advice = shots", "depths = 0", "stamp = flase",
+        "advice = shots", "depths = 0", "stamp = flase", "seed = -1",
+        "noise_seed = -1",
     ])
     def test_bad_plan_fails_before_any_work(self, tmp_path, line):
         out = tmp_path / "r.csv"
@@ -249,6 +250,16 @@ class TestRunPlan:
             g = generate_regular(14, 3, _derived_seed(7, 14, i))
             ratio = solve_quantum_greedy(g, cfg).ratio
             assert row.split() == ["14", "qgreedy", "2", str(i), f"{ratio:.17g}"]
+
+    def test_shot_sweep_csv_independent_of_workers(self, tmp_path):
+        # each worker process draws shots with its own generators
+        plan = ExperimentPlan(sizes=(12, 16), instances=2, solvers=("qgreedy",),
+                              depths=(1, 2), advice="shots", shots=64, seed=4,
+                              out=str(tmp_path / "w1.csv"), stamp=False)
+        run_plan(plan)
+        two = dataclasses.replace(plan, workers=2, out=str(tmp_path / "w2.csv"))
+        run_plan(two)
+        assert open(two.out, "rb").read() == open(plan.out, "rb").read()
 
     def test_leaked_cell_not_aggregated(self, tmp_path):
         # a row of a (solver, depth) the plan does not list stays out of

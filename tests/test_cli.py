@@ -187,6 +187,20 @@ class TestExitCodes:
         assert "--delta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, flag", [
+        (["--seed", "-1", "solve", "--n", "20"], "--seed"),
+        (["solve", "--n", "20", "--seed", "-1"], "--seed"),
+        (["generate", "--n", "20", "--seed", "-7"], "--seed"),
+        (["solve", "--n", "20", "--advice", "noise", "--noise-seed", "-2"],
+         "--noise-seed"),
+    ])
+    def test_negative_seed_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be an integer >= 0" in err
+
+    @pytest.mark.parametrize("argv, flag", [
         # flags the chosen solver or advice source would ignore
         (["--solver", "greedy", "--advice", "shots", "--shots", "5",
           "--depth", "3"], "--advice"),
@@ -206,7 +220,8 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--n", "20", *argv])
         assert exc.value.code == 1
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qgreedy solve ") and flag in err
 
     @pytest.mark.parametrize("argv, flag, found", [
         (["solve", "--depth", "3"], "--depth", "depth 2"),
@@ -220,6 +235,7 @@ class TestExitCodes:
         assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
+        assert err.startswith("usage: qgreedy solve ")
         assert flag in err and found in err and "p2_d3_lam1.txt" in err
 
     def test_lambda_between_shipped_files_is_usage_error(self, capsys):

@@ -23,6 +23,11 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(eta=0.0, alpha=0.0, sigma=-1.0)
 
+    def test_negative_seed_rejected(self):
+        # rejected even at sigma 0, where no offset is ever drawn
+        with pytest.raises(ValueError, match="seed"):
+            NoiseParams(eta=0.0, alpha=0.0, sigma=0.0, seed=-1)
+
     def test_boundary_values_accepted(self):
         NoiseParams(eta=0.0, alpha=-5.0, sigma=0.0)
         NoiseParams(eta=0.999, alpha=0.0, sigma=10.0)

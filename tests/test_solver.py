@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 
 from helpers import complete, k33, path, petersen, random_graph
 from qgreedy.angles import load_default_angles
-from qgreedy.engines import ExpectationCache
+from qgreedy.cones import canonical_key, extract_lightcone
+from qgreedy.engines import ExpectationCache, ExpectationRecord
 from qgreedy.errors import NodeLimitExceeded
 from qgreedy.graph import Graph, generate_regular, is_independent
 from qgreedy.noise import NoiseParams
 from qgreedy.solver import (
     SolverConfig,
+    _make_advice,
     format_trace,
     parse_trace,
     resolve_delta,
@@ -300,9 +304,9 @@ class TestTraceDigest:
     ulp but flip no pick."""
 
     # SHA-256 over the concatenated format_trace texts, in grid order
-    DIGEST = "f5fa13b535a8831942af8635213ccbf506c0b09377bb08a862dd8ea414132bed"
+    DIGEST = "c9d6395342f431d23a14d8932875c32e03335c958864004db6a8cc464b7546c2"
     # SHA-256 over the same traces' picks (see _picks)
-    PICK_DIGEST = "980f186850e1b9707066c1d25219daae51985cbceee7d0bf9907a53ff55aa69d"
+    PICK_DIGEST = "ce7aa95208aba25e107f8252667c51cde7a5dd2344fea4fbae349c9167335ea3"
 
     def test_grid_digest(self, sched_p1, sched_p2):
         traces = _grid_traces(sched_p1, sched_p2)
@@ -313,9 +317,9 @@ class TestTraceDigest:
         assert _digest(_picks(t) for t in traces) == self.PICK_DIGEST
 
     # SHA-256 over the classical texts, then the include_isolated texts
-    ISOLATED_DIGEST = "fef8b1bbdd8e7d61d70389cb13a28062bba37880a1886ae523376449d4f6c0f9"
+    ISOLATED_DIGEST = "5fae1e021eb6da32be713c39b5962952a15b6e61e03a34ce400e4ac2aae26267"
     ISOLATED_PICK_DIGEST = (
-        "65933520d820b3294f92467d6fe0bafe92e7953d215bc1d9cce2b4dbcfc3b33c"
+        "bccffb25ea5f796d5273da39ab4f4a26e2a00613015cf351d736bdd97fb2e1f6"
     )
 
     def test_classical_and_isolated_digest(self, sched_p1, sched_p2):
@@ -326,6 +330,82 @@ class TestTraceDigest:
         traces = _isolated_traces(sched_p1, sched_p2)
         assert (_digest(_picks(t) for t in traces)
                 == self.ISOLATED_PICK_DIGEST)
+
+
+def _shot_advice(sched, seed, shots=64):
+    cfg = SolverConfig(schedule=sched, advice="shots", shots=shots, seed=seed)
+    return _make_advice(cfg)
+
+
+def _record(value: float) -> ExpectationRecord:
+    return ExpectationRecord(value, "analytic", 4)
+
+
+class TestShotStream:
+    """A shot draw depends on (seed, node, cone key) and nothing else: not
+    on the draws before it, nor on which closure makes it."""
+
+    @pytest.fixture(scope="class")
+    def keys(self):
+        g = generate_regular(40, 3, 5)
+        keys = {canonical_key(extract_lightcone(g, i, 2)) for i in range(g.n)}
+        g.remove_closed_neighborhood(0)
+        keys |= {canonical_key(extract_lightcone(g, i, 2))
+                 for i in g.alive_nodes()}
+        return sorted(keys, key=lambda k: k.data)
+
+    def test_call_order_does_not_matter(self, sched_p1, keys):
+        rng = np.random.default_rng(0)
+        calls = [(int(rng.integers(1000)), _record(float(rng.uniform(-1, 1))),
+                  keys[int(rng.integers(len(keys)))]) for _ in range(300)]
+        calls += calls[:20]  # a triple drawn twice by one closure
+        fresh = [_shot_advice(sched_p1, 3)(*call) for call in calls]
+        advice = _shot_advice(sched_p1, 3)
+        order = rng.permutation(len(calls))
+        shuffled = {int(i): advice(*calls[i]) for i in order}
+        assert [shuffled[i] for i in range(len(calls))] == fresh
+
+    def test_seed_node_and_key_each_move_the_draw(self, sched_p1, keys):
+        shots = 2**20  # wide enough that two streams never agree by chance
+        base = _shot_advice(sched_p1, 4, shots)
+        other_seed = _shot_advice(sched_p1, 5, shots)
+        for key, next_key in zip(keys, keys[1:]):
+            draw = base(7, _record(0.0), key)
+            assert draw != other_seed(7, _record(0.0), key)
+            assert draw != base(8, _record(0.0), key)
+            assert draw != base(7, _record(0.0), next_key)
+
+    def test_field_boundaries_are_kept(self, sched_p1, keys):
+        # triples that one naive concatenation of their digits would merge
+        shots = 2**20
+        key = keys[0]
+        digit_key = dataclasses.replace(key, data=b"3" + key.data)
+        one = _shot_advice(sched_p1, 1, shots)
+        twelve = _shot_advice(sched_p1, 12, shots)
+        x = _record(0.0)
+        assert one(23, x, key) != twelve(3, x, key)
+        assert one(2, x, digit_key) != one(23, x, key)
+        # seeds past 64 bits draw, and differ from their neighbours
+        big = [_shot_advice(sched_p1, s, shots)(5, x, key)
+               for s in (2**64 - 1, 2**64, 2**64 + 1, 2**100)]
+        assert len(set(big)) == len(big)
+
+    def test_seed_beyond_64_bits_solves(self, sched_p1):
+        g = generate_regular(30, 3, 11)
+        cfg = SolverConfig(schedule=sched_p1, advice="shots", shots=64,
+                           seed=2**64 + 3)
+        trace = solve_quantum_greedy(g, cfg)
+        assert is_independent(g, trace.order)
+        assert solve_quantum_greedy(g, cfg).steps == trace.steps
+
+    def test_draws_are_unbiased_with_binomial_variance(self, sched_p1, keys):
+        # at ideal 0 each draw has mean 0 and variance exactly 1/shots
+        shots, n = 64, 2000
+        advice = _shot_advice(sched_p1, 9, shots)
+        errors = np.array([advice(node, _record(0.0), keys[node % len(keys)])
+                           for node in range(n)])
+        assert abs(errors.mean()) < 4 * math.sqrt(1 / (shots * n))
+        assert 0.9 / shots <= errors.var() <= 1.1 / shots
 
 
 class TestSolverConfig:
@@ -348,6 +428,10 @@ class TestSolverConfig:
             with pytest.raises(ValueError, match="delta"):
                 SolverConfig(schedule=sched_p1, delta=delta,
                              tie_break="lowest")
+
+    def test_negative_seed_rejected(self, sched_p1):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(schedule=sched_p1, seed=-5)
 
     def test_delta_defaults_to_auto(self, sched_p1):
         assert SolverConfig(schedule=sched_p1).delta is None
