@@ -7,7 +7,6 @@ prints one line per eta.  With --sigma > 0 the per-cone random offsets are
 switched on as well, reseeded per (eta, instance).
 """
 
-import argparse
 import dataclasses
 import pathlib
 import sys
@@ -17,6 +16,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from qgreedy.bench import solver_config  # noqa: E402
+from qgreedy.cli import _Parser, seed  # noqa: E402
 from qgreedy.engines import ExpectationCache  # noqa: E402
 from qgreedy.graph import generate_regular  # noqa: E402
 from qgreedy.noise import NoiseParams  # noqa: E402
@@ -24,7 +24,7 @@ from qgreedy.solver import solve_quantum_greedy  # noqa: E402
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = _Parser(description=__doc__)  # usage errors exit 1, as in the CLI
     ap.add_argument("--n", type=int, default=200)
     ap.add_argument("--depth", type=int, default=3)
     ap.add_argument("--instances", type=int, default=20)
@@ -32,7 +32,7 @@ def main() -> int:
     ap.add_argument("--eta-steps", type=int, default=11)
     ap.add_argument("--alpha", type=float, default=0.0)
     ap.add_argument("--sigma", type=float, default=0.0)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=seed, default=0)
     args = ap.parse_args()
 
     base = solver_config(args.depth, 3, 1.0, advice="noise", delta=0.0,

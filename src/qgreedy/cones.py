@@ -9,6 +9,12 @@ taken from in-cone degrees.  For every vertex closer than the outermost shell
 the in-cone degree equals the alive degree; outermost-shell fields do not
 affect the root expectation, which is what makes the cone self-contained.
 
+Extraction is one BFS pass.  Local ids are handed out in BFS order, so each
+shell is a contiguous range of ids and a neighbor's shell is read from its
+id alone; causal edges are recorded as they are seen.  The greedy solver
+extracts a cone for every rescore, so the cone object is also built without
+the frozen dataclass ``__init__``, straight into its instance dict.
+
 Canonical keys realize rooted-isomorphism equality as byte equality, with no
 probabilistic hashing.  They are defined for single-root cones only (edge
 cones of two roots are evaluated, never keyed).  Tree cones (the common case
@@ -78,48 +84,65 @@ def extract_lightcone_multi(g: Graph, roots, depth: int) -> LightCone:
     return _extract(g, tuple(roots), depth)
 
 
+_new = object.__new__
+
+
 def _extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone:
     """BFS from the roots, recording causal edges as they are seen.
 
-    Expanding u at shell k-1 sees each causal edge once: to new and earlier
-    found shell-k vertices, and to shell-(k-1) vertices with a larger graph
-    id.  The depth-p shell is never expanded, so edges joining two of its
-    vertices are never recorded.
+    Local ids are handed out in BFS order, so while shell k-1 is expanded
+    it is the contiguous id range [start, end), and every id >= end is a
+    shell-k vertex found in this pass.  Expanding u at shell k-1 thus reads
+    a neighbor's shell from its id alone: id >= end is shell k (new or
+    found earlier in this pass), start <= id < end is shell k-1, and a
+    smaller id is further in.  It records each causal edge once: to shell-k
+    vertices, and to shell-(k-1) vertices with a larger graph id.  The
+    depth-p shell is never expanded, so edges joining two of its vertices
+    are never recorded.
     """
     if depth < 1:
         raise ValueError("cone depth must be >= 1")
-    for r in roots:
-        if not g.alive[r]:
-            raise ValueError(f"node {r} is not alive")
     adj, alive = g.adj, g.alive
-    local = {r: idx for idx, r in enumerate(roots)}
     order = list(roots)
-    dists = [0] * len(roots)
-    edges = []
-    frontier = list(roots)
+    local = {}
+    n = 0
+    for r in roots:
+        if not alive[r]:
+            raise ValueError(f"node {r} is not alive")
+        local[r] = n
+        n += 1
+    dists = [0] * n
+    edges: list[tuple[int, int]] = []
+    record = edges.append
+    start, end = 0, n
     for k in range(1, depth + 1):
-        nxt = []
-        for u in frontier:
-            a = local[u]
+        a = start
+        for u in order[start:end]:
             for v in adj[u]:
-                if not alive[v]:
-                    continue
-                b = local.get(v)
-                if b is None:
-                    b = local[v] = len(order)
-                    order.append(v)
-                    dists.append(k)
-                    nxt.append(v)
-                    edges.append((a, b))
-                elif dists[b] == k:
-                    edges.append((a, b))
-                elif dists[b] == k - 1 and v > u:
-                    edges.append((a, b) if a < b else (b, a))
-        frontier = nxt
+                if alive[v]:
+                    b = local.get(v)
+                    if b is None:
+                        local[v] = n
+                        record((a, n))
+                        order.append(v)
+                        n += 1
+                    elif b >= end:
+                        record((a, b))
+                    elif b >= start and v > u:
+                        record((a, b) if a < b else (b, a))
+            a += 1
+        dists += [k] * (n - end)
+        start, end = end, n
     edges.sort()
-    return LightCone(
-        depth=depth, dists=tuple(dists), edges=tuple(edges), source_ids=tuple(order)
-    )
+    # the frozen __init__ routes each field through object.__setattr__,
+    # which takes longer than the rest of building a small cone
+    cone = _new(LightCone)
+    fields = cone.__dict__
+    fields["depth"] = depth
+    fields["dists"] = tuple(dists)
+    fields["edges"] = tuple(edges)
+    fields["source_ids"] = tuple(order)
+    return cone
 
 
 # -- canonical keys ---------------------------------------------------------
@@ -343,32 +366,6 @@ def _search_encoding(cone: LightCone) -> bytes:
     search(colors0, [])
     assert best[0] is not None
     return best[0]
-
-
-# -- cone dump format -------------------------------------------------------
-#
-# line 1: "p n m", line 2: n distance labels, then m lines "u v" in local ids.
-
-def dump_cone(cone: LightCone) -> str:
-    lines = [f"{cone.depth} {cone.size} {len(cone.edges)}"]
-    lines.append(" ".join(str(d) for d in cone.dists))
-    lines.extend(f"{u} {v}" for u, v in cone.edges)
-    return "\n".join(lines) + "\n"
-
-
-def parse_cone(text: str) -> LightCone:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    p, n, m = (int(x) for x in lines[0].split())
-    dists = tuple(int(x) for x in lines[1].split())
-    if len(dists) != n:
-        raise ValueError(f"expected {n} distance labels, got {len(dists)}")
-    if len(lines) - 2 != m:
-        raise ValueError(f"expected {m} edge lines, got {len(lines) - 2}")
-    edges = []
-    for ln in lines[2:]:
-        u, v = (int(x) for x in ln.split())
-        edges.append((u, v) if u < v else (v, u))
-    return LightCone(depth=p, dists=dists, edges=tuple(sorted(edges)))
 
 
 # -- census -----------------------------------------------------------------

@@ -129,13 +129,14 @@ class Graph:
         """Delete node i and its alive neighbors; returns the removed ids."""
         if not self.alive[i]:
             raise ValueError(f"node {i} is not alive")
-        removed = [i] + [j for j in self.adj[i] if self.alive[j]]
+        adj, alive, deg = self.adj, self.alive, self._deg
+        removed = [i] + [j for j in adj[i] if alive[j]]
         for r in removed:
-            self.alive[r] = False
+            alive[r] = False
         for r in removed:
-            for nbr in self.adj[r]:
-                if self.alive[nbr]:
-                    self._deg[nbr] -= 1
+            for nbr in adj[r]:
+                if alive[nbr]:
+                    deg[nbr] -= 1
         self._alive_count -= len(removed)
         return removed
 
@@ -147,15 +148,16 @@ class Graph:
             raise ValueError(f"node {i} is not alive")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        dist = {i: 0}
+        adj, alive = self.adj, self.alive
+        seen = {i}
         order = [(i, 0)]
         frontier = [i]
         for r in range(1, radius + 1):
             nxt = []
             for u in frontier:
-                for v in self.adj[u]:
-                    if self.alive[v] and v not in dist:
-                        dist[v] = r
+                for v in adj[u]:
+                    if alive[v] and v not in seen:
+                        seen.add(v)
                         order.append((v, r))
                         nxt.append(v)
             if not nxt:

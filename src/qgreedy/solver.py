@@ -25,7 +25,9 @@ in ascending id order.  With matched seeds and optimized p=1 angles the two
 greedy solvers therefore make identical selections, since at p=1 the
 argmax candidates are exactly the minimum-degree vertices.  The recorded
 per-step value is solver-specific: an advice value for the quantum loop,
-the chosen degree (with cone key "-") for the classical one.
+the chosen degree (with cone key "-") for the classical one.  Scores carry
+the cone key as bytes; only the picked node's key is turned into hex, once
+per step, when the step is recorded.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ _LOW_128 = (1 << 128) - 1
 
 
 def _make_advice(cfg: SolverConfig):
-    """Map (node, record, key) to the value the argmax actually sees.
+    """Map (node, record, key) to the value the argmax actually sees; None
+    for ideal advice, which is the record's own value.
 
     A shot draw depends only on (seed, node, cone key): a value that is not
     recomputed (its cone was untouched) equals what a recomputation would
@@ -142,7 +145,7 @@ def _make_advice(cfg: SolverConfig):
     an offset.
     """
     if cfg.advice == "ideal":
-        return lambda node, record, key: record.value
+        return None
     if cfg.advice == "shots":
         # one generator per solve, reseeded by every draw; never shared
         # between solves, threads or worker processes
@@ -178,15 +181,17 @@ def _make_advice(cfg: SolverConfig):
 
 def _greedy(g: Graph, depth: int, score, delta: float, tie_break: str,
             seed: int, full_recompute: bool) -> SolveTrace:
-    """The greedy loop.  ``score(work, i)`` gives (rank, value, key hex) of
-    live node i from the alive nodes within ``depth`` of it; the loop picks
-    by rank and records value and key hex."""
+    """The greedy loop.  ``score(work, i)`` gives (rank, value, key bytes)
+    of live node i from the alive nodes within ``depth`` of it, with key
+    None when there is no cone; the loop picks by rank and records value
+    and key hex ("-" for None), converting only the picked node's key."""
     if g.alive_count == 0:
         raise ValueError("graph has no alive nodes")
     work = g.copy()
+    alive = work.alive
     rng = np.random.default_rng(seed)
     trace = SolveTrace(n=work.alive_count)
-    scored: dict[int, tuple[float, float, str]] = {}
+    scored: dict[int, tuple[float, float, bytes | None]] = {}
     # selection index: rank -> live nodes holding it in ascending id order,
     # and the distinct ranks in ascending order
     buckets: dict[float, list[int]] = {}
@@ -205,13 +210,14 @@ def _greedy(g: Graph, depth: int, score, delta: float, tie_break: str,
         for i in pending:
             if i in scored:
                 forget(i)
-            scored[i] = score(work, i)
-            rank = scored[i][0]
-            if rank in buckets:
-                insort(buckets[rank], i)
-            else:
+            scored[i] = result = score(work, i)
+            rank = result[0]
+            bucket = buckets.get(rank)
+            if bucket is None:
                 buckets[rank] = [i]
                 insort(levels, rank)
+            else:
+                insort(bucket, i)
         lo = bisect_left(levels, levels[-1] - delta)  # first tied rank
         if lo == len(levels) - 1:
             candidates = buckets[levels[-1]]
@@ -222,18 +228,19 @@ def _greedy(g: Graph, depth: int, score, delta: float, tie_break: str,
         else:
             pick = candidates[int(rng.integers(len(candidates)))]
         # neighborhood whose scores the deletion can touch, taken pre-deletion
-        affected = [node for node, _ in work.ball(pick, depth + 1)]
-        _, value, key_hex = scored[pick]
+        affected = work.ball(pick, depth + 1)
+        _, value, key = scored[pick]
         removed = work.remove_closed_neighborhood(pick)
         for r in removed:
             forget(r)
-        trace.steps.append(
-            TraceStep(len(trace.steps), pick, value, key_hex, len(removed))
-        )
+        trace.steps.append(TraceStep(
+            len(trace.steps), pick, value, "-" if key is None else key.hex(),
+            len(removed),
+        ))
         if full_recompute:
             pending = work.alive_nodes()
         else:
-            pending = [x for x in affected if work.alive[x]]
+            pending = [x for x, _ in affected if alive[x]]
     return trace
 
 
@@ -243,14 +250,15 @@ def solve_quantum_greedy(
     if cache is None:
         cache = ExpectationCache(cfg.schedule)
     advice = _make_advice(cfg)
+    depth, schedule, isolated = cfg.depth, cfg.schedule, cfg.include_isolated
 
-    def score(work: Graph, i: int) -> tuple[float, float, str]:
-        cone = extract_lightcone(work, i, cfg.depth)
-        record, key = evaluate_cone(cone, cfg.schedule, cache)
-        value = advice(i, record, key)
-        if cfg.include_isolated and work.degree(i) == 0:
-            return math.inf, value, key.data.hex()
-        return value, value, key.data.hex()
+    def score(work: Graph, i: int) -> tuple[float, float, bytes]:
+        cone = extract_lightcone(work, i, depth)
+        record, key = evaluate_cone(cone, schedule, cache)
+        value = record.value if advice is None else advice(i, record, key)
+        if isolated and work.degree(i) == 0:
+            return math.inf, value, key.data
+        return value, value, key.data
 
     return _greedy(g, cfg.depth, score, resolve_delta(cfg), cfg.tie_break,
                    cfg.seed, cfg.full_recompute)
@@ -263,9 +271,9 @@ def solve_classical_greedy(
     if tie_break not in ("random", "lowest"):
         raise ValueError(f"unknown tie break {tie_break!r}")
 
-    def score(work: Graph, i: int) -> tuple[int, float, str]:
+    def score(work: Graph, i: int) -> tuple[int, float, None]:
         d = work.degree(i)
-        return -d, float(d), "-"
+        return -d, float(d), None
 
     # a deletion changes degrees only at distance 2 from the pick, inside
     # the depth-1 loop's rescored ball

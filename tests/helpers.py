@@ -1,5 +1,6 @@
 """Shared test utilities: small named graphs, random graph draws, a
-brute-force rooted-isomorphism oracle for canonical-key checks, and the
+brute-force rooted-isomorphism oracle for canonical-key checks, the plain
+frontier-list cone BFS as an oracle for the shell-indexed one, and the
 benchmark's tracer loaded by path."""
 
 import importlib.util
@@ -112,6 +113,53 @@ def rooted_isomorphic(c1: LightCone, c2: LightCone) -> bool:
         return False
 
     return extend(0, {})
+
+
+# The cone BFS as it stood before shells became local-id ranges, kept
+# verbatim: cones._extract must return the same dists, edges and
+# source ids.
+def reference_extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone:
+    """BFS from the roots, recording causal edges as they are seen.
+
+    Expanding u at shell k-1 sees each causal edge once: to new and earlier
+    found shell-k vertices, and to shell-(k-1) vertices with a larger graph
+    id.  The depth-p shell is never expanded, so edges joining two of its
+    vertices are never recorded.
+    """
+    if depth < 1:
+        raise ValueError("cone depth must be >= 1")
+    for r in roots:
+        if not g.alive[r]:
+            raise ValueError(f"node {r} is not alive")
+    adj, alive = g.adj, g.alive
+    local = {r: idx for idx, r in enumerate(roots)}
+    order = list(roots)
+    dists = [0] * len(roots)
+    edges = []
+    frontier = list(roots)
+    for k in range(1, depth + 1):
+        nxt = []
+        for u in frontier:
+            a = local[u]
+            for v in adj[u]:
+                if not alive[v]:
+                    continue
+                b = local.get(v)
+                if b is None:
+                    b = local[v] = len(order)
+                    order.append(v)
+                    dists.append(k)
+                    nxt.append(v)
+                    edges.append((a, b))
+                elif dists[b] == k:
+                    edges.append((a, b))
+                elif dists[b] == k - 1 and v > u:
+                    edges.append((a, b) if a < b else (b, a))
+        frontier = nxt
+    edges.sort()
+    return LightCone(
+        depth=depth, dists=tuple(dists), edges=tuple(edges), source_ids=tuple(order)
+    )
 
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

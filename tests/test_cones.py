@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,20 +10,20 @@ from helpers import (
     path,
     petersen,
     random_degree3_graph,
+    reference_extract,
     relabel_cone,
     rooted_isomorphic,
 )
 from qgreedy.cones import (
     CensusReport,
     LightCone,
+    _extract,
     canonical_key,
     cone_from_key,
-    dump_cone,
     enumerate_cones,
     extract_lightcone,
     extract_lightcone_multi,
     key_digest,
-    parse_cone,
     tree_ball_size,
 )
 from qgreedy.graph import generate_regular
@@ -131,6 +133,47 @@ def test_multi_root_size():
     assert cone.dists == (0, 0, 1, 1)
 
 
+def test_shell_indexed_bfs_matches_reference():
+    # every alive vertex as one root and every alive edge as two adjacent
+    # roots (both orders), on 3-regular graphs with 0-3 closed
+    # neighbourhoods removed; each cone must also be the LightCone that the
+    # dataclass __init__ builds from the same fields
+    rng = np.random.default_rng(7)
+    checked = 0
+    for seed in range(3):
+        g = generate_regular(40, 3, seed)
+        for removals in range(4):
+            work = g.copy()
+            for _ in range(removals):
+                work.remove_closed_neighborhood(int(rng.choice(work.alive_nodes())))
+            roots = [(v,) for v in work.alive_nodes()]
+            for u, v in work.edges_alive():
+                roots += [(u, v), (v, u)]
+            for depth in range(1, 5):
+                for r in roots:
+                    cone = _extract(work, r, depth)
+                    ref = reference_extract(work, r, depth)
+                    assert (cone.dists, cone.edges, cone.source_ids) == (
+                        ref.dists, ref.edges, ref.source_ids
+                    ), (seed, removals, depth, r)
+                    plain = LightCone(depth=depth, dists=cone.dists,
+                                      edges=cone.edges, source_ids=cone.source_ids)
+                    assert type(cone) is LightCone
+                    assert cone == plain and hash(cone) == hash(plain)
+                    assert repr(cone) == repr(plain)
+                    checked += 1
+    assert checked > 5000
+    # replace and the frozen fields behave as on any other LightCone
+    for changes in ({}, {"source_ids": None}, {"depth": 3}, {"edges": ()}):
+        a = dataclasses.replace(cone, **changes)
+        b = dataclasses.replace(plain, **changes)
+        assert type(a) is LightCone
+        assert a == b and hash(a) == hash(b) and a.source_ids == b.source_ids
+    assert dataclasses.replace(cone, source_ids=None) == cone
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cone.depth = 3
+
+
 class TestCanonicalKeys:
     def test_relabeling_invariance_tree(self):
         rng = np.random.default_rng(0)
@@ -233,21 +276,6 @@ class TestKeyDigest:
         assert a == key_digest(b"abc")
         assert a != key_digest(b"abd")
         assert 0 <= a < 2**64
-
-
-class TestConeDumpFormat:
-    def test_round_trip(self):
-        cone = extract_lightcone(petersen(), 0, 2)
-        back = parse_cone(dump_cone(cone))
-        assert back.depth == cone.depth
-        assert back.dists == cone.dists
-        assert back.edges == cone.edges
-
-    def test_malformed_counts_rejected(self):
-        with pytest.raises(ValueError):
-            parse_cone("1 3 1\n0 1\n0 1\n")  # 2 labels promised 3
-        with pytest.raises(ValueError):
-            parse_cone("1 2 2\n0 1\n0 1\n")  # 1 edge line promised 2
 
 
 class TestCensus:

@@ -12,7 +12,6 @@ from qgreedy.angles import load_default_angles, vertex_cone
 from qgreedy.circuits import AngleSchedule, build_circuit
 from qgreedy.cones import (
     canonical_key,
-    dump_cone,
     enumerate_cones,
     extract_lightcone,
 )
@@ -196,7 +195,7 @@ class TestContraction:
                 full = build_circuit(cone, s, observable=obs)
                 assert expectation_contract(pruned) == pytest.approx(
                     expectation_statevector(full), abs=1e-12
-                ), (p, obs, dump_cone(cone))
+                ), (p, obs, cone.dists, cone.edges)
             checked += 1
 
 
@@ -398,7 +397,7 @@ class TestCacheAndRouting:
                     evaluate_cone(c, schedule, ExpectationCache(schedule))[0].value
                     for c in [cone] + [relabel_cone(cone, rng) for _ in range(3)]
                 }
-                assert len(values) == 1, dump_cone(cone)
+                assert len(values) == 1, (cone.dists, cone.edges)
 
     def test_returned_key_is_canonical(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)

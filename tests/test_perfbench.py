@@ -65,7 +65,9 @@ def test_traced_solve_reports_every_layer(tracing, sched_p2):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workload", ["cold-p3", "warm-p2", "sweep-shots"])
+@pytest.mark.parametrize(
+    "workload", ["cold-p3", "warm-p2", "classical", "sweep-shots"]
+)
 def test_benchmark_smoke(workload):
     # the benchmark's result is the last stdout line: one JSON object with
     # every end-to-end metric that BENCHMARK.json names

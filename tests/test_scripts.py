@@ -33,6 +33,16 @@ def test_noise_sweep():
     assert re.fullmatch(r"eta 0\.000  mean_r 0\.\d{5}  sem 0\.00000", lines[1]), lines
 
 
+def test_noise_sweep_negative_seed_is_a_usage_error():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "noise_sweep.py"), "--seed", "-1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "error: argument --seed: must be an integer >= 0" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_run_bench(tmp_path):
     out = tmp_path / "bench.csv"
     plan = tmp_path / "tiny.plan"
