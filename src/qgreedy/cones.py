@@ -23,6 +23,15 @@ recursion from the outermost shell inward; general cones run color
 refinement seeded with (distance, degree), then a backtracking search over
 color-class orderings with the root pinned, pruned by discovered
 automorphisms.
+
+A cone already known to be a tree has its key read straight off the alive
+graph by :func:`tree_key`, with no cone built: every alive neighbor of a
+vertex but its parent is its child, and a vertex of the last shell before
+the outermost one has as many leaf children as its alive degree minus
+one.  The knowledge does not go stale under greedy deletions.  Deleting
+vertices never shortens a distance, so every vertex and causal edge of
+the new cone was in the old one, and the new cone, being connected, is a
+subtree of the old tree.
 """
 
 from __future__ import annotations
@@ -143,6 +152,35 @@ def _extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone:
     fields["edges"] = tuple(edges)
     fields["source_ids"] = tuple(order)
     return cone
+
+
+def tree_key(g: Graph, root: int, depth: int) -> bytes:
+    """``canonical_key(extract_lightcone(g, root, depth)).data``, read off
+    the alive graph; valid only when that cone is a tree.
+
+    In a tree cone every alive neighbor of a vertex but its parent is its
+    child, so the walk needs no seen set, and a vertex of shell depth-1
+    has only leaf children, one per alive neighbor but its parent: its
+    code comes from its alive degree alone.  On a cyclic cone the walk
+    revisits vertices and the bytes mean nothing.
+    """
+    if depth == 1:
+        code = b"(" + b"()" * g._deg[root] + b")"
+    else:
+        code = _tree_code(g.adj, g.alive, g._deg, root, -1, depth - 1)
+    return b"T" + bytes([depth]) + code
+
+
+def _tree_code(adj, alive, deg, u: int, parent: int, k: int) -> bytes:
+    """Sorted-subtree code of u, a vertex k + 1 shells inside the outermost."""
+    if k == 1:
+        sub = [b"(" + b"()" * (deg[v] - 1) + b")"
+               for v in adj[u] if alive[v] and v != parent]
+    else:
+        sub = [_tree_code(adj, alive, deg, v, u, k - 1)
+               for v in adj[u] if alive[v] and v != parent]
+    sub.sort()
+    return b"(" + b"".join(sub) + b")"
 
 
 # -- canonical keys ---------------------------------------------------------

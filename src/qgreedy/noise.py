@@ -57,9 +57,6 @@ class NoiseRealization:
             self._offsets[key_data] = xi
         return xi
 
-    def items(self):
-        return sorted(self._offsets.items())
-
 
 def apply_noise(ideal: float, cone_size: int, params: NoiseParams, xi: float) -> float:
     """(1-eta)^cone_size * ideal + alpha + xi; pass xi = realization.offset(key)."""
@@ -113,33 +110,3 @@ def required_shots(n: int, eps: float, gap: float) -> int:
         raise ValueError("gap must be positive; use the cutoff path for gap 0")
     return math.ceil(math.log(n / eps) / gap**2)
 
-
-# -- realization file round trip ---------------------------------------------
-
-
-def write_noise_file(path, realization: NoiseRealization) -> None:
-    p = realization.params
-    with open(path, "w") as fh:
-        fh.write(
-            f"eta {p.eta:.17g} alpha {p.alpha:.17g} "
-            f"sigma {p.sigma:.17g} seed {p.seed}\n"
-        )
-        for key_data, xi in realization.items():
-            fh.write(f"{key_data.hex()} {xi:.17g}\n")
-
-
-def read_noise_file(path) -> NoiseRealization:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 8 or head[0::2] != ["eta", "alpha", "sigma", "seed"]:
-        raise ValueError(f"malformed noise file header: {lines[0]!r}")
-    params = NoiseParams(
-        eta=float(head[1]), alpha=float(head[3]),
-        sigma=float(head[5]), seed=int(head[7]),
-    )
-    real = NoiseRealization(params)
-    for ln in lines[1:]:
-        key_hex, val = ln.split()
-        real._offsets[bytes.fromhex(key_hex)] = float(val)
-    return real

@@ -20,14 +20,25 @@ bisect.  The candidates are the lists of the ranks within delta of the top
 (the top list as it stands when it is alone), so a step costs its rescored
 vertices and the tie window, not the graph size.
 
-Tie-breaking draws exactly one random index per step over the candidates
-in ascending id order.  With matched seeds and optimized p=1 angles the two
-greedy solvers therefore make identical selections, since at p=1 the
-argmax candidates are exactly the minimum-degree vertices.  The recorded
-per-step value is solver-specific: an advice value for the quantum loop,
-the chosen degree (with cone key "-") for the classical one.  Scores carry
-the cone key as bytes; only the picked node's key is turned into hex, once
-per step, when the step is recorded.
+A node whose cone was once a tree keeps a tree cone for the rest of the
+solve (see :mod:`qgreedy.cones`), so the quantum loop flags it and from
+then on keys its cone with ``tree_key``, straight off the alive graph, and
+reads the value from the cache.  Only a node not yet known to be a tree,
+or a cache miss, takes the extraction and ``evaluate_cone`` path.  Depth-1
+cones are stars, so at p=1 every node starts flagged.  The cache's angle
+schedule is checked once, before the first score, since tree hits never
+reach ``evaluate_cone``.
+
+Tie-breaking draws one random index per step over the candidates in
+ascending id order, and none when there is one candidate (a draw over one
+value would not move the generator either).  With matched seeds and
+optimized p=1 angles the two greedy solvers therefore make identical
+selections, since at p=1 the argmax candidates are exactly the
+minimum-degree vertices.  The recorded per-step value is solver-specific:
+an advice value for the quantum loop, the chosen degree (with cone key "-")
+for the classical one.  Scores carry the cone key as bytes; only the
+picked node's key is turned into hex, once per step, when the step is
+recorded.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import AngleSchedule
-from .cones import extract_lightcone
+from .cones import extract_lightcone, tree_key
 from .engines import ExpectationCache, evaluate_cone, sample_shots
 from .errors import NodeLimitExceeded
 from .graph import Graph, is_independent
@@ -128,8 +139,8 @@ _LOW_128 = (1 << 128) - 1
 
 
 def _make_advice(cfg: SolverConfig):
-    """Map (node, record, key) to the value the argmax actually sees; None
-    for ideal advice, which is the record's own value.
+    """Map (node, record, key bytes) to the value the argmax actually sees;
+    None for ideal advice, which is the record's own value.
 
     A shot draw depends only on (seed, node, cone key): a value that is not
     recomputed (its cone was untouched) equals what a recomputation would
@@ -156,7 +167,7 @@ def _make_advice(cfg: SolverConfig):
         def shot_advice(node, record, key):
             ideal = min(1.0, max(-1.0, record.value))
             digest = hashlib.blake2b(
-                prefix + b"%d:" % node + key.data, digest_size=32
+                prefix + b"%d:" % node + key, digest_size=32
             ).digest()
             word = int.from_bytes(digest, "little")
             bitgen.state = {
@@ -173,7 +184,7 @@ def _make_advice(cfg: SolverConfig):
     def noisy_advice(node, record, key):
         ideal = min(1.0, max(-1.0, record.value))
         return apply_noise(
-            ideal, record.cone_size, cfg.noise, realization.offset(key.data)
+            ideal, record.cone_size, cfg.noise, realization.offset(key)
         )
 
     return noisy_advice
@@ -223,7 +234,7 @@ def _greedy(g: Graph, depth: int, score, delta: float, tie_break: str,
             candidates = buckets[levels[-1]]
         else:
             candidates = sorted(i for v in levels[lo:] for i in buckets[v])
-        if tie_break == "lowest":
+        if tie_break == "lowest" or len(candidates) == 1:
             pick = candidates[0]
         else:
             pick = candidates[int(rng.integers(len(candidates)))]
@@ -247,20 +258,37 @@ def _greedy(g: Graph, depth: int, score, delta: float, tie_break: str,
 def solve_quantum_greedy(
     g: Graph, cfg: SolverConfig, cache: ExpectationCache | None = None
 ) -> SolveTrace:
+    schedule = cfg.schedule
     if cache is None:
-        cache = ExpectationCache(cfg.schedule)
+        cache = ExpectationCache(schedule)
+    elif (cache.schedule is not schedule
+          and cache.schedule.fingerprint != schedule.fingerprint):
+        # checked here, not only by evaluate_cone: tree hits skip it
+        raise ValueError("cache was built for a different angle schedule")
     advice = _make_advice(cfg)
-    depth, schedule, isolated = cfg.depth, cfg.schedule, cfg.include_isolated
+    depth, isolated = cfg.depth, cfg.include_isolated
+    # nodes whose last cone was a tree; deletions keep it one
+    tree = bytearray(b"\x01" * g.n if depth == 1 else g.n)
+    # one bytes object per key class, shared by the scores that hold it
+    keys: dict[bytes, bytes] = {}
 
     def score(work: Graph, i: int) -> tuple[float, float, bytes]:
-        cone = extract_lightcone(work, i, depth)
-        record, key = evaluate_cone(cone, schedule, cache)
-        value = record.value if advice is None else advice(i, record, key)
+        record = None
+        if tree[i]:
+            data = tree_key(work, i, depth)
+            data = keys.setdefault(data, data)
+            record = cache.get(data)
+        if record is None:
+            cone = extract_lightcone(work, i, depth)
+            record, key = evaluate_cone(cone, schedule, cache)
+            data = key.data
+            tree[i] = key.is_tree
+        value = record.value if advice is None else advice(i, record, data)
         if isolated and work.degree(i) == 0:
-            return math.inf, value, key.data
-        return value, value, key.data
+            return math.inf, value, data
+        return value, value, data
 
-    return _greedy(g, cfg.depth, score, resolve_delta(cfg), cfg.tie_break,
+    return _greedy(g, depth, score, resolve_delta(cfg), cfg.tie_break,
                    cfg.seed, cfg.full_recompute)
 
 

@@ -10,6 +10,7 @@ from helpers import (
     path,
     petersen,
     random_degree3_graph,
+    random_graph,
     reference_extract,
     relabel_cone,
     rooted_isomorphic,
@@ -25,8 +26,9 @@ from qgreedy.cones import (
     extract_lightcone_multi,
     key_digest,
     tree_ball_size,
+    tree_key,
 )
-from qgreedy.graph import generate_regular
+from qgreedy.graph import Graph, generate_regular
 
 
 class TestExtraction:
@@ -172,6 +174,61 @@ def test_shell_indexed_bfs_matches_reference():
     assert dataclasses.replace(cone, source_ids=None) == cone
     with pytest.raises(dataclasses.FrozenInstanceError):
         cone.depth = 3
+
+
+def _deletion_states(g, rng):
+    """g and every state a random deletion sequence takes it through."""
+    work = g.copy()
+    yield work
+    while work.alive_count:
+        work.remove_closed_neighborhood(int(rng.choice(work.alive_nodes())))
+        yield work
+
+
+def _star(leaves: int) -> Graph:
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def _tree_key_graphs():
+    rng = np.random.default_rng(11)
+    graphs = [generate_regular(60, 3, seed) for seed in range(3)]
+    sparse = [random_graph(rng, 50, 0.05) for _ in range(3)]
+    assert all(any(not g.adj[v] for v in range(g.n)) for g in sparse)
+    return graphs + sparse + [_star(90)]
+
+
+class TestTreeKey:
+    """tree_key reads a tree cone's key straight off the alive graph."""
+
+    def test_equals_canonical_key_on_every_tree_cone(self):
+        rng = np.random.default_rng(3)
+        checked = [0] * 5
+        for g in _tree_key_graphs():
+            for work in _deletion_states(g, rng):
+                for depth in range(1, 5):
+                    for v in work.alive_nodes():
+                        cone = extract_lightcone(work, v, depth)
+                        if cone.is_tree:
+                            assert (tree_key(work, v, depth)
+                                    == canonical_key(cone).data), (v, depth)
+                            checked[depth] += 1
+        assert min(checked[1:]) > 1000
+        # the star's hub seen from a leaf has 89 leaf children
+        assert tree_key(_star(90), 1, 2) == b"T\x02((" + b"()" * 89 + b"))"
+
+    def test_tree_cone_stays_a_tree(self):
+        # deletions only shrink a cone, and what is left of a tree is a tree
+        rng = np.random.default_rng(5)
+        for g in _tree_key_graphs():
+            for depth in range(1, 5):
+                trees = set()
+                for work in _deletion_states(g, rng):
+                    for v in work.alive_nodes():
+                        tree = extract_lightcone(work, v, depth).is_tree
+                        assert tree or v not in trees, (v, depth)
+                        if tree:
+                            trees.add(v)
+                assert trees
 
 
 class TestCanonicalKeys:

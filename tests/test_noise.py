@@ -8,9 +8,7 @@ from qgreedy.noise import (
     NoiseRealization,
     apply_noise,
     fit_noise,
-    read_noise_file,
     required_shots,
-    write_noise_file,
 )
 
 
@@ -72,12 +70,6 @@ class TestRealization:
     def test_sigma_zero_never_draws(self):
         real = NoiseRealization(NoiseParams(eta=0.1, alpha=0.1, sigma=0.0))
         assert real.offset(b"k") == 0.0
-
-    def test_items_sorted(self):
-        real = NoiseRealization(NoiseParams(0.0, 0.0, 0.5, seed=0))
-        real.offset(b"zz")
-        real.offset(b"aa")
-        assert [k for k, _ in real.items()] == [b"aa", b"zz"]
 
 
 class TestFitNoise:
@@ -152,30 +144,3 @@ class TestRequiredShots:
             required_shots(10, 1.5, 0.1)
         with pytest.raises(ValueError):
             required_shots(10, 0.05, 0.0)
-
-
-class TestNoiseFile:
-    def test_round_trip(self, tmp_path):
-        real = NoiseRealization(NoiseParams(eta=0.03, alpha=-0.05, sigma=0.04,
-                                            seed=7))
-        real.offset(b"key-one")
-        real.offset(b"key-two")
-        path = tmp_path / "noise.txt"
-        write_noise_file(path, real)
-        back = read_noise_file(path)
-        assert back.params == real.params
-        assert back.items() == real.items()
-
-    def test_loaded_offsets_override_draws(self, tmp_path):
-        real = NoiseRealization(NoiseParams(0.0, 0.0, 0.5, seed=3))
-        xi = real.offset(b"k")
-        path = tmp_path / "noise.txt"
-        write_noise_file(path, real)
-        back = read_noise_file(path)
-        assert back.offset(b"k") == xi
-
-    def test_malformed_header_rejected(self, tmp_path):
-        path = tmp_path / "noise.txt"
-        path.write_text("eta 0.1 alpha 0.2\n")
-        with pytest.raises(ValueError):
-            read_noise_file(path)

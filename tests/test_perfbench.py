@@ -64,6 +64,44 @@ def test_traced_solve_reports_every_layer(tracing, sched_p2):
     assert [n for n, (value, _) in metrics.items() if value == "absent"] == []
 
 
+def test_traced_warm_resolve_counts_the_tree_path(tracing, sched_p2,
+                                                  monkeypatch):
+    # tree hits skip extraction but still read the cache, so a warm solve
+    # counts one hit per score and extracts only nodes not yet known to
+    # have a tree cone
+    g = generate_regular(200, 3, 2)
+    cfg = SolverConfig(schedule=sched_p2, seed=2)
+    cache = ExpectationCache(sched_p2)
+    fill = qgreedy.solver.solve_quantum_greedy(g, cfg, cache)
+    extracted = []
+
+    def extract(work, i, depth):
+        cone = extract_lightcone(work, i, depth)
+        extracted.append((i, cone.is_tree))
+        return cone
+
+    monkeypatch.setattr(qgreedy.solver, "extract_lightcone", extract)
+    tracer = tracing.Tracer()
+    with tracer.active(0):
+        warm = qgreedy.solver.solve_quantum_greedy(g, cfg, cache)
+    assert warm.steps == fill.steps
+    # scores: every node once, then the alive part of each pick's ball
+    work, scores = g.copy(), g.n
+    for pick in warm.order:
+        ball = work.ball(pick, cfg.depth + 1)
+        work.remove_closed_neighborhood(pick)
+        scores += sum(1 for v, _ in ball if work.alive[v])
+    counters = tracer.counters["ops"]
+    assert counters["cache_hits"] == scores and counters["cache_misses"] == 0
+    spans = [span for span in tracer.spans if span[0] == "cones.extract"]
+    assert len(spans) == len(extracted) < scores
+    known = set()
+    for i, tree in extracted:
+        assert i not in known
+        if tree:
+            known.add(i)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "workload", ["cold-p3", "warm-p2", "classical", "sweep-shots"]

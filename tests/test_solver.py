@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+
+import qgreedy.solver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -295,6 +297,67 @@ def _digest(texts) -> str:
     return h.hexdigest()
 
 
+class TestTreeCones:
+    """Nodes known to have a tree cone are keyed off the alive graph."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_warm_resolve_extracts_under_half_of_its_cones(
+        self, sched_p2, monkeypatch, seed
+    ):
+        g = generate_regular(2000, 3, seed)
+        cfg = SolverConfig(schedule=sched_p2, seed=seed)
+        cache = ExpectationCache(sched_p2)
+        fill = solve_quantum_greedy(g, cfg, cache)
+        extracted, read = [], []
+        plain_get = ExpectationCache.get
+
+        def extract(work, i, depth):
+            extracted.append(i)
+            return extract_lightcone(work, i, depth)
+
+        def get(self, key_data):
+            read.append(key_data)
+            return plain_get(self, key_data)
+
+        monkeypatch.setattr(qgreedy.solver, "extract_lightcone", extract)
+        monkeypatch.setattr(ExpectationCache, "get", get)
+        warm = solve_quantum_greedy(g, cfg, cache)
+        assert format_trace(warm) == format_trace(fill)
+        # on a warm cache every rescore reads the cache exactly once
+        assert len(extracted) < len(read) / 2
+        assert len(extracted) >= g.n  # the first pass knows no trees yet
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_cache_for_another_schedule_fails_before_any_pick(
+        self, monkeypatch, depth, filled
+    ):
+        schedule = load_default_angles(depth).schedule
+        other = dataclasses.replace(
+            schedule, gammas=tuple(x + 0.1 for x in schedule.gammas)
+        )
+        g = generate_regular(30, 3, 4)
+        cfg = SolverConfig(schedule=schedule)
+        wrong = ExpectationCache(other)
+        if filled:
+            # holds every key the solve reads, so only the check can stop it
+            right = ExpectationCache(schedule)
+            solve_quantum_greedy(g, cfg, right)
+            for key_data in right._store:
+                wrong.insert(key_data, right.get(key_data))
+        removed = []
+        plain_remove = Graph.remove_closed_neighborhood
+
+        def remove(self, i):
+            removed.append(i)
+            return plain_remove(self, i)
+
+        monkeypatch.setattr(Graph, "remove_closed_neighborhood", remove)
+        with pytest.raises(ValueError, match="different angle schedule"):
+            solve_quantum_greedy(g, cfg, wrong)
+        assert removed == []
+
+
 class TestTraceDigest:
     """Selection is pinned byte for byte: any change to the loop, the advice
     sources or the cone layers that alters a pick, value or key shows here.
@@ -348,11 +411,12 @@ class TestShotStream:
     @pytest.fixture(scope="class")
     def keys(self):
         g = generate_regular(40, 3, 5)
-        keys = {canonical_key(extract_lightcone(g, i, 2)) for i in range(g.n)}
+        keys = {canonical_key(extract_lightcone(g, i, 2)).data
+                for i in range(g.n)}
         g.remove_closed_neighborhood(0)
-        keys |= {canonical_key(extract_lightcone(g, i, 2))
+        keys |= {canonical_key(extract_lightcone(g, i, 2)).data
                  for i in g.alive_nodes()}
-        return sorted(keys, key=lambda k: k.data)
+        return sorted(keys)
 
     def test_call_order_does_not_matter(self, sched_p1, keys):
         rng = np.random.default_rng(0)
@@ -379,7 +443,7 @@ class TestShotStream:
         # triples that one naive concatenation of their digits would merge
         shots = 2**20
         key = keys[0]
-        digit_key = dataclasses.replace(key, data=b"3" + key.data)
+        digit_key = b"3" + key
         one = _shot_advice(sched_p1, 1, shots)
         twelve = _shot_advice(sched_p1, 12, shots)
         x = _record(0.0)
