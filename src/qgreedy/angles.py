@@ -86,8 +86,8 @@ def _energy(
     schedule: AngleSchedule, vcone: LightCone, econe: LightCone
 ) -> tuple[float, float, float]:
     """(energy per vertex, <Z_root>, <Z_u Z_v>) on prebuilt tree cones."""
-    z, _ = expectation(vcone, schedule)
-    zz, _ = expectation(econe, schedule, observable=(0, 1))
+    z = expectation(vcone, schedule)
+    zz = expectation(econe, schedule, observable=(0, 1))
     d, ising = schedule.degree, IsingParams(schedule.lam)
     e = (d / 2.0) * ising.coupling * zz + ising.field(d) * z + ising.offset(d)
     return e, z, zz
@@ -143,8 +143,9 @@ def optimize_tree_angles(
 
     Nelder-Mead from several starts: the zero-padded optimum of depth-1
     (found recursively, or supplied as ``warm_start`` to skip the
-    recursion), plus seeded random points in [-pi/2, pi/2]^{2p}.
-    Deterministic for fixed inputs.
+    recursion), plus ``restarts`` seeded random points in [-pi/2, pi/2]^{2p}.
+    Raises ValueError when that leaves no start.  Deterministic for fixed
+    inputs.
     """
     from scipy.optimize import minimize  # slow to import; only needed here
 
@@ -158,6 +159,8 @@ def optimize_tree_angles(
         raise ValueError(
             "warm_start must be one level shallower with the same (d, lam)"
         )
+    if restarts < 1 and warm_start is None:
+        raise ValueError("need restarts >= 1 or a warm start")
     vcone = vertex_cone(depth, d)
     econe = edge_cone(depth, d)
 
@@ -230,7 +233,7 @@ def delta_cutoff(schedule: AngleSchedule) -> float:
 
     g, shells = _full_tree(p, d)
     base = extract_lightcone(g, 0, p)
-    v_base, _ = expectation(base, schedule)
+    v_base = expectation(base, schedule)
 
     # first shell-(p-1) vertex under root child 0, first under root child 1
     per_branch = len(shells[p - 1]) // d
@@ -246,7 +249,7 @@ def delta_cutoff(schedule: AngleSchedule) -> float:
     edges.append((a, b))
     mod = Graph(g.n, edges)
     cone = extract_lightcone(mod, 0, p)
-    v_mod, _ = expectation(cone, schedule)
+    v_mod = expectation(cone, schedule)
     return abs(v_base - v_mod)
 
 

@@ -8,17 +8,15 @@ A depth-p schedule drives the alternating ansatz
 with H the Ising cost restricted to the cone: the coupling of
 :class:`qgreedy.graph.IsingParams` as ZZ weight on every causal edge and its
 field h_v for the vertex's in-cone degree as Z weight.  Gate "weight" w
-means the gate exp(-i * w * P) for Pauli string P.  Circuits are built by
-:func:`qgreedy.engines.expectation`, the one router that the solver and the
-angle optimizer share.
+means the gate exp(-i * w * P) for Pauli string P.
 
 Layer pruning drops gates that cannot reach the observable: counting layers
 k = 0..p-1 in application order, layer k keeps ZZ gates on edges whose
 nearer endpoint is within distance p-k-1 of the observable and
 single-qubit gates on vertices within distance p-k.  The pruned circuit is
-exactly value-preserving, and it is the one the router evaluates; the
-unpruned circuit, with every gate in every layer, serves the tests as the
-dense oracle's input.
+exactly value-preserving, and it is the one :func:`qgreedy.engines.expectation`
+contracts; the unpruned circuit, with every gate in every layer, is the
+input of the tests' dense oracle.
 """
 
 from __future__ import annotations

@@ -52,6 +52,14 @@ def seed(text: str) -> int:
     return value
 
 
+def restarts(text: str) -> int:
+    """--restarts value: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     # shared flags are valid before and after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value given before it, and marks it as given
@@ -77,7 +85,7 @@ def build_parser() -> _Parser:
 
     ang = add("angles", help="optimize tree angles, write an angle file")
     ang.add_argument("--degree", type=int, default=3)
-    ang.add_argument("--restarts", type=int, default=6)
+    ang.add_argument("--restarts", type=restarts, default=6)
 
     sol = add("solve", help="run one solver on one instance, print the trace")
     sol.add_argument("--in", dest="infile", default=None,

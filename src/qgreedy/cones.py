@@ -155,7 +155,7 @@ def _extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone:
 
 
 def tree_key(g: Graph, root: int, depth: int) -> bytes:
-    """``canonical_key(extract_lightcone(g, root, depth)).data``, read off
+    """``canonical_key(extract_lightcone(g, root, depth))``, read off
     the alive graph; valid only when that cone is a tree.
 
     In a tree cone every alive neighbor of a vertex but its parent is its
@@ -186,29 +186,16 @@ def _tree_code(adj, alive, deg, u: int, parent: int, k: int) -> bytes:
 # -- canonical keys ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalKey:
-    """Isomorphism-class key plus the cheap derived facts callers need."""
-
-    data: bytes
-    size: int
-    edge_count: int
-    is_tree: bool
-
-    @property
-    def hex(self) -> str:
-        return self.data.hex()
-
-
 def key_digest(key_data: bytes) -> int:
     """Stable 64-bit digest of a canonical key, for seeding RNG streams."""
     return int.from_bytes(hashlib.sha256(key_data).digest()[:8], "big")
 
 
-def canonical_key(cone: LightCone) -> CanonicalKey:
+def canonical_key(cone: LightCone) -> bytes:
     """Key equal between two same-depth cones iff root-preserving isomorphic.
 
-    The extraction depth is part of the key: structurally identical cones at
+    ``b"T"`` (tree) or ``b"G"`` (cyclic), the depth byte, the encoding.  The
+    extraction depth is part of the key: structurally identical cones at
     different depths run different circuits, and everything keyed per cone
     (cache entries, noise offsets, shot streams) must not alias across
     depths.  Keys are defined for single-root cones only: unless local id 0
@@ -216,14 +203,15 @@ def canonical_key(cone: LightCone) -> CanonicalKey:
     """
     if cone.dists.count(0) != 1 or cone.dists[0] != 0:
         raise ValueError("canonical keys need exactly one root, at local id 0")
-    tree = cone.is_tree
-    if tree:
-        data = b"T" + bytes([cone.depth]) + _tree_encoding(cone)
-    else:
-        data = b"G" + bytes([cone.depth]) + _search_encoding(cone)
-    return CanonicalKey(
-        data=data, size=cone.size, edge_count=len(cone.edges), is_tree=tree
-    )
+    if cone.is_tree:
+        return b"T" + bytes([cone.depth]) + _tree_encoding(cone)
+    return b"G" + bytes([cone.depth]) + _search_encoding(cone)
+
+
+def key_size(key: bytes) -> int:
+    """Vertex count of a key's cone: a ``G`` key stores it after the
+    header, and a ``T`` key opens one "(" per vertex."""
+    return key[2] if key[:1] == b"G" else key.count(b"(", 2)
 
 
 def cone_from_key(data: bytes) -> LightCone:
@@ -468,7 +456,7 @@ def enumerate_cones(depth: int, d: int = 3) -> tuple[CensusReport, list[LightCon
     cones = []
     for dists, edges in partials.values():
         cones.append(LightCone(depth=depth, dists=dists, edges=tuple(sorted(edges))))
-    cones.sort(key=lambda c: (c.size, len(c.edges), canonical_key(c).data))
+    cones.sort(key=lambda c: (c.size, len(c.edges), canonical_key(c)))
     trees = sum(1 for c in cones if c.is_tree)
     report = CensusReport(
         depth=depth, total=len(cones), trees=trees, nontrees=len(cones) - trees
@@ -478,7 +466,7 @@ def enumerate_cones(depth: int, d: int = 3) -> tuple[CensusReport, list[LightCon
 
 def _census_insert(table, depth, dists, edges) -> None:
     cone = LightCone(depth=depth, dists=tuple(dists), edges=tuple(sorted(edges)))
-    table[canonical_key(cone).data] = (cone.dists, cone.edges)
+    table[canonical_key(cone)] = (cone.dists, cone.edges)
 
 
 def _attachments(n_parents: int, caps: list[int], d: int):

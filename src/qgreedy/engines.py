@@ -1,31 +1,19 @@
 """Expectation-value engines for cone circuits.
 
-Three independent routes compute <Z_root> (or a product of Z over the
-observable set):
+The solver and the angle optimizer compute <Z_root> (or a product of Z
+over the observable set) by two routes:
 
 * a closed form for single-layer circuits,
-* dense statevector evolution, capped by qubit count,
 * a path-integral tensor contraction whose cost is set by the cone's
   treewidth, not its qubit count.
 
-Each pair of routes agrees to tight tolerance on overlapping domains, which
-is the main guard against a silent convention error in any one of them.
-
-:func:`expectation` holds the one routing decision: every cone contracts
-on its pruned circuit, and the dense route runs only when the contraction
-plan's peak-entry estimate trips the budget and the cone fits under the
-qubit cap.  Otherwise dense statevector evolution is the test oracle.  The
-router serves both the solver, through :func:`evaluate_cone` (cache, then
-the closed form at depth 1), and the tree-angle optimizer in
-:mod:`qgreedy.angles`.  The qubit cap and the contraction budget are the
-module constants ``STATEVECTOR_CAP`` and ``CONTRACTION_BUDGET``; only the
-router's own parameters override them.
-
-A solve meets the same few labelled cones thousands of times, so each
-:class:`ExpectationCache` also memoizes the canonical key of the labelled
-cones it has seen, at most ``_KEY_MEMO_SIZE`` of them (4096, the bound of
-this module's ``lru_cache``s), oldest evicted first.  The memo belongs to
-its cache: a fresh cache keys every cone afresh.
+:func:`expectation` is the one routing decision: it contracts the cone's
+pruned circuit, and raises ContractionBudgetExceeded when the plan's
+peak-entry estimate trips ``CONTRACTION_BUDGET``.  The solver reaches it
+through :func:`evaluate_cone` (cache, then the closed form at depth 1).
+Dense statevector evolution, capped at ``STATEVECTOR_CAP`` qubits, is the
+test oracle only: each route agrees with it to tight tolerance on
+overlapping domains, which guards against a silent convention error.
 
 The contraction engine views the expectation as a classical partition
 function on a time-expanded copy of the cone graph: the cost layers are
@@ -50,12 +38,11 @@ import functools
 import heapq
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from .circuits import AngleSchedule, ConeCircuit, build_circuit
-from .cones import CanonicalKey, LightCone, canonical_key, cone_from_key
+from .cones import LightCone, canonical_key, cone_from_key
 from .errors import ContractionBudgetExceeded, StatevectorCapExceeded
 from .graph import IsingParams
 
@@ -406,45 +393,44 @@ def sample_shots(ideal: float, shots: int, seed) -> float:
 # -- cache and routing ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpectationRecord:
-    value: float
-    engine: str  # analytic | statevector | contraction
-    cone_size: int
-
-
 class ExpectationCache:
-    """Canonical-key keyed store of ideal cone expectations.
+    """Canonical-key keyed store of ideal cone expectations, as floats.
 
     One cache serves exactly one angle schedule; mixing schedules in a single
-    store would alias values, so the schedule fingerprint is checked on
-    every use.  Reads are lock-free; inserts serialize on a lock.  The store
+    store would alias values, so callers run :meth:`check_schedule` before
+    use.  Reads are lock-free; inserts serialize on a lock.  The store
     lives in memory only.
 
     The cache also maps labelled cones (equal when depth, distance labels
     and edges are, whatever their source ids) to their canonical keys, so
     a cone met again skips :func:`canonical_key`.  That memo is this
-    cache's own and holds at most ``_KEY_MEMO_SIZE`` cones, evicting the
-    oldest first.
+    cache's own (a fresh cache keys every cone afresh) and holds at most
+    ``_KEY_MEMO_SIZE`` cones, evicting the oldest first.
     """
 
     def __init__(self, schedule: AngleSchedule):
         self.schedule = schedule
-        self._store: dict[bytes, ExpectationRecord] = {}
-        self._keys: dict[tuple, CanonicalKey] = {}
+        self._store: dict[bytes, float] = {}
+        self._keys: dict[tuple, bytes] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._store)
 
-    def get(self, key_data: bytes) -> ExpectationRecord | None:
-        return self._store.get(key_data)
+    def check_schedule(self, schedule: AngleSchedule) -> None:
+        """Raise ValueError unless ``schedule`` is the one this cache serves."""
+        if (self.schedule is not schedule
+                and self.schedule.fingerprint != schedule.fingerprint):
+            raise ValueError("cache was built for a different angle schedule")
 
-    def insert(self, key_data: bytes, record: ExpectationRecord) -> None:
+    def get(self, key: bytes) -> float | None:
+        return self._store.get(key)
+
+    def insert(self, key: bytes, value: float) -> None:
         with self._lock:
-            self._store[key_data] = record
+            self._store[key] = value
 
-    def key_of(self, cone: LightCone) -> CanonicalKey:
+    def key_of(self, cone: LightCone) -> bytes:
         """``canonical_key(cone)``, memoized by the labelled cone."""
         # the fields of the cone's own equality, a cheaper dict key
         labelled = cone.depth, cone.dists, cone.edges
@@ -462,58 +448,44 @@ def expectation(
     cone: LightCone,
     schedule: AngleSchedule,
     observable: tuple[int, ...] = (0,),
-    statevector_cap: int = STATEVECTOR_CAP,
-    contraction_budget: int = CONTRACTION_BUDGET,
-) -> tuple[float, str]:
-    """The one engine-routing decision: (<Z...> on ``observable``, engine).
+) -> float:
+    """<Z...> on ``observable``, contracted on the cone's pruned circuit.
 
-    Every cone contracts on its pruned circuit.  Only when the contraction
-    plan's peak-entry estimate trips the budget does a cone that fits under
-    the qubit cap fall back to dense.  Raises ContractionBudgetExceeded when
-    no engine fits.
+    Raises ContractionBudgetExceeded when the plan trips the budget.
     """
     circ = build_circuit(cone, schedule, prune_layers=True, observable=observable)
-    try:
-        return expectation_contract(circ, budget=contraction_budget), "contraction"
-    except ContractionBudgetExceeded:
-        if cone.size > statevector_cap:
-            raise
-        return expectation_statevector(circ, cap=statevector_cap), "statevector"
+    return expectation_contract(circ)
 
 
 def evaluate_cone(
     cone: LightCone,
     schedule: AngleSchedule,
     cache: ExpectationCache | None = None,
-):
+) -> tuple[float, bytes]:
     """Ideal <Z_root> for a cone, through the cache when one is given.
 
     Depth-1 cones use the closed form; deeper ones go through
-    :func:`expectation`.  Returns (record, key).
+    :func:`expectation`.  Returns (value, canonical key).
     """
     if cache is None:
         key = canonical_key(cone)
     else:
-        if (cache.schedule is not schedule
-                and cache.schedule.fingerprint != schedule.fingerprint):
-            raise ValueError("cache was built for a different angle schedule")
+        cache.check_schedule(schedule)
         key = cache.key_of(cone)
-        hit = cache.get(key.data)
+        hit = cache.get(key)
         if hit is not None:
             return hit, key
     # evaluate the class's own cone, so the value depends on the class alone
     # and not on which member of it reached the cache first
-    canon = cone_from_key(key.data)
+    canon = cone_from_key(key)
     if canon.depth == 1:
         deg = canon.in_degrees()[0]
         value = expectation_p1_analytic(
             deg, IsingParams(schedule.lam).field(deg),
             schedule.gammas[0], schedule.betas[0], schedule.lam,
         )
-        engine = "analytic"
     else:
-        value, engine = expectation(canon, schedule)
-    record = ExpectationRecord(value=value, engine=engine, cone_size=cone.size)
+        value = expectation(canon, schedule)
     if cache is not None:
-        cache.insert(key.data, record)
-    return record, key
+        cache.insert(key, value)
+    return value, key

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import AngleSchedule
-from .cones import extract_lightcone, tree_key
+from .cones import extract_lightcone, key_size, tree_key
 from .engines import ExpectationCache, evaluate_cone, sample_shots
 from .errors import NodeLimitExceeded
 from .graph import Graph, is_independent
@@ -139,8 +139,8 @@ _LOW_128 = (1 << 128) - 1
 
 
 def _make_advice(cfg: SolverConfig):
-    """Map (node, record, key bytes) to the value the argmax actually sees;
-    None for ideal advice, which is the record's own value.
+    """Map (node, ideal value, key bytes) to the value the argmax actually
+    sees; None for ideal advice, which is the ideal value itself.
 
     A shot draw depends only on (seed, node, cone key): a value that is not
     recomputed (its cone was untouched) equals what a recomputation would
@@ -153,7 +153,7 @@ def _make_advice(cfg: SolverConfig):
     generators do (Salmon et al., "Parallel random numbers: as easy as 1,
     2, 3", SC 2011), and skips a SeedSequence and a new generator per draw.
     Noise offsets are seeded per cone key alone, so isomorphic cones share
-    an offset.
+    an offset, and the noise's cone size is read off the key.
     """
     if cfg.advice == "ideal":
         return None
@@ -164,8 +164,8 @@ def _make_advice(cfg: SolverConfig):
         rng = np.random.Generator(bitgen)
         prefix = b"%d:" % cfg.seed
 
-        def shot_advice(node, record, key):
-            ideal = min(1.0, max(-1.0, record.value))
+        def shot_advice(node, value, key):
+            ideal = min(1.0, max(-1.0, value))
             digest = hashlib.blake2b(
                 prefix + b"%d:" % node + key, digest_size=32
             ).digest()
@@ -181,10 +181,10 @@ def _make_advice(cfg: SolverConfig):
         return shot_advice
     realization = NoiseRealization(cfg.noise)
 
-    def noisy_advice(node, record, key):
-        ideal = min(1.0, max(-1.0, record.value))
+    def noisy_advice(node, value, key):
+        ideal = min(1.0, max(-1.0, value))
         return apply_noise(
-            ideal, record.cone_size, cfg.noise, realization.offset(key)
+            ideal, key_size(key), cfg.noise, realization.offset(key)
         )
 
     return noisy_advice
@@ -261,10 +261,8 @@ def solve_quantum_greedy(
     schedule = cfg.schedule
     if cache is None:
         cache = ExpectationCache(schedule)
-    elif (cache.schedule is not schedule
-          and cache.schedule.fingerprint != schedule.fingerprint):
-        # checked here, not only by evaluate_cone: tree hits skip it
-        raise ValueError("cache was built for a different angle schedule")
+    else:
+        cache.check_schedule(schedule)  # tree hits never reach evaluate_cone
     advice = _make_advice(cfg)
     depth, isolated = cfg.depth, cfg.include_isolated
     # nodes whose last cone was a tree; deletions keep it one
@@ -273,20 +271,19 @@ def solve_quantum_greedy(
     keys: dict[bytes, bytes] = {}
 
     def score(work: Graph, i: int) -> tuple[float, float, bytes]:
-        record = None
+        ideal = None
         if tree[i]:
-            data = tree_key(work, i, depth)
-            data = keys.setdefault(data, data)
-            record = cache.get(data)
-        if record is None:
+            key = tree_key(work, i, depth)
+            key = keys.setdefault(key, key)
+            ideal = cache.get(key)
+        if ideal is None:
             cone = extract_lightcone(work, i, depth)
-            record, key = evaluate_cone(cone, schedule, cache)
-            data = key.data
-            tree[i] = key.is_tree
-        value = record.value if advice is None else advice(i, record, data)
+            ideal, key = evaluate_cone(cone, schedule, cache)
+            tree[i] = key[:1] == b"T"
+        value = ideal if advice is None else advice(i, ideal, key)
         if isolated and work.degree(i) == 0:
-            return math.inf, value, data
-        return value, value, data
+            return math.inf, value, key
+        return value, value, key
 
     return _greedy(g, depth, score, resolve_delta(cfg), cfg.tie_break,
                    cfg.seed, cfg.full_recompute)

@@ -121,6 +121,13 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimize_tree_angles(2, lam=2.0, warm_start=sched_p1)
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_no_start_point_rejected(self, depth, restarts):
+        # depth 2 without a warm start recurses to depth 1 with no start
+        with pytest.raises(ValueError, match="restarts"):
+            optimize_tree_angles(depth, restarts=restarts)
+
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
             optimize_tree_angles(0)

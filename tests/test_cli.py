@@ -200,6 +200,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"argument {flag}: must be an integer >= 0" in err
 
+    @pytest.mark.parametrize("depth", ["1", "2"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_restarts_below_one_is_usage_error(self, capsys, depth, value):
+        # no start point at depth 1, where a deeper solve's recursion ends
+        with pytest.raises(SystemExit) as exc:
+            main(["angles", "--depth", depth, "--restarts", value])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qgreedy angles ")
+        assert "argument --restarts: must be an integer >= 1" in err
+
     @pytest.mark.parametrize("argv, flag", [
         # flags the chosen solver or advice source would ignore
         (["--solver", "greedy", "--advice", "shots", "--shots", "5",

@@ -25,6 +25,7 @@ from qgreedy.cones import (
     extract_lightcone,
     extract_lightcone_multi,
     key_digest,
+    key_size,
     tree_ball_size,
     tree_key,
 )
@@ -210,7 +211,7 @@ class TestTreeKey:
                         cone = extract_lightcone(work, v, depth)
                         if cone.is_tree:
                             assert (tree_key(work, v, depth)
-                                    == canonical_key(cone).data), (v, depth)
+                                    == canonical_key(cone)), (v, depth)
                             checked[depth] += 1
         assert min(checked[1:]) > 1000
         # the star's hub seen from a leaf has 89 leaf children
@@ -231,6 +232,41 @@ class TestTreeKey:
                 assert trees
 
 
+class TestKeySize:
+    """key_size reads a cone's vertex count back from its key bytes."""
+
+    def test_canonical_keys(self):
+        # the census cones at p <= 2 (a01 checks p = 3) and cones a random
+        # deletion run extracts at p = 1..4
+        cones = [c for p in (1, 2) for c in enumerate_cones(p)[1]]
+        rng = np.random.default_rng(4)
+        for work in _deletion_states(generate_regular(30, 3, 4), rng):
+            for depth in range(1, 5):
+                cones += [extract_lightcone(work, v, depth)
+                          for v in work.alive_nodes()]
+        kinds = set()
+        for cone in cones:
+            key = canonical_key(cone)
+            assert key_size(key) == cone.size, key
+            kinds.add((cone.depth, key[:1]))
+        assert kinds == {(1, b"T")} | {(p, kind) for p in (2, 3, 4)
+                                        for kind in (b"T", b"G")}
+
+    def test_tree_keys(self):
+        rng = np.random.default_rng(6)
+        checked = 0
+        for g in (generate_regular(60, 3, 0), _star(90)):
+            for work in _deletion_states(g, rng):
+                for depth in range(1, 5):
+                    for v in work.alive_nodes():
+                        cone = extract_lightcone(work, v, depth)
+                        if cone.is_tree:
+                            key = tree_key(work, v, depth)
+                            assert key_size(key) == cone.size, key
+                            checked += 1
+        assert checked > 500
+
+
 class TestCanonicalKeys:
     def test_relabeling_invariance_tree(self):
         rng = np.random.default_rng(0)
@@ -238,15 +274,15 @@ class TestCanonicalKeys:
         k0 = canonical_key(cone)
         for _ in range(10):
             k1 = canonical_key(relabel_cone(cone, rng))
-            assert k1.data == k0.data
+            assert k1 == k0
 
     def test_relabeling_invariance_nontree(self):
         rng = np.random.default_rng(1)
         cone = extract_lightcone(complete(4), 0, 2)
         k0 = canonical_key(cone)
-        assert not k0.is_tree
+        assert k0[:1] == b"G"
         for _ in range(10):
-            assert canonical_key(relabel_cone(cone, rng)).data == k0.data
+            assert canonical_key(relabel_cone(cone, rng)) == k0
 
     def test_depth_disambiguates(self):
         # same underlying star, different extraction depth: keys must differ
@@ -254,14 +290,14 @@ class TestCanonicalKeys:
         c1 = extract_lightcone(g, 1, 1)
         c2 = extract_lightcone(g, 1, 2)
         assert c1.dists == c2.dists and c1.edges == c2.edges
-        assert canonical_key(c1).data != canonical_key(c2).data
+        assert canonical_key(c1) != canonical_key(c2)
 
     def test_distinguishes_shapes(self):
         g1 = path(5)
         g2 = path(3)
         k1 = canonical_key(extract_lightcone(g1, 2, 2))
         k2 = canonical_key(extract_lightcone(g2, 1, 2))
-        assert k1.data != k2.data
+        assert k1 != k2
 
     def test_multi_root_rejected(self):
         # the tree encoder would follow root 0 only, so these three cones of
@@ -276,11 +312,10 @@ class TestCanonicalKeys:
             with pytest.raises(ValueError, match="root"):
                 canonical_key(cone)
 
-    def test_key_carries_facts(self):
+    def test_key_is_kind_depth_and_encoding(self):
         cone = extract_lightcone(complete(4), 0, 2)
         k = canonical_key(cone)
-        assert (k.size, k.edge_count, k.is_tree) == (4, 6, False)
-        assert k.hex == k.data.hex()
+        assert k[:2] == b"G\x02" and key_size(k) == 4
 
     def test_matches_brute_force_iso(self):
         rng = np.random.default_rng(5)
@@ -293,7 +328,7 @@ class TestCanonicalKeys:
         for i in range(len(cones)):
             for j in range(i, len(cones)):
                 same_key = (
-                    canonical_key(cones[i]).data == canonical_key(cones[j]).data
+                    canonical_key(cones[i]) == canonical_key(cones[j])
                 )
                 assert same_key == rooted_isomorphic(cones[i], cones[j])
 
@@ -303,7 +338,7 @@ class TestCanonicalKeys:
         rng = np.random.default_rng(seed)
         g = random_degree3_graph(rng, 14)
         cone = extract_lightcone(g, int(rng.integers(14)), 2)
-        assert canonical_key(relabel_cone(cone, rng)).data == canonical_key(cone).data
+        assert canonical_key(relabel_cone(cone, rng)) == canonical_key(cone)
 
 
     def test_cone_from_key_round_trip(self):
@@ -318,8 +353,8 @@ class TestCanonicalKeys:
         trees = 0
         for cone in cones:
             key = canonical_key(cone)
-            rebuilt = cone_from_key(key.data)
-            assert canonical_key(rebuilt).data == key.data
+            rebuilt = cone_from_key(key)
+            assert canonical_key(rebuilt) == key
             assert rooted_isomorphic(rebuilt, cone)
             assert list(rebuilt.dists) == sorted(rebuilt.dists)
             trees += cone.is_tree
@@ -346,13 +381,13 @@ class TestCensus:
     def test_depth2_counts(self):
         report, cones = enumerate_cones(2)
         assert (report.total, report.trees, report.nontrees) == (75, 20, 55)
-        keys = {canonical_key(c).data for c in cones}
+        keys = {canonical_key(c) for c in cones}
         assert len(keys) == 75  # all distinct
 
     def test_extracted_cones_are_enumerated(self):
         # every cone realized by a bounded-degree residual graph must appear
         report, cones = enumerate_cones(2)
-        table = {canonical_key(c).data for c in cones}
+        table = {canonical_key(c) for c in cones}
         rng = np.random.default_rng(9)
         for trial in range(40):
             g = generate_regular(24, 3, int(rng.integers(10**6)))
@@ -360,7 +395,7 @@ class TestCensus:
                 g.remove_closed_neighborhood(int(rng.choice(g.alive_nodes())))
             for v in g.alive_nodes():
                 cone = extract_lightcone(g, v, 2)
-                assert canonical_key(cone).data in table
+                assert canonical_key(cone) in table
 
     def test_unsupported_depth_rejected(self):
         with pytest.raises(ValueError):

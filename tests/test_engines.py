@@ -17,7 +17,6 @@ from qgreedy.cones import (
 )
 from qgreedy.engines import (
     ExpectationCache,
-    ExpectationRecord,
     evaluate_cone,
     expectation,
     expectation_contract,
@@ -163,8 +162,8 @@ class TestContraction:
         # on the same variables are multiplied together as they arrive
         star = Graph(81, [(0, k) for k in range(1, 81)])
         for root in (0, 1):
-            value, engine = expectation(extract_lightcone(star, root, 2), sched_p2)
-            assert engine == "contraction" and -1.0 <= value <= 1.0
+            value = expectation(extract_lightcone(star, root, 2), sched_p2)
+            assert -1.0 <= value <= 1.0
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -296,9 +295,8 @@ class TestSampleShots:
 class TestCacheAndRouting:
     def test_cache_round_trip(self, sched_p2):
         cache = ExpectationCache(sched_p2)
-        rec = ExpectationRecord(value=0.5, engine="statevector", cone_size=4)
-        cache.insert(b"k", rec)
-        assert cache.get(b"k") == rec
+        cache.insert(b"k", 0.5)
+        assert cache.get(b"k") == 0.5
         assert cache.get(b"other") is None
         assert len(cache) == 1
 
@@ -319,28 +317,25 @@ class TestCacheAndRouting:
     def test_cache_hit_skips_recompute(self, sched_p2):
         cache = ExpectationCache(sched_p2)
         cone = extract_lightcone(complete(4), 0, 2)
-        r1, k1 = evaluate_cone(cone, sched_p2, cache)
-        # poison the store; a hit must return the stored record untouched
-        cache.insert(k1.data, ExpectationRecord(123.0, "statevector", 4))
-        r2, _ = evaluate_cone(cone, sched_p2, cache)
-        assert r2.value == 123.0
+        _, key = evaluate_cone(cone, sched_p2, cache)
+        # poison the store; a hit must return the stored value untouched
+        cache.insert(key, 123.0)
+        assert evaluate_cone(cone, sched_p2, cache) == (123.0, key)
 
     def test_depth1_routes_analytic(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)
-        rec, _ = evaluate_cone(cone, sched_p1)
-        assert rec.engine == "analytic"
+        value, _ = evaluate_cone(cone, sched_p1)
         circ = build_circuit(cone, sched_p1)
-        assert rec.value == pytest.approx(expectation_statevector(circ), abs=1e-10)
+        assert value == pytest.approx(expectation_statevector(circ), abs=1e-10)
 
     def test_small_nontree_routes_contraction(self, sched_p2):
-        # a cyclic cone far under the qubit cap still contracts, on its
-        # pruned circuit, to the value of the unpruned circuit run dense
+        # a cyclic cone contracts, on its pruned circuit, to the value of
+        # the unpruned circuit run dense
         cone = extract_lightcone(complete(4), 0, 2)
-        rec, _ = evaluate_cone(cone, sched_p2)
-        assert rec.engine == "contraction"
+        value, _ = evaluate_cone(cone, sched_p2)
+        assert value == pytest.approx(expectation(cone, sched_p2), abs=1e-12)
         for obs in OBSERVABLES:
-            value, engine = expectation(cone, sched_p2, observable=obs)
-            assert engine == "contraction", obs
+            value = expectation(cone, sched_p2, observable=obs)
             oracle = expectation_statevector(
                 build_circuit(cone, sched_p2, observable=obs)
             )
@@ -350,39 +345,11 @@ class TestCacheAndRouting:
         cone = vertex_cone(3, 3)
         assert cone.size == 22
         for obs in OBSERVABLES:
-            _, engine = expectation(cone, sched_p3, observable=obs)
-            assert engine == "contraction", obs
-
-    def test_budget_falls_back_to_dense(self, sched_p2):
-        # a 17-vertex tree (root degree 4, then 3 children each) fits the
-        # qubit cap, so a tripped budget falls back
-        edges = [(0, k) for k in range(1, 5)]
-        edges += [(k, 2 + 3 * k + j) for k in range(1, 5) for j in range(3)]
-        cone = extract_lightcone(Graph(17, edges), 0, 2)
-        assert cone.is_tree
-        for obs in OBSERVABLES:
-            contracted, _ = expectation(cone, sched_p2, observable=obs)
-            dense, engine = expectation(cone, sched_p2, observable=obs,
-                                        statevector_cap=24, contraction_budget=16)
-            assert engine == "statevector", obs
-            assert dense == pytest.approx(contracted, abs=1e-12), obs
-
-    def test_no_engine_fits_raises(self, sched_p2):
-        cone = extract_lightcone(complete(4), 0, 2)
-        for obs in OBSERVABLES:
-            with pytest.raises(ContractionBudgetExceeded):
-                expectation(cone, sched_p2, observable=obs,
-                            statevector_cap=3, contraction_budget=16)
-
-    def test_routing_values_agree(self, sched_p2):
-        # one cyclic cone through both routes via a forced contraction budget
-        cone = extract_lightcone(complete(4), 0, 2)
-        for obs in OBSERVABLES:
-            contracted, engine = expectation(cone, sched_p2, observable=obs)
-            dense, dense_engine = expectation(cone, sched_p2, observable=obs,
-                                              contraction_budget=16)
-            assert (engine, dense_engine) == ("contraction", "statevector"), obs
-            assert dense == pytest.approx(contracted, abs=1e-12), obs
+            value = expectation(cone, sched_p3, observable=obs)
+            oracle = expectation_contract(
+                build_circuit(cone, sched_p3, observable=obs)
+            )
+            assert value == pytest.approx(oracle, abs=1e-12), obs
 
     def test_isomorphic_cones_get_equal_values(self, sched_p2, sched_p3):
         # a class's value is computed on the cone its key describes, so any
@@ -394,7 +361,7 @@ class TestCacheAndRouting:
                 g = random_degree3_graph(rng, 12)
                 cone = extract_lightcone(g, int(rng.integers(12)), p)
                 values = {
-                    evaluate_cone(c, schedule, ExpectationCache(schedule))[0].value
+                    evaluate_cone(c, schedule, ExpectationCache(schedule))[0]
                     for c in [cone] + [relabel_cone(cone, rng) for _ in range(3)]
                 }
                 assert len(values) == 1, (cone.dists, cone.edges)
@@ -402,7 +369,7 @@ class TestCacheAndRouting:
     def test_returned_key_is_canonical(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)
         _, key = evaluate_cone(cone, sched_p1)
-        assert key.data == canonical_key(cone).data
+        assert key == canonical_key(cone)
 
 
 def _labelled_copies(cone, rng, count):
@@ -448,8 +415,8 @@ class TestKeyMemo:
         calls = _counting_keys(monkeypatch)
         cache = ExpectationCache(sched_p2)
         results = [evaluate_cone(c, sched_p2, cache) for c in copies * 2]
-        assert len({key.data for _, key in results}) == 1
-        assert len({record for record, _ in results}) == 1
+        assert len({key for _, key in results}) == 1
+        assert len({value for value, _ in results}) == 1
         assert len(cache) == 1  # one value entry for the class
         assert calls == copies  # each labelled cone keyed once
         for c, (_, key) in zip(copies, results):

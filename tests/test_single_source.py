@@ -1,6 +1,7 @@
 """Guards for logic that must live in one place: every SolverConfig is built
-by ``bench.solver_config``, and the angle file name is spelled out only by
-``angles.angle_file_name``."""
+by ``bench.solver_config``, the angle file name is spelled out only by
+``angles.angle_file_name``, and ``engines.expectation`` is the one routing
+decision (contraction; dense statevector is a test oracle only)."""
 
 import ast
 from pathlib import Path
@@ -32,13 +33,16 @@ def _sites(predicate):
     return found
 
 
-def _solver_config_calls(text, tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = getattr(func, "attr", None) or getattr(func, "id", None)
-            if name == "SolverConfig":
-                yield node.lineno
+def _calls_to(callee):
+    def calls(text, tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", None) or getattr(func, "id", None)
+                if name == callee:
+                    yield node.lineno
+
+    return calls
 
 
 def _file_name_formats(text, tree):
@@ -48,8 +52,18 @@ def _file_name_formats(text, tree):
 
 
 def test_solver_config_built_in_one_place():
-    assert _sites(_solver_config_calls) == [("bench.py", "solver_config")]
+    assert _sites(_calls_to("SolverConfig")) == [("bench.py", "solver_config")]
 
 
 def test_angle_file_name_spelled_once():
     assert _sites(_file_name_formats) == [("angles.py", "angle_file_name")]
+
+
+def test_dense_statevector_is_oracle_only():
+    assert _sites(_calls_to("expectation_statevector")) == []
+
+
+def test_contraction_called_only_by_the_router():
+    assert _sites(_calls_to("expectation_contract")) == [
+        ("engines.py", "expectation")
+    ]

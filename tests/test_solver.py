@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import complete, k33, path, petersen, random_graph
 from qgreedy.angles import load_default_angles
 from qgreedy.cones import canonical_key, extract_lightcone
-from qgreedy.engines import ExpectationCache, ExpectationRecord
+from qgreedy.engines import ExpectationCache
 from qgreedy.errors import NodeLimitExceeded
 from qgreedy.graph import Graph, generate_regular, is_independent
 from qgreedy.noise import NoiseParams
@@ -224,7 +224,7 @@ class TestQuantumGreedy:
             g, SolverConfig(schedule=sched_p1, tie_break="lowest")
         )
         first = trace.steps[0]
-        expect = canonical_key(extract_lightcone(g, first.node, 1)).hex
+        expect = canonical_key(extract_lightcone(g, first.node, 1)).hex()
         assert first.key_hex == expect
 
 
@@ -400,10 +400,6 @@ def _shot_advice(sched, seed, shots=64):
     return _make_advice(cfg)
 
 
-def _record(value: float) -> ExpectationRecord:
-    return ExpectationRecord(value, "analytic", 4)
-
-
 class TestShotStream:
     """A shot draw depends on (seed, node, cone key) and nothing else: not
     on the draws before it, nor on which closure makes it."""
@@ -411,16 +407,15 @@ class TestShotStream:
     @pytest.fixture(scope="class")
     def keys(self):
         g = generate_regular(40, 3, 5)
-        keys = {canonical_key(extract_lightcone(g, i, 2)).data
-                for i in range(g.n)}
+        keys = {canonical_key(extract_lightcone(g, i, 2)) for i in range(g.n)}
         g.remove_closed_neighborhood(0)
-        keys |= {canonical_key(extract_lightcone(g, i, 2)).data
+        keys |= {canonical_key(extract_lightcone(g, i, 2))
                  for i in g.alive_nodes()}
         return sorted(keys)
 
     def test_call_order_does_not_matter(self, sched_p1, keys):
         rng = np.random.default_rng(0)
-        calls = [(int(rng.integers(1000)), _record(float(rng.uniform(-1, 1))),
+        calls = [(int(rng.integers(1000)), float(rng.uniform(-1, 1)),
                   keys[int(rng.integers(len(keys)))]) for _ in range(300)]
         calls += calls[:20]  # a triple drawn twice by one closure
         fresh = [_shot_advice(sched_p1, 3)(*call) for call in calls]
@@ -434,10 +429,10 @@ class TestShotStream:
         base = _shot_advice(sched_p1, 4, shots)
         other_seed = _shot_advice(sched_p1, 5, shots)
         for key, next_key in zip(keys, keys[1:]):
-            draw = base(7, _record(0.0), key)
-            assert draw != other_seed(7, _record(0.0), key)
-            assert draw != base(8, _record(0.0), key)
-            assert draw != base(7, _record(0.0), next_key)
+            draw = base(7, 0.0, key)
+            assert draw != other_seed(7, 0.0, key)
+            assert draw != base(8, 0.0, key)
+            assert draw != base(7, 0.0, next_key)
 
     def test_field_boundaries_are_kept(self, sched_p1, keys):
         # triples that one naive concatenation of their digits would merge
@@ -446,7 +441,7 @@ class TestShotStream:
         digit_key = b"3" + key
         one = _shot_advice(sched_p1, 1, shots)
         twelve = _shot_advice(sched_p1, 12, shots)
-        x = _record(0.0)
+        x = 0.0
         assert one(23, x, key) != twelve(3, x, key)
         assert one(2, x, digit_key) != one(23, x, key)
         # seeds past 64 bits draw, and differ from their neighbours
@@ -466,7 +461,7 @@ class TestShotStream:
         # at ideal 0 each draw has mean 0 and variance exactly 1/shots
         shots, n = 64, 2000
         advice = _shot_advice(sched_p1, 9, shots)
-        errors = np.array([advice(node, _record(0.0), keys[node % len(keys)])
+        errors = np.array([advice(node, 0.0, keys[node % len(keys)])
                            for node in range(n)])
         assert abs(errors.mean()) < 4 * math.sqrt(1 / (shots * n))
         assert 0.9 / shots <= errors.var() <= 1.1 / shots
