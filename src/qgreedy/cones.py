@@ -18,20 +18,17 @@ the frozen dataclass ``__init__``, straight into its instance dict.
 Canonical keys realize rooted-isomorphism equality as byte equality, with no
 probabilistic hashing.  They are defined for single-root cones only (edge
 cones of two roots are evaluated, never keyed).  Tree cones (the common case
-during solver runs) use the classic sorted-subtree encoding, built without
-recursion from the outermost shell inward; general cones run color
-refinement seeded with (distance, degree), then a backtracking search over
-color-class orderings with the root pinned, pruned by discovered
-automorphisms.
+during solver runs) use the classic sorted-subtree encoding; general cones
+run color refinement seeded with (distance, degree), then a backtracking
+search over color-class orderings with the root pinned, pruned by
+discovered automorphisms.
 
-A cone already known to be a tree has its key read straight off the alive
-graph by :func:`tree_key`, with no cone built: every alive neighbor of a
-vertex but its parent is its child, and a vertex of the last shell before
-the outermost one has as many leaf children as its alive degree minus
-one.  The knowledge does not go stale under greedy deletions.  Deleting
-vertices never shortens a distance, so every vertex and causal edge of
-the new cone was in the old one, and the new cone, being connected, is a
-subtree of the old tree.
+:func:`tree_key` reads a tree cone's key straight off the alive graph,
+with no cone built, and returns None for a cyclic cone.  Its depth-first
+walk marks every vertex it reaches and stops at the first one it meets
+twice; outermost-shell vertices are marked but not expanded, so the
+non-causal edges between them are never seen.  The walk meets no vertex
+twice exactly when the cone is a tree.
 """
 
 from __future__ import annotations
@@ -154,31 +151,29 @@ def _extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone:
     return cone
 
 
-def tree_key(g: Graph, root: int, depth: int) -> bytes:
-    """``canonical_key(extract_lightcone(g, root, depth))``, read off
-    the alive graph; valid only when that cone is a tree.
-
-    In a tree cone every alive neighbor of a vertex but its parent is its
-    child, so the walk needs no seen set, and a vertex of shell depth-1
-    has only leaf children, one per alive neighbor but its parent: its
-    code comes from its alive degree alone.  On a cyclic cone the walk
-    revisits vertices and the bytes mean nothing.
-    """
-    if depth == 1:
-        code = b"(" + b"()" * g._deg[root] + b")"
-    else:
-        code = _tree_code(g.adj, g.alive, g._deg, root, -1, depth - 1)
-    return b"T" + bytes([depth]) + code
+def tree_key(g: Graph, root: int, depth: int) -> bytes | None:
+    """``canonical_key(extract_lightcone(g, root, depth))`` when that cone
+    is a tree, read off the alive graph; None when it is cyclic."""
+    if depth == 1:  # a star, always a tree
+        return b"T\x01(" + b"()" * g._deg[root] + b")"
+    code = _tree_code(g.adj, g.alive, root, -1, depth, {root})
+    return None if code is None else b"T" + bytes([depth]) + code
 
 
-def _tree_code(adj, alive, deg, u: int, parent: int, k: int) -> bytes:
-    """Sorted-subtree code of u, a vertex k + 1 shells inside the outermost."""
-    if k == 1:
-        sub = [b"(" + b"()" * (deg[v] - 1) + b")"
-               for v in adj[u] if alive[v] and v != parent]
-    else:
-        sub = [_tree_code(adj, alive, deg, v, u, k - 1)
-               for v in adj[u] if alive[v] and v != parent]
+def _tree_code(adj, alive, u: int, parent: int, k: int,
+               seen: set) -> bytes | None:
+    """Sorted-subtree code of u, a vertex k shells inside the outermost, or
+    None when the walk meets a vertex already in ``seen``."""
+    sub = []
+    for v in adj[u]:
+        if alive[v] and v != parent:
+            if v in seen:
+                return None
+            seen.add(v)
+            code = b"()" if k == 1 else _tree_code(adj, alive, v, u, k - 1, seen)
+            if code is None:
+                return None
+            sub.append(code)
     sub.sort()
     return b"(" + b"".join(sub) + b")"
 
@@ -199,12 +194,19 @@ def canonical_key(cone: LightCone) -> bytes:
     different depths run different circuits, and everything keyed per cone
     (cache entries, noise offsets, shot streams) must not alias across
     depths.  Keys are defined for single-root cones only: unless local id 0
-    is the one distance-0 vertex, this raises ValueError.
+    is the one distance-0 vertex, this raises ValueError.  A ``G`` key
+    stores the vertex count and each label in one byte, so a cyclic cone of
+    more than 255 vertices raises ValueError too, before the search.
     """
     if cone.dists.count(0) != 1 or cone.dists[0] != 0:
         raise ValueError("canonical keys need exactly one root, at local id 0")
     if cone.is_tree:
-        return b"T" + bytes([cone.depth]) + _tree_encoding(cone)
+        code = _tree_code(cone.adjacency(), [True] * cone.size, 0, -1,
+                          cone.depth, {0})
+        return b"T" + bytes([cone.depth]) + code
+    if cone.size > 255:
+        raise ValueError("canonical keys of cyclic cones are limited to 255 "
+                         f"vertices; this cone has {cone.size}")
     return b"G" + bytes([cone.depth]) + _search_encoding(cone)
 
 
@@ -247,30 +249,6 @@ def cone_from_key(data: bytes) -> LightCone:
         label[v] = i
     edges = tuple(sorted((label[parent[v]], label[v]) for v in order[1:]))
     return LightCone(depth=depth, dists=tuple(sorted(dists)), edges=edges)
-
-
-def _tree_encoding(cone: LightCone) -> bytes:
-    """Sorted-subtree encoding; canonical for rooted trees.
-
-    In a tree cone every edge joins consecutive shells, so the parent of a
-    vertex is its one neighbor a shell further in.  Subtrees are encoded
-    from the outermost shell inward, so each is complete before its parent
-    takes it.
-    """
-    dists = cone.dists
-    parent = [0] * len(dists)
-    for u, v in cone.edges:
-        if dists[u] < dists[v]:
-            parent[v] = u
-        else:
-            parent[u] = v
-    parts: list[list[bytes]] = [[] for _ in dists]
-    # by shell, not by local id: relabeled or parsed cones are not in BFS order
-    for v in sorted(range(1, len(dists)), key=dists.__getitem__, reverse=True):
-        sub = parts[v]
-        enc = b"(" + b"".join(sorted(sub)) + b")" if sub else b"()"
-        parts[parent[v]].append(enc)
-    return b"(" + b"".join(sorted(parts[0])) + b")"
 
 
 def _refine(n: int, adj: list[list[int]], colors: list[int]) -> list[int]:

@@ -48,7 +48,6 @@ from .graph import IsingParams
 
 STATEVECTOR_CAP = 24
 CONTRACTION_BUDGET = 2**26  # max tensor entries per intermediate, ~1 GB
-_KEY_MEMO_SIZE = 4096  # labelled cones per cache whose keys are memoized
 
 
 # -- closed forms for p = 1 -------------------------------------------------
@@ -400,18 +399,11 @@ class ExpectationCache:
     store would alias values, so callers run :meth:`check_schedule` before
     use.  Reads are lock-free; inserts serialize on a lock.  The store
     lives in memory only.
-
-    The cache also maps labelled cones (equal when depth, distance labels
-    and edges are, whatever their source ids) to their canonical keys, so
-    a cone met again skips :func:`canonical_key`.  That memo is this
-    cache's own (a fresh cache keys every cone afresh) and holds at most
-    ``_KEY_MEMO_SIZE`` cones, evicting the oldest first.
     """
 
     def __init__(self, schedule: AngleSchedule):
         self.schedule = schedule
         self._store: dict[bytes, float] = {}
-        self._keys: dict[tuple, bytes] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -429,19 +421,6 @@ class ExpectationCache:
     def insert(self, key: bytes, value: float) -> None:
         with self._lock:
             self._store[key] = value
-
-    def key_of(self, cone: LightCone) -> bytes:
-        """``canonical_key(cone)``, memoized by the labelled cone."""
-        # the fields of the cone's own equality, a cheaper dict key
-        labelled = cone.depth, cone.dists, cone.edges
-        key = self._keys.get(labelled)
-        if key is None:
-            key = canonical_key(cone)
-            with self._lock:
-                if len(self._keys) >= _KEY_MEMO_SIZE:
-                    del self._keys[next(iter(self._keys))]
-                self._keys[labelled] = key
-        return key
 
 
 def expectation(
@@ -467,11 +446,9 @@ def evaluate_cone(
     Depth-1 cones use the closed form; deeper ones go through
     :func:`expectation`.  Returns (value, canonical key).
     """
-    if cache is None:
-        key = canonical_key(cone)
-    else:
+    key = canonical_key(cone)
+    if cache is not None:
         cache.check_schedule(schedule)
-        key = cache.key_of(cone)
         hit = cache.get(key)
         if hit is not None:
             return hit, key

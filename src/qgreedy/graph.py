@@ -88,11 +88,6 @@ class Graph:
     def alive_count(self) -> int:
         return self._alive_count
 
-    @property
-    def edge_count(self) -> int:
-        """Number of edges with both endpoints alive, counted on demand."""
-        return sum(1 for _ in self.edges_alive())
-
     def degree(self, i: int) -> int:
         """Alive degree of an alive node."""
         if not self.alive[i]:

@@ -20,14 +20,11 @@ bisect.  The candidates are the lists of the ranks within delta of the top
 (the top list as it stands when it is alone), so a step costs its rescored
 vertices and the tie window, not the graph size.
 
-A node whose cone was once a tree keeps a tree cone for the rest of the
-solve (see :mod:`qgreedy.cones`), so the quantum loop flags it and from
-then on keys its cone with ``tree_key``, straight off the alive graph, and
-reads the value from the cache.  Only a node not yet known to be a tree,
-or a cache miss, takes the extraction and ``evaluate_cone`` path.  Depth-1
-cones are stars, so at p=1 every node starts flagged.  The cache's angle
-schedule is checked once, before the first score, since tree hits never
-reach ``evaluate_cone``.
+Each score first asks ``tree_key`` for the node's key, read straight off
+the alive graph, and reads the value from the cache.  Only a cyclic cone
+(``tree_key`` gives None) or a cache miss takes the extraction and
+``evaluate_cone`` path.  The cache's angle schedule is checked once,
+before the first score, since tree hits never reach ``evaluate_cone``.
 
 Tie-breaking draws one random index per step over the candidates in
 ascending id order, and none when there is one candidate (a draw over one
@@ -265,21 +262,18 @@ def solve_quantum_greedy(
         cache.check_schedule(schedule)  # tree hits never reach evaluate_cone
     advice = _make_advice(cfg)
     depth, isolated = cfg.depth, cfg.include_isolated
-    # nodes whose last cone was a tree; deletions keep it one
-    tree = bytearray(b"\x01" * g.n if depth == 1 else g.n)
     # one bytes object per key class, shared by the scores that hold it
     keys: dict[bytes, bytes] = {}
 
     def score(work: Graph, i: int) -> tuple[float, float, bytes]:
         ideal = None
-        if tree[i]:
-            key = tree_key(work, i, depth)
+        key = tree_key(work, i, depth)
+        if key is not None:
             key = keys.setdefault(key, key)
             ideal = cache.get(key)
         if ideal is None:
             cone = extract_lightcone(work, i, depth)
             ideal, key = evaluate_cone(cone, schedule, cache)
-            tree[i] = key[:1] == b"T"
         value = ideal if advice is None else advice(i, ideal, key)
         if isolated and work.degree(i) == 0:
             return math.inf, value, key

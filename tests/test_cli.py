@@ -5,7 +5,7 @@ import pytest
 from qgreedy.angles import AngleOptimum, write_angle_file
 from qgreedy.circuits import AngleSchedule
 from qgreedy.cli import main
-from qgreedy.graph import read_edge_list
+from qgreedy.graph import Graph, read_edge_list, write_edge_list
 from qgreedy.solver import parse_trace
 
 P2_FILE = str(resources.files("qgreedy") / "data" / "angles" / "p2_d3_lam1.txt")
@@ -264,6 +264,16 @@ class TestExitCodes:
     def test_runtime_error(self, capsys):
         assert main(["solve", "--in", "/nonexistent/g.txt"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_cyclic_cone_over_255_vertices_is_runtime_error(self, tmp_path,
+                                                            capsys):
+        # a 300-leaf star with one leaf-leaf edge: the hub's depth-2 cone
+        # is cyclic and has all 301 vertices
+        path = tmp_path / "star.txt"
+        edges = [(0, i) for i in range(1, 301)] + [(1, 2)]
+        path.write_text(write_edge_list(Graph(301, edges)))
+        assert main(["solve", "--in", str(path), "--depth", "2"]) == 2
+        assert "limited to 255 vertices" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -204,32 +204,38 @@ class TestTreeKey:
     def test_equals_canonical_key_on_every_tree_cone(self):
         rng = np.random.default_rng(3)
         checked = [0] * 5
+        cyclic = 0
         for g in _tree_key_graphs():
             for work in _deletion_states(g, rng):
                 for depth in range(1, 5):
                     for v in work.alive_nodes():
                         cone = extract_lightcone(work, v, depth)
+                        key = tree_key(work, v, depth)
+                        assert (key is None) == (not cone.is_tree), (v, depth)
                         if cone.is_tree:
-                            assert (tree_key(work, v, depth)
-                                    == canonical_key(cone)), (v, depth)
+                            assert key == canonical_key(cone), (v, depth)
                             checked[depth] += 1
-        assert min(checked[1:]) > 1000
+                        else:
+                            cyclic += 1
+        assert min(checked[1:]) > 1000 and cyclic > 1000
         # the star's hub seen from a leaf has 89 leaf children
         assert tree_key(_star(90), 1, 2) == b"T\x02((" + b"()" * 89 + b"))"
 
-    def test_tree_cone_stays_a_tree(self):
-        # deletions only shrink a cone, and what is left of a tree is a tree
-        rng = np.random.default_rng(5)
-        for g in _tree_key_graphs():
-            for depth in range(1, 5):
-                trees = set()
-                for work in _deletion_states(g, rng):
-                    for v in work.alive_nodes():
-                        tree = extract_lightcone(work, v, depth).is_tree
-                        assert tree or v not in trees, (v, depth)
-                        if tree:
-                            trees.add(v)
-                assert trees
+    @pytest.mark.parametrize("edges, tree", [
+        # two shell-1 vertices share an outermost one
+        ([(0, 1), (0, 2), (1, 3), (2, 3)], False),
+        # an edge joins two shell-1 vertices
+        ([(0, 1), (0, 2), (1, 2)], False),
+        # an edge joins two outermost vertices: not causal, still a tree
+        ([(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)], True),
+    ])
+    def test_depth2_cycle_check(self, edges, tree):
+        g = Graph(max(max(e) for e in edges) + 1, edges)
+        key = tree_key(g, 0, 2)
+        if tree:
+            assert key == canonical_key(extract_lightcone(g, 0, 2))
+        else:
+            assert key is None
 
 
 class TestKeySize:
@@ -311,6 +317,14 @@ class TestCanonicalKeys:
         ):
             with pytest.raises(ValueError, match="root"):
                 canonical_key(cone)
+
+    def test_cyclic_cone_over_255_vertices_rejected(self):
+        # a G key holds each label in one byte; the hub's depth-2 cone has
+        # all 301 vertices and the leaf-leaf edge is causal
+        g = Graph(301, [(0, i) for i in range(1, 301)] + [(1, 2)])
+        with pytest.raises(ValueError, match="limited to 255 vertices"):
+            canonical_key(extract_lightcone(g, 0, 2))
+        assert tree_key(g, 0, 2) is None
 
     def test_key_is_kind_depth_and_encoding(self):
         cone = extract_lightcone(complete(4), 0, 2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, load_tracing, random_degree3_graph, relabel_cone
+from helpers import complete, random_degree3_graph, relabel_cone
 from qgreedy import engines
 from qgreedy.angles import load_default_angles, vertex_cone
 from qgreedy.circuits import AngleSchedule, build_circuit
@@ -292,6 +292,24 @@ class TestSampleShots:
             sample_shots(0.0, 0, 0)
 
 
+def _labelled_copies(cone, rng, count):
+    """``cone`` and distinct relabelled copies of it, ``count`` in all."""
+    copies = {(cone.dists, cone.edges): cone}
+    while len(copies) < count:
+        twin = relabel_cone(cone, rng)
+        copies.setdefault((twin.dists, twin.edges), twin)
+    return list(copies.values())
+
+
+def _cyclic_cone():
+    """A cyclic depth-2 cone of at least 8 vertices."""
+    rng = np.random.default_rng(3)
+    while True:
+        cone = extract_lightcone(random_degree3_graph(rng, 14), 0, 2)
+        if not cone.is_tree and cone.size >= 8:
+            return cone
+
+
 class TestCacheAndRouting:
     def test_cache_round_trip(self, sched_p2):
         cache = ExpectationCache(sched_p2)
@@ -371,101 +389,15 @@ class TestCacheAndRouting:
         _, key = evaluate_cone(cone, sched_p1)
         assert key == canonical_key(cone)
 
-
-def _labelled_copies(cone, rng, count):
-    """``cone`` and distinct relabelled copies of it, ``count`` in all."""
-    copies = {(cone.dists, cone.edges): cone}
-    while len(copies) < count:
-        twin = relabel_cone(cone, rng)
-        copies.setdefault((twin.dists, twin.edges), twin)
-    return list(copies.values())
-
-
-def _counting_keys(monkeypatch):
-    """Count the calls evaluate_cone makes to canonical_key."""
-    calls = []
-
-    def counted(cone):
-        calls.append(cone)
-        return canonical_key(cone)
-
-    monkeypatch.setattr(engines, "canonical_key", counted)
-    return calls
-
-
-class TestKeyMemo:
-    """Each cache memoizes keys by labelled cone, within a fixed bound."""
-
-    @pytest.fixture
-    def cyclic(self):
-        rng = np.random.default_rng(3)
-        while True:
-            g = random_degree3_graph(rng, 14)
-            cone = extract_lightcone(g, 0, 2)
-            if not cone.is_tree and cone.size >= 8:
-                return cone
-
     @pytest.mark.parametrize("kind", ["cyclic", "tree"])
-    def test_relabelled_copies_share_key_and_value(
-        self, kind, cyclic, sched_p2, monkeypatch
-    ):
-        cone = cyclic if kind == "cyclic" else vertex_cone(2, 3)
+    def test_relabelled_copies_share_key_and_value(self, kind, sched_p2):
+        cone = _cyclic_cone() if kind == "cyclic" else vertex_cone(2, 3)
         assert cone.is_tree == (kind == "tree")
         copies = _labelled_copies(cone, np.random.default_rng(5), 6)
-        calls = _counting_keys(monkeypatch)
         cache = ExpectationCache(sched_p2)
         results = [evaluate_cone(c, sched_p2, cache) for c in copies * 2]
         assert len({key for _, key in results}) == 1
         assert len({value for value, _ in results}) == 1
         assert len(cache) == 1  # one value entry for the class
-        assert calls == copies  # each labelled cone keyed once
         for c, (_, key) in zip(copies, results):
             assert key == canonical_key(c)
-
-    def test_source_ids_are_not_part_of_the_memo(self, sched_p2, monkeypatch):
-        cone = vertex_cone(2, 3)
-        moved = dataclasses.replace(cone, source_ids=tuple(range(100, 122)))
-        calls = _counting_keys(monkeypatch)
-        cache = ExpectationCache(sched_p2)
-        evaluate_cone(cone, sched_p2, cache)
-        evaluate_cone(moved, sched_p2, cache)
-        assert len(calls) == 1
-
-    def test_bounded(self, cyclic, sched_p2, monkeypatch):
-        monkeypatch.setattr(engines, "_KEY_MEMO_SIZE", 3)
-        copies = _labelled_copies(cyclic, np.random.default_rng(5), 8)
-        calls = _counting_keys(monkeypatch)
-        cache = ExpectationCache(sched_p2)
-        for c in copies:
-            evaluate_cone(c, sched_p2, cache)
-            assert len(cache._keys) <= 3
-        assert len(calls) == 8
-        # the newest cones hit; the oldest was evicted and is keyed again
-        evaluate_cone(copies[-1], sched_p2, cache)
-        assert len(calls) == 8
-        evaluate_cone(copies[0], sched_p2, cache)
-        assert len(calls) == 9
-        assert len(cache._keys) == 3
-
-    def test_fresh_cache_is_cold(self, cyclic, sched_p2, monkeypatch):
-        calls = _counting_keys(monkeypatch)
-        warm = ExpectationCache(sched_p2)
-        evaluate_cone(cyclic, sched_p2, warm)
-        evaluate_cone(cyclic, sched_p2, warm)
-        assert len(calls) == 1
-        evaluate_cone(cyclic, sched_p2, ExpectationCache(sched_p2))
-        assert len(calls) == 2
-
-    def test_tracer_sees_misses_only(self, cyclic, sched_p2):
-        # the benchmark's tracer wraps engines.canonical_key: a memo miss
-        # records one key span, a memo hit none, and every call one lookup
-        tracer = load_tracing().Tracer()
-        cache = ExpectationCache(sched_p2)
-        tree = vertex_cone(2, 3)
-        with tracer.active(0):
-            for cone in (cyclic, tree, cyclic, tree, tree):
-                evaluate_cone(cone, sched_p2, cache)
-        names = [span[0] for span in tracer.spans if span[0].startswith("cones.")]
-        assert names == ["cones.key_cyclic", "cones.key_tree"]
-        counts = tracer.counters["ops"]
-        assert (counts["cache_misses"], counts["cache_hits"]) == (2, 3)

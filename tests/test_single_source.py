@@ -1,7 +1,8 @@
 """Guards for logic that must live in one place: every SolverConfig is built
 by ``bench.solver_config``, the angle file name is spelled out only by
-``angles.angle_file_name``, and ``engines.expectation`` is the one routing
-decision (contraction; dense statevector is a test oracle only)."""
+``angles.angle_file_name``, ``engines.expectation`` is the one routing
+decision (contraction; dense statevector is a test oracle only), and
+``cones._tree_code`` is the one tree encoder."""
 
 import ast
 from pathlib import Path
@@ -66,4 +67,12 @@ def test_dense_statevector_is_oracle_only():
 def test_contraction_called_only_by_the_router():
     assert _sites(_calls_to("expectation_contract")) == [
         ("engines.py", "expectation")
+    ]
+
+
+def test_one_tree_encoder():
+    assert sorted(_sites(_calls_to("_tree_code"))) == [
+        ("cones.py", "_tree_code"),
+        ("cones.py", "canonical_key"),
+        ("cones.py", "tree_key"),
     ]
