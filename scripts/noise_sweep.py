@@ -16,27 +16,17 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from qgreedy.bench import solver_config  # noqa: E402
-from qgreedy.cli import _Parser, seed  # noqa: E402
+from qgreedy.cli import RUNTIME_ERRORS, _Parser, count, seed  # noqa: E402
 from qgreedy.engines import ExpectationCache  # noqa: E402
 from qgreedy.graph import generate_regular  # noqa: E402
 from qgreedy.noise import NoiseParams  # noqa: E402
 from qgreedy.solver import solve_quantum_greedy  # noqa: E402
 
 
-def main() -> int:
-    ap = _Parser(description=__doc__)  # usage errors exit 1, as in the CLI
-    ap.add_argument("--n", type=int, default=200)
-    ap.add_argument("--depth", type=int, default=3)
-    ap.add_argument("--instances", type=int, default=20)
-    ap.add_argument("--eta-max", type=float, default=0.1)
-    ap.add_argument("--eta-steps", type=int, default=11)
-    ap.add_argument("--alpha", type=float, default=0.0)
-    ap.add_argument("--sigma", type=float, default=0.0)
-    ap.add_argument("--seed", type=seed, default=0)
-    args = ap.parse_args()
-
+def sweep(args) -> None:
+    # the base carries eta_max, so a grid outside [0, 1) fails before any line
     base = solver_config(args.depth, 3, 1.0, advice="noise", delta=0.0,
-                         noise=NoiseParams(0.0, args.alpha, args.sigma))
+                         noise=NoiseParams(args.eta_max, args.alpha, args.sigma))
     cache = ExpectationCache(base.schedule)
     graphs = [
         generate_regular(args.n, 3, seed=args.seed + i)
@@ -54,6 +44,24 @@ def main() -> int:
         sem = (float(np.std(ratios, ddof=1) / np.sqrt(len(ratios)))
                if len(ratios) > 1 else 0.0)  # one instance: 0, as in bench
         print(f"eta {eta:5.3f}  mean_r {mean:.5f}  sem {sem:.5f}")
+
+
+def main() -> int:
+    ap = _Parser(description=__doc__)  # usage errors exit 1, as in the CLI
+    ap.add_argument("--n", type=int, default=200)
+    ap.add_argument("--depth", type=int, default=3)
+    ap.add_argument("--instances", type=count, default=20)
+    ap.add_argument("--eta-max", type=float, default=0.1)
+    ap.add_argument("--eta-steps", type=count, default=11)
+    ap.add_argument("--alpha", type=float, default=0.0)
+    ap.add_argument("--sigma", type=float, default=0.0)
+    ap.add_argument("--seed", type=seed, default=0)
+    args = ap.parse_args()
+    try:
+        sweep(args)
+    except RUNTIME_ERRORS as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     return 0
 
 

@@ -8,7 +8,7 @@ printed next to the classical asymptote and the prioritized-search
 reference value.
 """
 
-import argparse
+import dataclasses
 import pathlib
 import sys
 
@@ -21,24 +21,17 @@ from qgreedy.bench import (  # noqa: E402
     load_plan,
     run_plan,
 )
+from qgreedy.cli import RUNTIME_ERRORS, _Parser, count  # noqa: E402
 
 PLANS = pathlib.Path(__file__).resolve().parent / "plans"
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--plan", default="desk")
-    ap.add_argument("--workers", type=int, default=None,
-                    help="override the plan's worker count")
-    args = ap.parse_args()
-
+def run(args) -> None:
     path = PLANS / f"{args.plan}.plan"
     if not path.exists():
         path = pathlib.Path(args.plan)
     plan = load_plan(path)
     if args.workers is not None:
-        import dataclasses
-
         plan = dataclasses.replace(plan, workers=args.workers)
 
     report = run_plan(plan)
@@ -65,6 +58,19 @@ def main() -> int:
         print(f"  a/p+b : a={a:+.4f} b={b:.4f}  (resid {inv.residual_norm:.2e})")
         print(f"  c*p^d : c={c:.4f} d={d:+.4f}  (resid {pow_.residual_norm:.2e})")
     print(f"\nwrote {plan.out}")
+
+
+def main() -> int:
+    ap = _Parser(description=__doc__)  # usage errors exit 1, as in the CLI
+    ap.add_argument("--plan", default="desk")
+    ap.add_argument("--workers", type=count, default=None,
+                    help="override the plan's worker count")
+    args = ap.parse_args()
+    try:
+        run(args)
+    except RUNTIME_ERRORS as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     return 0
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .circuits import AngleSchedule
 from .cones import LightCone, extract_lightcone, extract_lightcone_multi
-from .engines import expectation, expectation_p1_analytic
+from .engines import expectation
 from .graph import Graph, IsingParams
 
 
@@ -219,15 +219,10 @@ def delta_cutoff(schedule: AngleSchedule) -> float:
     At p = 1 cones are stars classified by root degree alone, so the cutoff
     is the minimum gap between distinct star expectations.
     """
-    p, d, lam = schedule.depth, schedule.degree, schedule.lam
+    p, d = schedule.depth, schedule.degree
     if p == 1:
-        ising = IsingParams(lam)
-        values = sorted(
-            expectation_p1_analytic(
-                k, ising.field(k), schedule.gammas[0], schedule.betas[0], lam
-            )
-            for k in range(d + 1)
-        )
+        values = sorted(expectation(vertex_cone(1, k), schedule)
+                        for k in range(d + 1))
         gaps = [b - a for a, b in zip(values, values[1:]) if b > a]
         return min(gaps) if gaps else 0.0
 

@@ -49,8 +49,7 @@ class AngleSchedule:
         for x in (*self.gammas, *self.betas):
             if not math.isfinite(x):
                 raise ValueError("angles must be finite")
-        if self.lam < 1.0:
-            raise ValueError("penalty weight must satisfy lam >= 1")
+        IsingParams(self.lam)  # raises unless lam is finite and >= 1
 
     @property
     def fingerprint(self) -> tuple:

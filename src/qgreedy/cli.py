@@ -24,6 +24,9 @@ from .solver import (
 )
 
 
+RUNTIME_ERRORS = (QGreedyError, ValueError, OSError)  # exit 2, not usage (1)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage problems; the contract here is 1
     def error(self, message):
@@ -52,8 +55,8 @@ def seed(text: str) -> int:
     return value
 
 
-def restarts(text: str) -> int:
-    """--restarts value: an integer >= 1."""
+def count(text: str) -> int:
+    """An integer >= 1, such as --restarts."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
@@ -85,7 +88,7 @@ def build_parser() -> _Parser:
 
     ang = add("angles", help="optimize tree angles, write an angle file")
     ang.add_argument("--degree", type=int, default=3)
-    ang.add_argument("--restarts", type=restarts, default=6)
+    ang.add_argument("--restarts", type=count, default=6)
 
     sol = add("solve", help="run one solver on one instance, print the trace")
     sol.add_argument("--in", dest="infile", default=None,
@@ -289,7 +292,7 @@ def main(argv=None) -> int:
     args = argparse.Namespace(**{**_DEFAULTS, **from_file, **vars(args)})
     try:
         return _COMMANDS[args.command](args)
-    except (QGreedyError, ValueError, OSError) as exc:
+    except RUNTIME_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -7,10 +7,12 @@ over the observable set) by two routes:
 * a path-integral tensor contraction whose cost is set by the cone's
   treewidth, not its qubit count.
 
-:func:`expectation` is the one routing decision: it contracts the cone's
-pruned circuit, and raises ContractionBudgetExceeded when the plan's
-peak-entry estimate trips ``CONTRACTION_BUDGET``.  The solver reaches it
-through :func:`evaluate_cone` (cache, then the closed form at depth 1).
+:func:`expectation` is the one routing decision: <Z_root> on a depth-1
+cone takes the closed form, and every other cone contracts its pruned
+circuit, raising ContractionBudgetExceeded when the plan's peak-entry
+estimate trips ``CONTRACTION_BUDGET``.  The solver reaches it through
+:func:`evaluate_cone`, which adds only the cache; the angle optimizer and
+the resolution cutoff call it directly.
 Dense statevector evolution, capped at ``STATEVECTOR_CAP`` qubits, is the
 test oracle only: each route agrees with it to tight tolerance on
 overlapping domains, which guards against a silent convention error.
@@ -58,14 +60,14 @@ def expectation_p1_analytic(
 ) -> float:
     """Single-layer <Z_root> on a star cone of the given root degree.
 
-    sin(2 beta) sin(2 gamma h) cos(2 gamma lam / 4)^degree.  The neighbor
-    factor carries the edge coupling lam/4 of the cost Hamiltonian; with
-    couplings normalized to 1 it collapses to cos(2 gamma)^degree.
+    sin(2 beta) sin(2 gamma h) cos(2 gamma J)^degree, with J the edge
+    coupling of :class:`qgreedy.graph.IsingParams`; with couplings
+    normalized to 1 it collapses to cos(2 gamma)^degree.
     """
     return (
         math.sin(2.0 * beta)
         * math.sin(2.0 * gamma * h)
-        * math.cos(2.0 * gamma * lam / 4.0) ** degree
+        * math.cos(2.0 * gamma * IsingParams(lam).coupling) ** degree
     )
 
 
@@ -85,7 +87,7 @@ def expectation_p1_edge(
     """
     c = math.cos(2.0 * beta)
     s = math.sin(2.0 * beta)
-    j2 = 2.0 * gamma * lam / 4.0
+    j2 = 2.0 * gamma * IsingParams(lam).coupling
     cu = math.cos(j2) ** (deg_u - 1)
     cv = math.cos(j2) ** (deg_v - 1)
     cross = (
@@ -428,10 +430,17 @@ def expectation(
     schedule: AngleSchedule,
     observable: tuple[int, ...] = (0,),
 ) -> float:
-    """<Z...> on ``observable``, contracted on the cone's pruned circuit.
+    """<Z...> on ``observable``: the closed form for <Z_root> on a depth-1
+    cone, else a contraction of the cone's pruned circuit.
 
     Raises ContractionBudgetExceeded when the plan trips the budget.
     """
+    if cone.depth == 1 and tuple(observable) == (0,):
+        deg = cone.in_degrees()[0]
+        return expectation_p1_analytic(
+            deg, IsingParams(schedule.lam).field(deg),
+            schedule.gammas[0], schedule.betas[0], schedule.lam,
+        )
     circ = build_circuit(cone, schedule, prune_layers=True, observable=observable)
     return expectation_contract(circ)
 
@@ -443,8 +452,9 @@ def evaluate_cone(
 ) -> tuple[float, bytes]:
     """Ideal <Z_root> for a cone, through the cache when one is given.
 
-    Depth-1 cones use the closed form; deeper ones go through
-    :func:`expectation`.  Returns (value, canonical key).
+    A miss evaluates the class's own cone, rebuilt from its key, with
+    :func:`expectation`, so the value depends on the class alone.  Returns
+    (value, canonical key).
     """
     key = canonical_key(cone)
     if cache is not None:
@@ -452,17 +462,7 @@ def evaluate_cone(
         hit = cache.get(key)
         if hit is not None:
             return hit, key
-    # evaluate the class's own cone, so the value depends on the class alone
-    # and not on which member of it reached the cache first
-    canon = cone_from_key(key)
-    if canon.depth == 1:
-        deg = canon.in_degrees()[0]
-        value = expectation_p1_analytic(
-            deg, IsingParams(schedule.lam).field(deg),
-            schedule.gammas[0], schedule.betas[0], schedule.lam,
-        )
-    else:
-        value = expectation(canon, schedule)
+    value = expectation(cone_from_key(key), schedule)
     if cache is not None:
         cache.insert(key, value)
     return value, key

@@ -56,7 +56,7 @@ class IsingParams:
 class Graph:
     """Undirected simple graph with an alive mask for greedy reductions."""
 
-    __slots__ = ("n", "adj", "adjset", "alive", "_deg", "_alive_count")
+    __slots__ = ("n", "adj", "alive", "_deg", "_alive_count")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -77,7 +77,6 @@ class Graph:
             self.adj[v].append(u)
         for nbrs in self.adj:
             nbrs.sort()
-        self.adjset = [set(nbrs) for nbrs in self.adj]
         self.alive = [True] * n
         self._deg = [len(nbrs) for nbrs in self.adj]
         self._alive_count = n
@@ -112,7 +111,6 @@ class Graph:
         g = Graph.__new__(Graph)
         g.n = self.n
         g.adj = self.adj            # immutable after construction, share
-        g.adjset = self.adjset
         g.alive = list(self.alive)
         g._deg = list(self._deg)
         g._alive_count = self._alive_count
@@ -167,12 +165,7 @@ def is_independent(g: Graph, nodes) -> bool:
     chosen = set(nodes)
     if len(chosen) != len(nodes):
         return False
-    for u in chosen:
-        if not (0 <= u < g.n):
-            return False
-        if g.adjset[u] & chosen:
-            return False
-    return True
+    return all(0 <= u < g.n and chosen.isdisjoint(g.adj[u]) for u in chosen)
 
 
 def energy(g: Graph, params: IsingParams, bits) -> float:

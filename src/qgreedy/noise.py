@@ -31,8 +31,10 @@ class NoiseParams:
     def __post_init__(self):
         if not 0.0 <= self.eta < 1.0:
             raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -106,7 +108,7 @@ def required_shots(n: int, eps: float, gap: float) -> int:
         raise ValueError("n must be >= 1")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if gap <= 0.0:
+    if not gap > 0.0:  # NaN too
         raise ValueError("gap must be positive; use the cutoff path for gap 0")
     return math.ceil(math.log(n / eps) / gap**2)
 

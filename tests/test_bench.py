@@ -126,7 +126,7 @@ class TestParsePlan:
 
     @pytest.mark.parametrize("line", [
         "advice = shots", "depths = 0", "stamp = flase", "seed = -1",
-        "noise_seed = -1",
+        "noise_seed = -1", "sigma = nan", "alpha = inf",
     ])
     def test_bad_plan_fails_before_any_work(self, tmp_path, line):
         out = tmp_path / "r.csv"

@@ -31,6 +31,11 @@ class TestAngleSchedule:
         with pytest.raises(ValueError):
             sched((0.1,), (0.2,), lam=0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_nonfinite_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            sched((0.1,), (0.2,), lam=lam)
+
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
             AngleSchedule(0, 3, 1.0, (), ())

@@ -261,6 +261,15 @@ class TestExitCodes:
         assert main(["solve", "--n", "20", "--angles", missing]) == 2
         assert "p2_d3_lam1.txt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--sigma", "--alpha"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_noise_is_runtime_error(self, capsys, flag, value):
+        argv = ["solve", "--n", "20", "--advice", "noise", flag, value]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and flag[2:] in err
+
     def test_runtime_error(self, capsys):
         assert main(["solve", "--in", "/nonexistent/g.txt"]) == 2
         assert "error:" in capsys.readouterr().err

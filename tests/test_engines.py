@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import complete, random_degree3_graph, relabel_cone
 from qgreedy import engines
-from qgreedy.angles import load_default_angles, vertex_cone
+from qgreedy.angles import edge_cone, load_default_angles, vertex_cone
 from qgreedy.circuits import AngleSchedule, build_circuit
 from qgreedy.cones import (
     canonical_key,
@@ -345,6 +345,22 @@ class TestCacheAndRouting:
         value, _ = evaluate_cone(cone, sched_p1)
         circ = build_circuit(cone, sched_p1)
         assert value == pytest.approx(expectation_statevector(circ), abs=1e-10)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    def test_depth1_root_takes_closed_form(self, lam, monkeypatch):
+        # the router's closed form agrees with contraction of the pruned
+        # circuit on every star and on the two-root edge cone
+        closed = []
+        form = engines.expectation_p1_analytic
+        monkeypatch.setattr(engines, "expectation_p1_analytic",
+                            lambda *a: closed.append(a) or form(*a))
+        s = sched((0.37,), (-0.41,), lam=lam)
+        cones = [vertex_cone(1, k) for k in range(9)] + [edge_cone(1, 3)]
+        for cone in cones:
+            circ = build_circuit(cone, s, prune_layers=True)
+            oracle = expectation_contract(circ)
+            assert expectation(cone, s) == pytest.approx(oracle, abs=1e-12)
+        assert len(closed) == len(cones)
 
     def test_small_nontree_routes_contraction(self, sched_p2):
         # a cyclic cone contracts, on its pruned circuit, to the value of

@@ -21,6 +21,15 @@ class TestNoiseParams:
         with pytest.raises(ValueError):
             NoiseParams(eta=0.0, alpha=0.0, sigma=-1.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "sigma"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_rejected(self, field, value):
+        # a NaN offset used to reach the solver's candidate scan and crash it
+        fields = dict(eta=0.0, alpha=0.0, sigma=0.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            NoiseParams(**fields)
+
     def test_negative_seed_rejected(self):
         # rejected even at sigma 0, where no offset is ever drawn
         with pytest.raises(ValueError, match="seed"):
@@ -144,3 +153,7 @@ class TestRequiredShots:
             required_shots(10, 1.5, 0.1)
         with pytest.raises(ValueError):
             required_shots(10, 0.05, 0.0)
+
+    def test_nan_gap_is_named(self):
+        with pytest.raises(ValueError, match="gap"):
+            required_shots(10, 0.05, float("nan"))

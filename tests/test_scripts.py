@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -33,14 +35,53 @@ def test_noise_sweep():
     assert re.fullmatch(r"eta 0\.000  mean_r 0\.\d{5}  sem 0\.00000", lines[1]), lines
 
 
-def test_noise_sweep_negative_seed_is_a_usage_error():
+def run_failing(name: str, *args: str) -> subprocess.CompletedProcess:
     done = subprocess.run(
-        [sys.executable, str(SCRIPTS / "noise_sweep.py"), "--seed", "-1"],
+        [sys.executable, str(SCRIPTS / name), *args],
         capture_output=True, text=True, timeout=300,
     )
+    assert "Traceback" not in done.stderr, done.stderr
+    return done
+
+
+def test_noise_sweep_negative_seed_is_a_usage_error():
+    done = run_failing("noise_sweep.py", "--seed", "-1")
     assert done.returncode == 1, done.stderr
     assert "error: argument --seed: must be an integer >= 0" in done.stderr
-    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("flag", ["--instances", "--eta-steps"])
+def test_noise_sweep_empty_grid_is_a_usage_error(flag):
+    done = run_failing("noise_sweep.py", flag, "0")
+    assert done.returncode == 1, done.stderr
+    assert f"error: argument {flag}: must be an integer >= 1" in done.stderr
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("args, why", [
+    (("--n", "21"), "n*d must be even"),
+    (("--eta-max", "2"), "eta must lie in [0, 1)"),
+])
+def test_noise_sweep_bad_run_is_a_runtime_error(args, why):
+    done = run_failing("noise_sweep.py", "--depth", "1", *args)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and why in done.stderr
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["x", "0"])
+def test_run_bench_bad_workers_is_a_usage_error(value):
+    done = run_failing("run_bench.py", "--workers", value)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("usage: ")
+    assert "error: argument --workers:" in done.stderr
+
+
+def test_run_bench_missing_plan_is_a_runtime_error(tmp_path):
+    missing = str(tmp_path / "missing.plan")
+    done = run_failing("run_bench.py", "--plan", missing)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "missing.plan" in done.stderr
 
 
 def test_run_bench(tmp_path):

@@ -1,8 +1,10 @@
 """Guards for logic that must live in one place: every SolverConfig is built
 by ``bench.solver_config``, the angle file name is spelled out only by
 ``angles.angle_file_name``, ``engines.expectation`` is the one routing
-decision (contraction; dense statevector is a test oracle only), and
-``cones._tree_code`` is the one tree encoder."""
+decision (the closed form at depth 1, else contraction; dense statevector
+and the closed edge form are test oracles only), the Ising coefficients
+come from ``graph.IsingParams`` alone, and ``cones._tree_code`` is the one
+tree encoder."""
 
 import ast
 from pathlib import Path
@@ -52,6 +54,14 @@ def _file_name_formats(text, tree):
             yield lineno
 
 
+def _divisions_by_four(text, tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 4):
+            yield node.lineno
+
+
 def test_solver_config_built_in_one_place():
     assert _sites(_calls_to("SolverConfig")) == [("bench.py", "solver_config")]
 
@@ -67,6 +77,23 @@ def test_dense_statevector_is_oracle_only():
 def test_contraction_called_only_by_the_router():
     assert _sites(_calls_to("expectation_contract")) == [
         ("engines.py", "expectation")
+    ]
+
+
+def test_closed_form_called_only_by_the_router():
+    assert _sites(_calls_to("expectation_p1_analytic")) == [
+        ("engines.py", "expectation")
+    ]
+
+
+def test_closed_edge_form_is_oracle_only():
+    assert _sites(_calls_to("expectation_p1_edge")) == []
+
+
+def test_ising_coefficients_spelled_once():
+    # lam / 4 and (lam d - 2) / 4 live in IsingParams.coupling and .field
+    assert _sites(_divisions_by_four) == [
+        ("graph.py", "coupling"), ("graph.py", "field")
     ]
 
 
