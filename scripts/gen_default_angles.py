@@ -10,7 +10,6 @@ near its minimum, so an ulp of change in the engines moves the point where
 Nelder-Mead (xatol 1e-8) stops.
 """
 
-import argparse
 import pathlib
 import sys
 import time
@@ -18,21 +17,14 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from qgreedy import angles  # noqa: E402
+from qgreedy.cli import RUNTIME_ERRORS, _Parser, count, seed  # noqa: E402
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src/qgreedy/data/angles"
 # diminishing returns past a few restarts once the padded start is available
 RESTARTS = {1: 8, 2: 8, 3: 4, 4: 2}
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-depth", type=int, default=4)
-    ap.add_argument("--degree", type=int, default=3)
-    ap.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out-dir", type=pathlib.Path, default=DATA_DIR)
-    args = ap.parse_args()
-
+def generate(args) -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     prev = None
     for depth in range(1, args.max_depth + 1):
@@ -53,6 +45,21 @@ def main() -> int:
             flush=True,
         )
         prev = opt.schedule
+
+
+def main() -> int:
+    ap = _Parser(description=__doc__)  # usage errors exit 1, as in the CLI
+    ap.add_argument("--max-depth", type=count, default=4)
+    ap.add_argument("--degree", type=int, default=3)
+    ap.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    ap.add_argument("--seed", type=seed, default=0)
+    ap.add_argument("--out-dir", type=pathlib.Path, default=DATA_DIR)
+    args = ap.parse_args()
+    try:
+        generate(args)
+    except RUNTIME_ERRORS as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     return 0
 
 

@@ -28,7 +28,12 @@ with no cone built, and returns None for a cyclic cone.  Its depth-first
 walk marks every vertex it reaches and stops at the first one it meets
 twice; outermost-shell vertices are marked but not expanded, so the
 non-causal edges between them are never seen.  The walk meets no vertex
-twice exactly when the cone is a tree.
+twice exactly when the cone is a tree.  A node whose cone is known to be a
+tree is keyed by a walk that marks nothing and stops one shell short of
+the outermost: a vertex there has its parent and one edge per child, so
+its code follows from its alive degree.  The knowledge cannot go stale
+while the graph only loses vertices: a deletion never shortens a
+distance, so a cone's causal edges only shrink, and a tree stays a tree.
 """
 
 from __future__ import annotations
@@ -151,29 +156,61 @@ def _extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone:
     return cone
 
 
-def tree_key(g: Graph, root: int, depth: int) -> bytes | None:
+def tree_key(g: Graph, root: int, depth: int,
+             known: bool = False) -> bytes | None:
     """``canonical_key(extract_lightcone(g, root, depth))`` when that cone
-    is a tree, read off the alive graph; None when it is cyclic."""
+    is a tree, read off the alive graph; None when it is cyclic.
+
+    With ``known`` the caller vouches that the cone is a tree (it was one at
+    an earlier state of this graph, and deletions keep it one), and the
+    walk checks nothing.
+    """
     if depth == 1:  # a star, always a tree
         return b"T\x01(" + b"()" * g._deg[root] + b")"
-    code = _tree_code(g.adj, g.alive, root, -1, depth, {root})
+    code = _tree_code(g.adj, g.alive, g._deg, root, -1, depth,
+                      None if known else {root})
     return None if code is None else b"T" + bytes([depth]) + code
 
 
-def _tree_code(adj, alive, u: int, parent: int, k: int,
-               seen: set) -> bytes | None:
-    """Sorted-subtree code of u, a vertex k shells inside the outermost, or
-    None when the walk meets a vertex already in ``seen``."""
+def _tree_code(adj, alive, deg, u: int, parent: int, k: int,
+               seen: set | None) -> bytes | None:
+    """Sorted-subtree code of u, a vertex k >= 2 shells inside the
+    outermost.
+
+    A set ``seen`` makes the walk a cycle check: it marks every vertex it
+    reaches and returns None at the first one already marked.  Outermost
+    vertices are marked but not expanded, so edges between them are never
+    seen.  With ``seen`` None the cone must be a tree, and a vertex one
+    shell inside the outermost is coded from its alive degree ``deg``: its
+    edges are its parent's and one per child, so the outermost shell is
+    never visited.
+    """
     sub = []
-    for v in adj[u]:
-        if alive[v] and v != parent:
-            if v in seen:
-                return None
-            seen.add(v)
-            code = b"()" if k == 1 else _tree_code(adj, alive, v, u, k - 1, seen)
-            if code is None:
-                return None
-            sub.append(code)
+    if seen is None and k == 2:
+        for v in adj[u]:
+            if alive[v] and v != parent:
+                sub.append(b"(" + b"()" * (deg[v] - 1) + b")")
+    else:
+        for v in adj[u]:
+            if alive[v] and v != parent:
+                if seen is not None:
+                    if v in seen:
+                        return None
+                    seen.add(v)
+                if k > 2:
+                    code = _tree_code(adj, alive, deg, v, u, k - 1, seen)
+                    if code is None:
+                        return None
+                else:  # checked, and v's children are outermost
+                    leaves = 0
+                    for w in adj[v]:
+                        if alive[w] and w != u:
+                            if w in seen:
+                                return None
+                            seen.add(w)
+                            leaves += 1
+                    code = b"(" + b"()" * leaves + b")"
+                sub.append(code)
     sub.sort()
     return b"(" + b"".join(sub) + b")"
 
@@ -201,8 +238,11 @@ def canonical_key(cone: LightCone) -> bytes:
     if cone.dists.count(0) != 1 or cone.dists[0] != 0:
         raise ValueError("canonical keys need exactly one root, at local id 0")
     if cone.is_tree:
-        code = _tree_code(cone.adjacency(), [True] * cone.size, 0, -1,
-                          cone.depth, {0})
+        deg = cone.in_degrees()
+        if cone.depth == 1:
+            return b"T\x01(" + b"()" * deg[0] + b")"
+        code = _tree_code(cone.adjacency(), [True] * cone.size, deg, 0, -1,
+                          cone.depth, None)
         return b"T" + bytes([cone.depth]) + code
     if cone.size > 255:
         raise ValueError("canonical keys of cyclic cones are limited to 255 "

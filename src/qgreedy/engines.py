@@ -39,7 +39,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import threading
 
 import numpy as np
 
@@ -399,14 +398,13 @@ class ExpectationCache:
 
     One cache serves exactly one angle schedule; mixing schedules in a single
     store would alias values, so callers run :meth:`check_schedule` before
-    use.  Reads are lock-free; inserts serialize on a lock.  The store
-    lives in memory only.
+    use.  The store lives in memory only, and no cache is shared between
+    threads: a sweep's workers are processes, each with its own.
     """
 
     def __init__(self, schedule: AngleSchedule):
         self.schedule = schedule
         self._store: dict[bytes, float] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -421,8 +419,7 @@ class ExpectationCache:
         return self._store.get(key)
 
     def insert(self, key: bytes, value: float) -> None:
-        with self._lock:
-            self._store[key] = value
+        self._store[key] = value
 
 
 def expectation(

@@ -110,5 +110,7 @@ def required_shots(n: int, eps: float, gap: float) -> int:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not gap > 0.0:  # NaN too
         raise ValueError("gap must be positive; use the cutoff path for gap 0")
+    if not gap <= 2.0:  # two expectations in [-1, 1] are at most 2 apart
+        raise ValueError(f"gap must be at most 2, got {gap}")
     return math.ceil(math.log(n / eps) / gap**2)
 

@@ -21,10 +21,12 @@ bisect.  The candidates are the lists of the ranks within delta of the top
 vertices and the tie window, not the graph size.
 
 Each score first asks ``tree_key`` for the node's key, read straight off
-the alive graph, and reads the value from the cache.  Only a cyclic cone
-(``tree_key`` gives None) or a cache miss takes the extraction and
-``evaluate_cone`` path.  The cache's angle schedule is checked once,
-before the first score, since tree hits never reach ``evaluate_cone``.
+the alive graph, and reads the value from the cache.  Once a node's cone
+has been a tree it stays one, so the node is flagged and later keyed by
+the walk that checks nothing.  Only a cyclic cone (``tree_key`` gives
+None) or a cache miss takes the extraction and ``evaluate_cone`` path.
+The cache's angle schedule is checked once, before the first score,
+since tree hits never reach ``evaluate_cone``.
 
 Tie-breaking draws one random index per step over the candidates in
 ascending id order, and none when there is one candidate (a draw over one
@@ -264,11 +266,15 @@ def solve_quantum_greedy(
     depth, isolated = cfg.depth, cfg.include_isolated
     # one bytes object per key class, shared by the scores that hold it
     keys: dict[bytes, bytes] = {}
+    # nodes whose cone was a tree; deletions never shorten a distance, so
+    # a cone only loses causal edges and a tree stays a tree
+    tree = bytearray(g.n)
 
     def score(work: Graph, i: int) -> tuple[float, float, bytes]:
         ideal = None
-        key = tree_key(work, i, depth)
+        key = tree_key(work, i, depth, tree[i])
         if key is not None:
+            tree[i] = 1
             key = keys.setdefault(key, key)
             ideal = cache.get(key)
         if ideal is None:

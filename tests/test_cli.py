@@ -270,6 +270,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and flag[2:] in err
 
+    @pytest.mark.parametrize("gap", ["0", "3", "inf"])
+    def test_shots_gap_outside_range_is_runtime_error(self, capsys, gap):
+        argv = ["shots", "--n", "10", "--eps", "0.05", "--gap", gap]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: gap must be")
+
     def test_runtime_error(self, capsys):
         assert main(["solve", "--in", "/nonexistent/g.txt"]) == 2
         assert "error:" in capsys.readouterr().err

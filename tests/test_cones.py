@@ -221,6 +221,51 @@ class TestTreeKey:
         # the star's hub seen from a leaf has 89 leaf children
         assert tree_key(_star(90), 1, 2) == b"T\x02((" + b"()" * 89 + b"))"
 
+    def test_tree_cone_stays_a_tree(self):
+        # deletions only shrink a cone, and what is left of a tree is a tree
+        rng = np.random.default_rng(5)
+        for g in _tree_key_graphs():
+            for depth in range(1, 5):
+                trees = set()
+                for work in _deletion_states(g, rng):
+                    for v in work.alive_nodes():
+                        tree = extract_lightcone(work, v, depth).is_tree
+                        assert tree or v not in trees, (v, depth)
+                        if tree:
+                            trees.add(v)
+                assert trees
+
+    def test_known_walk_on_every_cone_that_was_a_tree(self):
+        # the solver flags a node once its cone is a tree, and keys it with
+        # the unchecked walk at every later state
+        rng = np.random.default_rng(7)
+        checked = [0] * 5
+        for g in _tree_key_graphs():
+            for depth in range(1, 5):
+                known = set()
+                for work in _deletion_states(g, rng):
+                    alive = work.alive_nodes()
+                    for v in alive:
+                        if v in known:
+                            key = canonical_key(extract_lightcone(work, v, depth))
+                            assert tree_key(work, v, depth, known=True) == key, (
+                                v, depth)
+                            checked[depth] += 1
+                    known.update(v for v in alive
+                                 if tree_key(work, v, depth) is not None)
+        assert min(checked[1:]) > 1000
+
+    @pytest.mark.parametrize("depth, root", [(2, 2), (3, 301)])
+    def test_known_walk_codes_any_degree(self, depth, root):
+        # a 300-leaf star with a tail 1-301: seen from leaf 2 at depth 2, or
+        # from the tail's end at depth 3, the hub sits one shell inside the
+        # outermost and is coded from its alive degree, 300
+        g = Graph(302, [(0, i) for i in range(1, 301)] + [(1, 301)])
+        key = b"T" + bytes([depth]) + b"(" * depth + b"()" * 299 + b")" * depth
+        assert tree_key(g, root, depth, known=True) == key
+        assert tree_key(g, root, depth) == key
+        assert canonical_key(extract_lightcone(g, root, depth)) == key
+
     @pytest.mark.parametrize("edges, tree", [
         # two shell-1 vertices share an outermost one
         ([(0, 1), (0, 2), (1, 3), (2, 3)], False),

@@ -157,3 +157,12 @@ class TestRequiredShots:
     def test_nan_gap_is_named(self):
         with pytest.raises(ValueError, match="gap"):
             required_shots(10, 0.05, float("nan"))
+
+    @pytest.mark.parametrize("gap", [2.0000001, 3.0, float("inf")])
+    def test_gap_above_two_rejected(self, gap):
+        # two expectations in [-1, 1] are never more than 2 apart
+        with pytest.raises(ValueError, match="gap must be at most 2"):
+            required_shots(10, 0.05, gap)
+
+    def test_widest_gap_accepted(self):
+        assert required_shots(10, 0.05, 2.0) == 2

@@ -77,6 +77,22 @@ def test_run_bench_bad_workers_is_a_usage_error(value):
     assert "error: argument --workers:" in done.stderr
 
 
+@pytest.mark.parametrize("args, why", [
+    (("--degree", "x"), "argument --degree: invalid int value: 'x'"),
+    (("--max-depth", "0"), "argument --max-depth: must be an integer >= 1"),
+    (("--seed", "-1"), "argument --seed: must be an integer >= 0"),
+], ids=["degree", "max-depth", "seed"])
+def test_gen_default_angles_bad_flag_is_a_usage_error(tmp_path, args, why):
+    # parsing fails before the optimizer runs or any file is written
+    out = tmp_path / "angles"
+    done = run_failing("gen_default_angles.py", "--out-dir", str(out), *args)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("usage: ")
+    assert f"error: {why}" in done.stderr
+    assert done.stdout == ""
+    assert not out.exists()
+
+
 def test_run_bench_missing_plan_is_a_runtime_error(tmp_path):
     missing = str(tmp_path / "missing.plan")
     done = run_failing("run_bench.py", "--plan", missing)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import complete, k33, path, petersen, random_graph
 from qgreedy.angles import load_default_angles
-from qgreedy.cones import canonical_key, extract_lightcone
+from qgreedy.cones import canonical_key, extract_lightcone, tree_key
 from qgreedy.engines import ExpectationCache
 from qgreedy.errors import NodeLimitExceeded
 from qgreedy.graph import Graph, generate_regular, is_independent
@@ -327,6 +327,27 @@ class TestTreeCones:
         # a tree cone is never built, and trees are nearly all of them
         assert extracted and not any(cone.is_tree for cone in extracted)
         assert len(extracted) < 0.02 * len(read)
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_tree_cones_are_checked_once_per_node(self, monkeypatch, depth):
+        # after the first tree key, a node is keyed by the unchecked walk
+        g = generate_regular(400, 3, 2)
+        cfg = SolverConfig(schedule=load_default_angles(depth).schedule)
+        calls = []
+
+        def key(work, i, d, known=False):
+            found = tree_key(work, i, d, known)
+            calls.append((i, bool(known), found is not None))
+            return found
+
+        monkeypatch.setattr(qgreedy.solver, "tree_key", key)
+        solve_quantum_greedy(g, cfg)
+        tree = set()
+        for i, known, found in calls:
+            assert known == (i in tree), i
+            if found:
+                tree.add(i)
+        assert sum(known for _, known, _ in calls) > 0.4 * len(calls)
 
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("filled", [False, True])
