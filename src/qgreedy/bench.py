@@ -31,7 +31,7 @@ import numpy as np
 from .angles import angle_file_name, load_default_angles, read_angle_file
 from .engines import ExpectationCache
 from .errors import AngleFileMismatch
-from .graph import generate_regular
+from .graph import check_regular, generate_regular
 from .noise import NoiseParams
 from .solver import (
     SolverConfig,
@@ -64,8 +64,10 @@ class ExperimentPlan:
     stamp: bool = True
 
     def __post_init__(self):
-        if not self.sizes or any(s < 1 for s in self.sizes):
-            raise ValueError("sizes must be a nonempty list of sizes >= 1")
+        if not self.sizes:
+            raise ValueError("sizes must be a nonempty list")
+        for s in self.sizes:  # each size must have a degree-regular graph
+            check_regular(s, self.degree)
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
         for s in self.solvers:
@@ -194,15 +196,15 @@ def solver_config(depth, degree, lam, angles=None, **fields) -> SolverConfig:
     return SolverConfig(schedule=schedule, **fields)
 
 
-# per-process expectation caches, keyed by schedule fingerprint
+# per-process expectation caches, keyed by schedule
 _WORKER_CACHES: dict = {}
 
 
 def _cache_for(schedule) -> ExpectationCache:
-    cache = _WORKER_CACHES.get(schedule.fingerprint)
+    cache = _WORKER_CACHES.get(schedule)
     if cache is None:
         cache = ExpectationCache(schedule)
-        _WORKER_CACHES[schedule.fingerprint] = cache
+        _WORKER_CACHES[schedule] = cache
     return cache
 
 

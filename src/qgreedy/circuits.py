@@ -51,11 +51,6 @@ class AngleSchedule:
                 raise ValueError("angles must be finite")
         IsingParams(self.lam)  # raises unless lam is finite and >= 1
 
-    @property
-    def fingerprint(self) -> tuple:
-        """Hashable identity used to scope caches to one schedule."""
-        return (self.depth, self.degree, self.lam, self.gammas, self.betas)
-
 
 @dataclass(frozen=True)
 class Layer:

@@ -411,8 +411,7 @@ class ExpectationCache:
 
     def check_schedule(self, schedule: AngleSchedule) -> None:
         """Raise ValueError unless ``schedule`` is the one this cache serves."""
-        if (self.schedule is not schedule
-                and self.schedule.fingerprint != schedule.fingerprint):
+        if self.schedule is not schedule and self.schedule != schedule:
             raise ValueError("cache was built for a different angle schedule")
 
     def get(self, key: bytes) -> float | None:

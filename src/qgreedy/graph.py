@@ -201,16 +201,21 @@ def energy_pauli(g: Graph, params: IsingParams, spins) -> float:
     return total
 
 
+def check_regular(n: int, d: int) -> None:
+    """Raise ValueError unless a simple d-regular graph on n nodes exists."""
+    if d < 0 or n <= d:
+        raise ValueError(f"need 0 <= d < n, got n={n} d={d}")
+    if (n * d) % 2 != 0:
+        raise ValueError(f"n*d must be even, got n={n} d={d}")
+
+
 def generate_regular(n: int, d: int, seed: int, restarts: int = 2000) -> Graph:
     """Sample a uniform random simple d-regular graph via the configuration
     model, restarting from scratch on any self-loop or repeated edge.
 
     Deterministic for a fixed (n, d, seed).
     """
-    if d < 0 or n <= d:
-        raise ValueError(f"need 0 <= d < n, got n={n} d={d}")
-    if (n * d) % 2 != 0:
-        raise ValueError(f"n*d must be even, got n={n} d={d}")
+    check_regular(n, d)
     if d == 0:
         return Graph(n, [])
     rng = np.random.default_rng(seed)

@@ -9,11 +9,6 @@ only disturbs scores within distance depth+1 of the pick, so only that
 ball is rescored.  The loop never adds two adjacent vertices, so the
 output is independent no matter how wrong the scores are.
 
-With ``include_isolated`` the quantum score ranks a degree-0 vertex at
-infinity, above every advice value.  A vertex turns isolated only when its
-last neighbors are deleted, at distance 2 from the pick, so that rank is
-always current.
-
 Selection reads an index, not every live score: an ascending list of live
 nodes per distinct rank, and the ranks in ascending order, both kept with
 bisect.  The candidates are the lists of the ranks within delta of the top
@@ -106,9 +101,7 @@ class SolverConfig:
     shots: int = 0
     noise: NoiseParams | None = None
     seed: int = 0
-    tie_break: str = "random"  # random | lowest
     full_recompute: bool = False
-    include_isolated: bool = False  # degree-0 nodes rank first; off in reports
 
     def __post_init__(self):
         check_advice(self.advice, self.shots, self.noise)
@@ -116,8 +109,6 @@ class SolverConfig:
             raise ValueError(f"seed must be >= 0: {self.seed}")
         if self.delta is not None and not 0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite, >= 0: {self.delta}")
-        if self.tie_break not in ("random", "lowest"):
-            raise ValueError(f"unknown tie break {self.tie_break!r}")
 
     @property
     def depth(self) -> int:
@@ -189,8 +180,8 @@ def _make_advice(cfg: SolverConfig):
     return noisy_advice
 
 
-def _greedy(g: Graph, depth: int, score, delta: float, tie_break: str,
-            seed: int, full_recompute: bool) -> SolveTrace:
+def _greedy(g: Graph, depth: int, score, delta: float, seed: int,
+            full_recompute: bool) -> SolveTrace:
     """The greedy loop.  ``score(work, i)`` gives (rank, value, key bytes)
     of live node i from the alive nodes within ``depth`` of it, with key
     None when there is no cone; the loop picks by rank and records value
@@ -233,7 +224,7 @@ def _greedy(g: Graph, depth: int, score, delta: float, tie_break: str,
             candidates = buckets[levels[-1]]
         else:
             candidates = sorted(i for v in levels[lo:] for i in buckets[v])
-        if tie_break == "lowest" or len(candidates) == 1:
+        if len(candidates) == 1:
             pick = candidates[0]
         else:
             pick = candidates[int(rng.integers(len(candidates)))]
@@ -263,7 +254,7 @@ def solve_quantum_greedy(
     else:
         cache.check_schedule(schedule)  # tree hits never reach evaluate_cone
     advice = _make_advice(cfg)
-    depth, isolated = cfg.depth, cfg.include_isolated
+    depth = cfg.depth
     # one bytes object per key class, shared by the scores that hold it
     keys: dict[bytes, bytes] = {}
     # nodes whose cone was a tree; deletions never shorten a distance, so
@@ -281,20 +272,14 @@ def solve_quantum_greedy(
             cone = extract_lightcone(work, i, depth)
             ideal, key = evaluate_cone(cone, schedule, cache)
         value = ideal if advice is None else advice(i, ideal, key)
-        if isolated and work.degree(i) == 0:
-            return math.inf, value, key
         return value, value, key
 
-    return _greedy(g, depth, score, resolve_delta(cfg), cfg.tie_break,
-                   cfg.seed, cfg.full_recompute)
+    return _greedy(g, depth, score, resolve_delta(cfg), cfg.seed,
+                   cfg.full_recompute)
 
 
-def solve_classical_greedy(
-    g: Graph, seed: int = 0, tie_break: str = "random"
-) -> SolveTrace:
+def solve_classical_greedy(g: Graph, seed: int = 0) -> SolveTrace:
     """Repeatedly pick uniformly among minimum-degree vertices."""
-    if tie_break not in ("random", "lowest"):
-        raise ValueError(f"unknown tie break {tie_break!r}")
 
     def score(work: Graph, i: int) -> tuple[int, float, None]:
         d = work.degree(i)
@@ -302,7 +287,7 @@ def solve_classical_greedy(
 
     # a deletion changes degrees only at distance 2 from the pick, inside
     # the depth-1 loop's rescored ball
-    return _greedy(g, 1, score, 0, tie_break, seed, False)
+    return _greedy(g, 1, score, 0, seed, False)
 
 
 def worst_case_bound(d: int) -> float:

@@ -22,8 +22,34 @@ def complete(n: int) -> Graph:
     return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
 
+def complete_bipartite(m: int) -> Graph:
+    """K_{m,m}: sides 0..m-1 and m..2m-1."""
+    return Graph(2 * m, [(a, m + b) for a in range(m) for b in range(m)])
+
+
 def k33() -> Graph:
-    return Graph(6, [(a, 3 + b) for a in range(3) for b in range(3)])
+    return complete_bipartite(3)
+
+
+def prism() -> Graph:
+    """The triangular prism: 3-regular on 6 nodes, like K3,3."""
+    return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                     (0, 3), (1, 4), (2, 5)])
+
+
+def hypercube(k: int) -> Graph:
+    n = 1 << k
+    return Graph(n, [(v, v | (1 << b)) for v in range(n) for b in range(k)
+                     if not v & (1 << b)])
+
+
+def pentagon_flower(petals: int) -> Graph:
+    """``petals`` 5-cycles sharing node 0 and nothing else."""
+    edges = []
+    for c in range(petals):
+        ring = [0, *range(1 + 4 * c, 5 + 4 * c)]
+        edges += [(ring[j], ring[j + 1]) for j in range(4)] + [(0, ring[4])]
+    return Graph(1 + 4 * petals, edges)
 
 
 def path(n: int) -> Graph:

@@ -68,16 +68,16 @@ class TestParsePlan:
 
     @pytest.mark.parametrize("token", ["false", "0", "no", "False", "No"])
     def test_stamp_falsy_tokens(self, token):
-        assert parse_plan(f"sizes = 5\nstamp = {token}\n").stamp is False
+        assert parse_plan(f"sizes = 10\nstamp = {token}\n").stamp is False
 
     @pytest.mark.parametrize("token", ["true", "1", "yes", "TRUE", "Yes"])
     def test_stamp_truthy_tokens(self, token):
-        assert parse_plan(f"sizes = 5\nstamp = {token}\n").stamp is True
+        assert parse_plan(f"sizes = 10\nstamp = {token}\n").stamp is True
 
     @pytest.mark.parametrize("token", ["flase", "2", "off", "tru"])
     def test_stamp_other_tokens_rejected(self, token):
         with pytest.raises(ValueError, match="stamp"):
-            parse_plan(f"sizes = 5\nstamp = {token}\n")
+            parse_plan(f"sizes = 10\nstamp = {token}\n")
 
     def test_bad_line(self):
         with pytest.raises(ValueError):
@@ -127,6 +127,8 @@ class TestParsePlan:
     @pytest.mark.parametrize("line", [
         "advice = shots", "depths = 0", "stamp = flase", "seed = -1",
         "noise_seed = -1", "sigma = nan", "alpha = inf",
+        # no simple 3-regular graph on 7 or 3 nodes, nor a degree-(-1) one
+        "sizes = 7", "sizes = 3", "degree = -1",
     ])
     def test_bad_plan_fails_before_any_work(self, tmp_path, line):
         out = tmp_path / "r.csv"

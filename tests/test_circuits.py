@@ -41,10 +41,13 @@ class TestAngleSchedule:
             AngleSchedule(0, 3, 1.0, (), ())
 
     def test_fingerprint_identity(self):
+        # the frozen dataclass's == and hash are the schedule's identity
         a = sched((0.1, 0.2), (0.3, 0.4))
         b = sched((0.1, 0.2), (0.3, 0.4))
-        assert a.fingerprint == b.fingerprint
-        assert a.fingerprint != sched((0.1, 0.2), (0.3, 0.5)).fingerprint
+        assert a == b and hash(a) == hash(b)
+        assert a != sched((0.1, 0.2), (0.3, 0.5))
+        assert a != sched((0.1, 0.2), (0.3, 0.4), lam=2.0)
+        assert len({a, b}) == 1
 
 
 class TestBuildCircuit:

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgreedy.cones
 from helpers import (
     complete,
+    complete_bipartite,
+    hypercube,
+    k33,
     path,
+    pentagon_flower,
     petersen,
+    prism,
     random_degree3_graph,
     random_graph,
     reference_extract,
@@ -420,6 +426,58 @@ class TestCanonicalKeys:
         assert 0 < trees < len(cones)
         with pytest.raises(ValueError):
             cone_from_key(b"X\x02()")
+
+# rooted at node 0; C5xk is k 5-cycles sharing the root
+_SYMMETRIC = {
+    "petersen": petersen(),
+    "Q3": hypercube(3),
+    "Q4": hypercube(4),
+    "Q5": hypercube(5),
+    "K33": complete_bipartite(3),
+    "K44": complete_bipartite(4),
+    "K55": complete_bipartite(5),
+    "C5x4": pentagon_flower(4),
+    "C5x5": pentagon_flower(5),
+}
+
+
+class TestHighSymmetryKeys:
+    """Vertex-transitive and flower cores, where every branch of the key
+    search looks alike and only automorphism pruning keeps it small."""
+
+    # the most refinements one key may take: the pruned search needs at most
+    # 68 (K55), the unpruned one 206 to 6331 on Q5, K44, K55 and the
+    # flowers at depth 3; a count, unlike a time, holds on any machine
+    MAX_REFINES = 100
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("name", list(_SYMMETRIC))
+    def test_relabel_keeps_key_and_search_stays_pruned(
+        self, monkeypatch, name, depth
+    ):
+        cone = extract_lightcone(_SYMMETRIC[name], 0, depth)
+        refines = []
+        plain = qgreedy.cones._refine
+
+        def refine(*args):
+            refines.append(1)
+            return plain(*args)
+
+        monkeypatch.setattr(qgreedy.cones, "_refine", refine)
+        key = canonical_key(cone)
+        assert len(refines) <= self.MAX_REFINES
+        rng = np.random.default_rng(depth)
+        for _ in range(5):
+            assert canonical_key(relabel_cone(cone, rng)) == key
+
+    def test_k33_and_prism_differ(self):
+        # both 3-regular on 6 nodes; the prism has triangles, K3,3 does not
+        a = extract_lightcone(k33(), 0, 2)
+        b = extract_lightcone(prism(), 0, 2)
+        assert a.size == b.size and not a.is_tree and not b.is_tree
+        assert canonical_key(a) != canonical_key(b)
+        assert not rooted_isomorphic(a, b)
+
 
 class TestKeyDigest:
     def test_deterministic_and_distinct(self):

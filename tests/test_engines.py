@@ -325,7 +325,7 @@ class TestCacheAndRouting:
             evaluate_cone(cone, sched_p2, cache)
 
     def test_equal_schedule_object_accepted(self, sched_p2):
-        # the schedule check compares fingerprints, not identity
+        # the schedule check compares schedules by value, not identity
         cache = ExpectationCache(sched_p2)
         cone = extract_lightcone(complete(4), 0, 2)
         twin = dataclasses.replace(sched_p2)

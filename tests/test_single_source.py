@@ -3,8 +3,9 @@ by ``bench.solver_config``, the angle file name is spelled out only by
 ``angles.angle_file_name``, ``engines.expectation`` is the one routing
 decision (the closed form at depth 1, else contraction; dense statevector
 and the closed edge form are test oracles only), the Ising coefficients
-come from ``graph.IsingParams`` alone, and ``cones._tree_code`` is the one
-tree encoder."""
+come from ``graph.IsingParams`` alone, ``cones._tree_code`` is the one
+tree encoder, and ``graph.check_regular`` is the one test of which regular
+graphs exist."""
 
 import ast
 from pathlib import Path
@@ -94,6 +95,13 @@ def test_ising_coefficients_spelled_once():
     # lam / 4 and (lam d - 2) / 4 live in IsingParams.coupling and .field
     assert _sites(_divisions_by_four) == [
         ("graph.py", "coupling"), ("graph.py", "field")
+    ]
+
+
+def test_regular_sizes_checked_in_one_place():
+    # the generator checks its own input; a plan checks every size up front
+    assert sorted(_sites(_calls_to("check_regular"))) == [
+        ("bench.py", "__post_init__"), ("graph.py", "generate_regular")
     ]
 
 

@@ -10,7 +10,7 @@ import qgreedy.solver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, k33, path, petersen, random_graph
+from helpers import complete, k33, petersen, random_graph
 from qgreedy.angles import load_default_angles
 from qgreedy.cones import canonical_key, extract_lightcone, tree_key
 from qgreedy.engines import ExpectationCache
@@ -85,15 +85,6 @@ class TestClassicalGreedy:
         a = solve_classical_greedy(g, seed=5)
         b = solve_classical_greedy(g, seed=5)
         assert a.order == b.order
-
-    def test_lowest_tie_break(self):
-        g = complete(4)
-        trace = solve_classical_greedy(g, seed=99, tie_break="lowest")
-        assert trace.order == [0]
-
-    def test_bad_tie_break_rejected(self):
-        with pytest.raises(ValueError):
-            solve_classical_greedy(path(3), tie_break="best")
 
     def test_classical_values_are_degrees(self):
         g = generate_regular(20, 3, 1)
@@ -175,21 +166,6 @@ class TestQuantumGreedy:
             assert is_independent(g, trace.order)
             assert sum(s.removed for s in trace.steps) == g.n
 
-    def test_include_isolated_fast_path(self, sched_p1):
-        g = Graph(5, [(0, 1), (1, 2), (0, 2)])  # triangle + two isolated
-        cfg = SolverConfig(schedule=sched_p1, include_isolated=True,
-                           tie_break="lowest")
-        trace = solve_quantum_greedy(g, cfg)
-        assert trace.order[:2] == [3, 4]
-        assert trace.set_size == 3
-
-    def test_lowest_tie_break(self, sched_p1):
-        g = complete(4)
-        trace = solve_quantum_greedy(
-            g, SolverConfig(schedule=sched_p1, tie_break="lowest", seed=77)
-        )
-        assert trace.order == [0]
-
     def test_trace_independent_of_cache_history(self, sched_p2):
         # a class's value is its own, not that of whichever isomorphic cone
         # reached a shared cache first (at delta 0 an ulp can flip a pick)
@@ -220,17 +196,15 @@ class TestQuantumGreedy:
         from qgreedy.cones import canonical_key, extract_lightcone
 
         g = generate_regular(10, 3, 0)
-        trace = solve_quantum_greedy(
-            g, SolverConfig(schedule=sched_p1, tie_break="lowest")
-        )
+        trace = solve_quantum_greedy(g, SolverConfig(schedule=sched_p1))
         first = trace.steps[0]
         expect = canonical_key(extract_lightcone(g, first.node, 1)).hex()
         assert first.key_hex == expect
 
 
 def _grid_traces(sched_p1, sched_p2):
-    """p=1,2 x ideal/shot/noise x delta 0/auto/0.05 x both tie breaks x
-    incremental/full, in that order."""
+    """p=1,2 x ideal/shot/noise x delta 0/auto/0.05 x incremental/full, in
+    that order."""
     noise = NoiseParams(eta=0.05, alpha=-0.02, sigma=0.03, seed=9)
     advice = [
         {},
@@ -243,27 +217,24 @@ def _grid_traces(sched_p1, sched_p2):
         2: (sched_p2, ExpectationCache(sched_p2), generate_regular(40, 3, 42)),
     }
     grid = itertools.product(
-        (1, 2), advice, (0.0, None, 0.05), ("random", "lowest"),
-        (False, True),
+        (1, 2), advice, (0.0, None, 0.05), (False, True)
     )
-    for idx, (depth, extra, delta, tie, full) in enumerate(grid):
+    for idx, (depth, extra, delta, full) in enumerate(grid):
         sched, cache, g = runs[depth]
         cfg = SolverConfig(schedule=sched, delta=delta, seed=idx,
-                           tie_break=tie, full_recompute=full, **extra)
+                           full_recompute=full, **extra)
         yield solve_quantum_greedy(g, cfg, cache)
 
 
-def _isolated_traces(sched_p1, sched_p2):
-    """Classical solves, then include_isolated solves on sparse graphs."""
+def _sparse_traces(sched_p1, sched_p2):
+    """Classical solves, then quantum solves on sparse graphs."""
     rng = np.random.default_rng(43)
     regular = [generate_regular(n, 3, 43 + n) for n in (40, 200)]
     sparse = [random_graph(rng, n, 2.0 / n) for n in (30, 60, 120)]
-    # the isolated-first rule only matters if there are isolated nodes
+    # every sparse graph starts with degree-0 nodes, which rank by advice
     assert all(any(s.degree(i) == 0 for i in range(s.n)) for s in sparse)
-    for idx, (g, tie) in enumerate(
-        itertools.product(regular + sparse, ("random", "lowest"))
-    ):
-        yield solve_classical_greedy(g, seed=idx, tie_break=tie)
+    for idx, g in enumerate(regular + sparse):
+        yield solve_classical_greedy(g, seed=idx)
     noise = NoiseParams(eta=0.05, alpha=-0.02, sigma=0.03, seed=9)
     advice = [
         {},
@@ -274,13 +245,10 @@ def _isolated_traces(sched_p1, sched_p2):
         1: (sched_p1, None),
         2: (sched_p2, ExpectationCache(sched_p2)),  # see _grid_traces
     }
-    grid = itertools.product(
-        (1, 2), advice, (0.0, None, 0.05), ("random", "lowest"), sparse
-    )
-    for idx, (depth, extra, delta, tie, g) in enumerate(grid):
+    grid = itertools.product((1, 2), advice, (0.0, None, 0.05), sparse)
+    for idx, (depth, extra, delta, g) in enumerate(grid):
         sched, cache = runs[depth]
-        cfg = SolverConfig(schedule=sched, delta=delta, seed=idx,
-                           tie_break=tie, include_isolated=True, **extra)
+        cfg = SolverConfig(schedule=sched, delta=delta, seed=idx, **extra)
         yield solve_quantum_greedy(g, cfg, cache)
 
 
@@ -383,15 +351,15 @@ class TestTreeCones:
 class TestTraceDigest:
     """Selection is pinned byte for byte: any change to the loop, the advice
     sources or the cone layers that alters a pick, value or key shows here.
-    The grid crosses depth, advice source, delta (0, auto, fixed), tie break
-    and incremental versus full recomputation.  The pick digests leave the
+    The grid crosses depth, advice source, delta (0, auto, fixed) and
+    incremental versus full recomputation.  The pick digests leave the
     values out, so they hold across engine changes that move a value by an
     ulp but flip no pick."""
 
     # SHA-256 over the concatenated format_trace texts, in grid order
-    DIGEST = "c9d6395342f431d23a14d8932875c32e03335c958864004db6a8cc464b7546c2"
+    DIGEST = "683fda8a3e723c500978e2aad0494a984c6ff6f6210e87ffc8c090905aabed02"
     # SHA-256 over the same traces' picks (see _picks)
-    PICK_DIGEST = "ce7aa95208aba25e107f8252667c51cde7a5dd2344fea4fbae349c9167335ea3"
+    PICK_DIGEST = "e1e16f6f33113654ecf043f62db956fde09010fc11ccc40d02ef630d598c2f73"
 
     def test_grid_digest(self, sched_p1, sched_p2):
         traces = _grid_traces(sched_p1, sched_p2)
@@ -401,20 +369,20 @@ class TestTraceDigest:
         traces = _grid_traces(sched_p1, sched_p2)
         assert _digest(_picks(t) for t in traces) == self.PICK_DIGEST
 
-    # SHA-256 over the classical texts, then the include_isolated texts
-    ISOLATED_DIGEST = "5fae1e021eb6da32be713c39b5962952a15b6e61e03a34ce400e4ac2aae26267"
-    ISOLATED_PICK_DIGEST = (
-        "bccffb25ea5f796d5273da39ab4f4a26e2a00613015cf351d736bdd97fb2e1f6"
+    # SHA-256 over the classical texts, then the sparse-graph quantum texts
+    SPARSE_DIGEST = "b765ff0a96466bb255e784f7ed1df2e55e851290b8f634bbe357f84b3554b15d"
+    SPARSE_PICK_DIGEST = (
+        "eb8cf149ee2b47ed2cd6f7cd47b81279051a4a340c9424a827e83e9a66c614c0"
     )
 
     def test_classical_and_isolated_digest(self, sched_p1, sched_p2):
-        traces = _isolated_traces(sched_p1, sched_p2)
-        assert _digest(format_trace(t) for t in traces) == self.ISOLATED_DIGEST
+        traces = _sparse_traces(sched_p1, sched_p2)
+        assert _digest(format_trace(t) for t in traces) == self.SPARSE_DIGEST
 
     def test_classical_and_isolated_pick_digest(self, sched_p1, sched_p2):
-        traces = _isolated_traces(sched_p1, sched_p2)
+        traces = _sparse_traces(sched_p1, sched_p2)
         assert (_digest(_picks(t) for t in traces)
-                == self.ISOLATED_PICK_DIGEST)
+                == self.SPARSE_PICK_DIGEST)
 
 
 def _shot_advice(sched, seed, shots=64):
@@ -499,16 +467,12 @@ class TestSolverConfig:
             SolverConfig(schedule=sched_p1, advice="noise")
         with pytest.raises(ValueError):
             SolverConfig(schedule=sched_p1, delta=-0.1)
-        with pytest.raises(ValueError):
-            SolverConfig(schedule=sched_p1, tie_break="best")
 
     def test_nan_delta_rejected(self, sched_p1):
-        # NaN passes a "< 0" check; with it every value would count as tied.
-        # inf - inf is NaN too, at the infinite rank of an isolated node.
+        # NaN passes a "< 0" check; with it every value would count as tied
         for delta in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="delta"):
-                SolverConfig(schedule=sched_p1, delta=delta,
-                             tie_break="lowest")
+                SolverConfig(schedule=sched_p1, delta=delta)
 
     def test_negative_seed_rejected(self, sched_p1):
         with pytest.raises(ValueError, match="seed"):
