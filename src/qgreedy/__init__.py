@@ -15,7 +15,6 @@ from .errors import (
     NodeLimitExceeded,
     QGreedyError,
     RestartBudgetExceeded,
-    StatevectorCapExceeded,
 )
 from .graph import generate_regular
 from .solver import (

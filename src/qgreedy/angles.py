@@ -127,8 +127,6 @@ def normalize_schedule(schedule: AngleSchedule) -> AngleSchedule:
 class AngleOptimum:
     schedule: AngleSchedule
     energy: float
-    vertex_expectation: float
-    edge_expectation: float
 
 
 def optimize_tree_angles(
@@ -200,9 +198,7 @@ def optimize_tree_angles(
     sched = normalize_schedule(
         AngleSchedule(depth, d, lam, tuple(best_x[:depth]), tuple(best_x[depth:]))
     )
-    energy, z, zz = _energy(sched, vcone, econe)
-    return AngleOptimum(schedule=sched, energy=energy,
-                        vertex_expectation=z, edge_expectation=zz)
+    return AngleOptimum(schedule=sched, energy=_energy(sched, vcone, econe)[0])
 
 
 @functools.cache
@@ -286,12 +282,7 @@ def parse_angle_text(text: str) -> AngleOptimum:
         int(fields["p"]), int(fields["d"]), float(fields["lambda"]),
         gammas, betas,
     )
-    return AngleOptimum(
-        schedule=sched,
-        energy=float(fields["energy"]),
-        vertex_expectation=math.nan,
-        edge_expectation=math.nan,
-    )
+    return AngleOptimum(schedule=sched, energy=float(fields["energy"]))
 
 
 def read_angle_file(path) -> AngleOptimum:

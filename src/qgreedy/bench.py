@@ -3,14 +3,16 @@
 A plan names sizes, solvers, depths, and an advice mode; run_plan generates
 one shared instance set per size from the master seed and runs every
 configured solver on every instance, so depth-to-depth and solver-to-solver
-comparisons are paired.  Per-instance results are flushed to a sidecar file
-as they finish, and reruns skip rows already present, so an interrupted run
-resumes where it stopped.  The sidecar's first line holds a digest of the
-plan fields that decide the results (all but ``workers``, ``out`` and
-``stamp``); a plan never resumes a sidecar written by another plan.  Angle
-files are read and checked before the sidecar is opened.
+comparisons are paired.  It returns one ReportRow per (size, solver, depth),
+sorted, and writes the same rows as CSV.  Per-instance results are flushed
+to a sidecar file in the order the instances finish, and reruns skip rows
+already present, so an interrupted run resumes where it stopped.  The
+sidecar's first line holds a digest of the plan fields that decide the
+results (all but ``workers``, ``out`` and ``stamp``); a plan never resumes a
+sidecar written by another plan.  Angle files are read and checked before
+the sidecar is opened.
 
-Reference constants reported alongside the aggregates: the asymptotic mean
+Reference constants to read the aggregates against: the asymptotic mean
 ratio of the classical min-degree greedy on large random 3-regular graphs,
 6 ln(3/2) - 2, and the best known prioritized-search ratio 0.445330.
 """
@@ -22,7 +24,7 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -107,6 +109,8 @@ def parse_plan(text: str) -> ExperimentPlan:
         key = key.strip()
         if key not in _PLAN_KEYS:
             raise ValueError(f"unknown plan key {key!r}")
+        if key in raw:
+            raise ValueError(f"plan key {key!r} given twice")
         raw[key] = val.strip()
 
     def ints(key, default):
@@ -159,19 +163,6 @@ class ReportRow:
     mean_r: float
     sem: float
     sem3: float
-
-
-@dataclass(frozen=True)
-class BenchmarkReport:
-    rows: tuple[ReportRow, ...]
-    greedy_asymptote: float = GREEDY_ASYMPTOTE
-    prioritized_search_ratio: float = PRIORITIZED_SEARCH_RATIO
-
-    def row(self, size: int, solver: str, depth: int = 0) -> ReportRow:
-        for r in self.rows:
-            if (r.size, r.solver, r.depth) == (size, solver, depth):
-                return r
-        raise KeyError((size, solver, depth))
 
 
 def _derived_seed(*entropy) -> int:
@@ -268,7 +259,7 @@ def _cells(plan: ExperimentPlan) -> list[tuple[str, int]]:
     ]
 
 
-def run_plan(plan: ExperimentPlan) -> BenchmarkReport:
+def run_plan(plan: ExperimentPlan) -> tuple[ReportRow, ...]:
     configs = {}
     for depth in plan.depths if "qgreedy" in plan.solvers else ():
         name = angle_file_name(depth, plan.degree, plan.lam)
@@ -306,7 +297,7 @@ def run_plan(plan: ExperimentPlan) -> BenchmarkReport:
                     pool.submit(_run_instance, plan, configs, size, index)
                     for size, index in todo
                 ]
-                for fut in futures:
+                for fut in as_completed(futures):
                     flush(fut.result())
         else:
             for size, index in todo:
@@ -321,17 +312,16 @@ def run_plan(plan: ExperimentPlan) -> BenchmarkReport:
             rows.append(
                 ReportRow(size, solver, depth, len(rs), mean, sem, 3.0 * sem)
             )
-    report = BenchmarkReport(rows=tuple(rows))
-    write_csv(plan, report)
-    return report
+    write_csv(plan, rows)
+    return tuple(rows)
 
 
-def write_csv(plan: ExperimentPlan, report: BenchmarkReport) -> None:
+def write_csv(plan: ExperimentPlan, rows) -> None:
     lines = []
     if plan.stamp:
         lines.append(f"# generated {datetime.now(timezone.utc).isoformat()}")
     lines.append(CSV_COLUMNS)
-    for r in report.rows:
+    for r in rows:
         lines.append(
             f"{r.size},{r.solver},{r.depth},{r.instances},"
             f"{r.mean_r:.17g},{r.sem:.17g},{r.sem3:.17g},"
@@ -339,61 +329,3 @@ def write_csv(plan: ExperimentPlan, report: BenchmarkReport) -> None:
         )
     with open(plan.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-# -- depth-trend fits --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CurveFit:
-    model: str  # "a/p+b" | "c*p^d"
-    params: tuple[float, ...]
-    residual_norm: float
-
-
-def fit_curve(points, model: str) -> CurveFit:
-    """Least-squares fit of value-vs-depth points to one of two small models.
-
-    a/p+b is linear in 1/p and solved directly.  c*p^d is solved by a scan
-    over the exponent with the closed-form optimal c at each candidate,
-    then a local bisection refinement around the best exponent.
-    """
-    pts = [(float(p), float(v)) for p, v in points]
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points")
-    ps = np.array([p for p, _ in pts])
-    ys = np.array([v for _, v in pts])
-    if model == "a/p+b":
-        if np.any(ps == 0):
-            raise ValueError("a/p+b undefined at p=0")
-        design = np.column_stack([1.0 / ps, np.ones_like(ps)])
-        params, *_ = np.linalg.lstsq(design, ys, rcond=None)
-        resid = design @ params - ys
-        return CurveFit("a/p+b", (float(params[0]), float(params[1])),
-                        float(np.linalg.norm(resid)))
-    if model == "c*p^d":
-        if np.any(ps <= 0):
-            raise ValueError("c*p^d needs positive p")
-
-        def best_c(d):
-            basis = ps**d
-            denom = float(basis @ basis)
-            c = float(basis @ ys) / denom
-            return c, float(np.linalg.norm(c * basis - ys))
-
-        grid = np.arange(-4.0, 4.0 + 1e-9, 1e-3)
-        scores = [best_c(d)[1] for d in grid]
-        i = int(np.argmin(scores))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
-        for _ in range(60):  # bisect the bracket down to ~1e-19 width
-            m1 = lo + (hi - lo) / 3
-            m2 = hi - (hi - lo) / 3
-            if best_c(m1)[1] <= best_c(m2)[1]:
-                hi = m2
-            else:
-                lo = m1
-        d = (lo + hi) / 2
-        c, resid = best_c(d)
-        return CurveFit("c*p^d", (c, float(d)), resid)
-    raise ValueError(f"unknown model {model!r}")

@@ -92,7 +92,7 @@ def build_parser() -> _Parser:
 
     sol = add("solve", help="run one solver on one instance, print the trace")
     sol.add_argument("--in", dest="infile", default=None,
-                     help="edge list file (default: generate from --n/--seed)")
+                     help="edge list file (else generate from --n/--seed)")
     sol.add_argument("--n", type=int, default=None)
     sol.add_argument("--degree", type=int, default=3)
     sol.add_argument("--solver", choices=("qgreedy", "greedy", "exact"),
@@ -168,9 +168,12 @@ _NOISE_FLAGS = ("eta", "alpha", "sigma", "noise_seed")
 def _solve_usage_error(args) -> str | None:
     """Why these solve flags cannot run as given, or None.
 
-    A flag that the chosen solver or advice source does not read is an
-    error rather than silently ignored.
+    The graph comes from exactly one of --in and --n, and a flag that the
+    chosen solver or advice source does not read is an error rather than
+    silently ignored.
     """
+    if (args.infile is None) == (args.n is None):
+        return "solve needs exactly one of --in and --n"
     solver = args.solver
     unread = {}  # flag dest -> the choice that does not read it
     if solver != "exact":
@@ -193,13 +196,11 @@ def _solve_usage_error(args) -> str | None:
 
 
 def _cmd_solve(args) -> int:
-    if args.infile:
+    if args.infile is not None:
         with open(args.infile) as fh:
             g = read_edge_list(fh.read())
-    elif args.n is not None:
-        g = generate_regular(args.n, args.degree, args.seed)
     else:
-        raise QGreedyError("solve needs --in or --n")
+        g = generate_regular(args.n, args.degree, args.seed)
     if args.solver == "exact":
         nodes = solve_exact(g, node_limit=args.node_limit)
         ratio = len(nodes) / g.alive_count
@@ -237,8 +238,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_bench(args) -> int:
     plan = load_plan(args.plan)
-    report = run_plan(plan)
-    for r in report.rows:
+    for r in run_plan(plan):
         print(
             f"size {r.size} solver {r.solver} depth {r.depth} "
             f"instances {r.instances} mean_r {r.mean_r:.6f} 3sem {r.sem3:.6f}"

@@ -545,10 +545,3 @@ def _within_edge_sets(n: int, caps: list[int]):
 
     rec(0, list(caps))
     yield from out
-
-
-def tree_ball_size(depth: int, d: int) -> int:
-    """Vertices within ``depth`` of a bulk vertex of the d-regular tree."""
-    if d == 2:
-        return 2 * depth + 1
-    return 1 + d * ((d - 1) ** depth - 1) // (d - 2)

@@ -13,9 +13,12 @@ circuit, raising ContractionBudgetExceeded when the plan's peak-entry
 estimate trips ``CONTRACTION_BUDGET``.  The solver reaches it through
 :func:`evaluate_cone`, which adds only the cache; the angle optimizer and
 the resolution cutoff call it directly.
-Dense statevector evolution, capped at ``STATEVECTOR_CAP`` qubits, is the
-test oracle only: each route agrees with it to tight tolerance on
-overlapping domains, which guards against a silent convention error.
+Dense statevector evolution, capped at ``STATEVECTOR_CAP`` qubits, is a
+test oracle that no solve calls: each route agrees with it to tight
+tolerance on overlapping domains, which guards against a silent convention
+error.  It stays in this module because the benchmark tracer
+(``perfbench/tracing.py``) names it as a span; the other oracles live with
+the tests.
 
 The contraction engine views the expectation as a classical partition
 function on a time-expanded copy of the cone graph: the cost layers are
@@ -68,42 +71,6 @@ def expectation_p1_analytic(
         * math.sin(2.0 * gamma * h)
         * math.cos(2.0 * gamma * IsingParams(lam).coupling) ** degree
     )
-
-
-def expectation_p1_edge(
-    deg_u: int,
-    deg_v: int,
-    h_u: float,
-    h_v: float,
-    gamma: float,
-    beta: float,
-    lam: float = 1.0,
-) -> float:
-    """Single-layer <Z_u Z_v> for an edge whose endpoints share no neighbor.
-
-    Valid on tree cones; used by the grid-search oracle for depth-1 angle
-    optimization.
-    """
-    c = math.cos(2.0 * beta)
-    s = math.sin(2.0 * beta)
-    j2 = 2.0 * gamma * IsingParams(lam).coupling
-    cu = math.cos(j2) ** (deg_u - 1)
-    cv = math.cos(j2) ** (deg_v - 1)
-    cross = (
-        c
-        * s
-        * math.sin(j2)
-        * (math.cos(2.0 * gamma * h_u) * cu + math.cos(2.0 * gamma * h_v) * cv)
-    )
-    both = (
-        s
-        * s
-        * math.sin(2.0 * gamma * h_u)
-        * math.sin(2.0 * gamma * h_v)
-        * cu
-        * cv
-    )
-    return cross + both
 
 
 # -- dense statevector ------------------------------------------------------

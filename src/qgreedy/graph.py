@@ -187,20 +187,6 @@ def energy(g: Graph, params: IsingParams, bits) -> float:
     return params.lam * conflicts - float(occupied)
 
 
-def energy_pauli(g: Graph, params: IsingParams, spins) -> float:
-    """Spin-basis cost; must agree with :func:`energy` at s_i = 2 n_i - 1."""
-    if len(spins) != g.n:
-        raise ValueError(f"assignment length {len(spins)} != node count {g.n}")
-    total = 0.0
-    for u, v in g.edges_alive():
-        total += params.coupling * spins[u] * spins[v]
-    for i in range(g.n):
-        if g.alive[i]:
-            d = g._deg[i]
-            total += params.field(d) * spins[i] + params.offset(d)
-    return total
-
-
 def check_regular(n: int, d: int) -> None:
     """Raise ValueError unless a simple d-regular graph on n nodes exists."""
     if d < 0 or n <= d:

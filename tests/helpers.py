@@ -1,14 +1,17 @@
 """Shared test utilities: small named graphs, random graph draws, a
 brute-force rooted-isomorphism oracle for canonical-key checks, the plain
-frontier-list cone BFS as an oracle for the shell-indexed one, and the
-benchmark's tracer loaded by path."""
+frontier-list cone BFS as an oracle for the shell-indexed one, closed-form
+oracles (the depth-1 edge expectation, the spin-basis cost, the tree ball
+size), and source files outside the package (the benchmark's tracer,
+``scripts/run_bench.py``) loaded by path."""
 
 import importlib.util
+import math
 from itertools import permutations
 from pathlib import Path
 
 from qgreedy.cones import LightCone
-from qgreedy.graph import Graph
+from qgreedy.graph import Graph, IsingParams
 
 
 def petersen() -> Graph:
@@ -188,12 +191,80 @@ def reference_extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone
     )
 
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+def expectation_p1_edge(
+    deg_u: int,
+    deg_v: int,
+    h_u: float,
+    h_v: float,
+    gamma: float,
+    beta: float,
+    lam: float = 1.0,
+) -> float:
+    """Single-layer <Z_u Z_v> for an edge whose endpoints share no neighbor.
+
+    Valid on tree cones.
+    """
+    c = math.cos(2.0 * beta)
+    s = math.sin(2.0 * beta)
+    j2 = 2.0 * gamma * IsingParams(lam).coupling
+    cu = math.cos(j2) ** (deg_u - 1)
+    cv = math.cos(j2) ** (deg_v - 1)
+    cross = (
+        c
+        * s
+        * math.sin(j2)
+        * (math.cos(2.0 * gamma * h_u) * cu + math.cos(2.0 * gamma * h_v) * cv)
+    )
+    both = (
+        s
+        * s
+        * math.sin(2.0 * gamma * h_u)
+        * math.sin(2.0 * gamma * h_v)
+        * cu
+        * cv
+    )
+    return cross + both
 
 
-def load_tracing():
-    """``perfbench/tracing.py`` as a module, loaded by path and only read."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def energy_pauli(g: Graph, params: IsingParams, spins) -> float:
+    """Spin-basis cost; must agree with ``graph.energy`` at s_i = 2 n_i - 1."""
+    if len(spins) != g.n:
+        raise ValueError(f"assignment length {len(spins)} != node count {g.n}")
+    total = 0.0
+    for u, v in g.edges_alive():
+        total += params.coupling * spins[u] * spins[v]
+    for i in range(g.n):
+        if g.alive[i]:
+            d = g._deg[i]
+            total += params.field(d) * spins[i] + params.offset(d)
+    return total
+
+
+def tree_ball_size(depth: int, d: int) -> int:
+    """Vertices within ``depth`` of a bulk vertex of the d-regular tree."""
+    if d == 2:
+        return 2 * depth + 1
+    return 1 + d * ((d - 1) ** depth - 1) // (d - 2)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+RUN_BENCH = ROOT / "scripts" / "run_bench.py"
+
+
+def _load(path: Path, name: str):
+    """A source file as a module, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    """``perfbench/tracing.py`` as a module."""
+    return _load(TRACING, "perfbench_tracing")
+
+
+def load_run_bench():
+    """``scripts/run_bench.py`` as a module; its ``main`` is not run."""
+    return _load(RUN_BENCH, "run_bench")

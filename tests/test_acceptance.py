@@ -16,7 +16,13 @@ import time
 
 import numpy as np
 import pytest
-from helpers import random_degree3_graph, random_graph, relabel_cone, rooted_isomorphic
+from helpers import (
+    energy_pauli,
+    random_degree3_graph,
+    random_graph,
+    relabel_cone,
+    rooted_isomorphic,
+)
 
 from qgreedy.angles import load_default_angles, vertex_cone
 from qgreedy.circuits import AngleSchedule, build_circuit
@@ -37,7 +43,6 @@ from qgreedy.engines import (
 from qgreedy.graph import (
     IsingParams,
     energy,
-    energy_pauli,
     generate_regular,
     is_independent,
 )

@@ -1,19 +1,19 @@
 import dataclasses
 import math
+import time
 from importlib import resources
 
 import pytest
 
+from helpers import load_run_bench
+from qgreedy import bench
 from qgreedy.angles import angle_file_name, load_default_angles, write_angle_file
 from qgreedy.bench import (
     CSV_COLUMNS,
     GREEDY_ASYMPTOTE,
     PRIORITIZED_SEARCH_RATIO,
-    BenchmarkReport,
     ExperimentPlan,
-    ReportRow,
     _derived_seed,
-    fit_curve,
     load_plan,
     parse_plan,
     run_plan,
@@ -22,6 +22,9 @@ from qgreedy.bench import (
 from qgreedy.graph import generate_regular
 from qgreedy.noise import NoiseParams
 from qgreedy.solver import SolverConfig, solve_quantum_greedy
+
+# the depth-trend fits live in their one caller
+fit_curve = load_run_bench().fit_curve
 
 PLAN_TEXT = """\
 # small comparison run
@@ -139,6 +142,15 @@ class TestParsePlan:
             run_plan(load_plan(path))
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # the second value must not silently win
+        out = tmp_path / "r.csv"
+        path = tmp_path / "plan.txt"
+        path.write_text(f"sizes = 10\nseed = 1\nout = {out}\nseed = 2\n")
+        with pytest.raises(ValueError, match="'seed'"):
+            run_plan(load_plan(path))
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_load_plan_round_trip(self, tmp_path):
         path = tmp_path / "plan.txt"
         path.write_text(PLAN_TEXT)
@@ -163,38 +175,44 @@ def mini(tmp_path_factory):
         out=str(out),
         stamp=False,
     )
-    report = run_plan(plan)
-    return plan, report
+    return plan, run_plan(plan)
+
+
+def _slow_first_instance(plan, configs, size, index):
+    """Stands in for bench._run_instance: instance 0 fails after a second."""
+    if index == 0:
+        time.sleep(1.0)
+        raise RuntimeError("instance 0 failed")
+    return [(size, "greedy", 0, index, 0.5)]
 
 
 class TestRunPlan:
     def test_rows_present(self, mini):
-        _, report = mini
-        assert report.row(12, "greedy").instances == 3
-        assert report.row(12, "qgreedy", 1).instances == 3
+        _, rows = mini
+        assert [(r.size, r.solver, r.depth, r.instances) for r in rows] == [
+            (12, "greedy", 0, 3), (12, "qgreedy", 1, 3),
+        ]
 
     def test_missing_row_raises(self, mini):
-        _, report = mini
-        with pytest.raises(KeyError):
-            report.row(12, "qgreedy", 2)
+        # a depth the plan does not list gets no row
+        _, rows = mini
+        assert (12, "qgreedy", 2) not in {(r.size, r.solver, r.depth) for r in rows}
 
     def test_depth1_matches_classical(self, mini):
         # paired seeds and the min-degree equivalence at depth 1 make the two
         # solvers produce the same sets instance by instance
-        _, report = mini
-        g = report.row(12, "greedy")
-        q = report.row(12, "qgreedy", 1)
+        _, (g, q) = mini
         assert q.mean_r == pytest.approx(g.mean_r, abs=1e-15)
 
     def test_csv_format(self, mini):
-        plan, report = mini
+        plan, rows = mini
         lines = open(plan.out).read().splitlines()
         assert lines[0] == CSV_COLUMNS
-        assert len(lines) == 1 + len(report.rows)
+        assert len(lines) == 1 + len(rows)
         first = lines[1].split(",")
         assert first[0] == "12"
         assert first[1] == "greedy"
-        assert float(first[4]) == report.rows[0].mean_r
+        assert float(first[4]) == rows[0].mean_r
 
     def test_rerun_resumes_without_recompute(self, mini):
         plan, _ = mini
@@ -272,9 +290,21 @@ class TestRunPlan:
         clean = open(plan.out).read()
         with open(plan.out + ".partial", "a") as fh:
             fh.write("10 qgreedy 3 0 0.5\n")
-        report = run_plan(plan)
-        assert [(r.solver, r.depth) for r in report.rows] == [("greedy", 0)]
+        rows = run_plan(plan)
+        assert [(r.solver, r.depth) for r in rows] == [("greedy", 0)]
         assert open(plan.out).read() == clean
+
+    def test_pool_flushes_rows_as_workers_finish(self, tmp_path, monkeypatch):
+        # instance 0 is slow and then fails: the rows of the instances
+        # submitted after it must reach the sidecar anyway
+        monkeypatch.setattr(bench, "_run_instance", _slow_first_instance)
+        plan = ExperimentPlan(sizes=(10,), instances=4, workers=2,
+                              out=str(tmp_path / "f.csv"), stamp=False)
+        with pytest.raises(RuntimeError, match="instance 0"):
+            run_plan(plan)
+        _, *rows = open(plan.out + ".partial")
+        assert sorted(row.split()[3] for row in rows) == ["1", "2", "3"]
+
 
 class TestAngleFiles:
     def test_builder_checks_the_header(self, tmp_path):
@@ -331,11 +361,6 @@ class TestReportRow:
         run_plan(plan)
         first = open(out).read().splitlines()[0]
         assert first.startswith("# generated ")
-
-    def test_report_constants(self):
-        report = BenchmarkReport(rows=())
-        assert report.greedy_asymptote == GREEDY_ASYMPTOTE
-        assert report.prioritized_search_ratio == PRIORITIZED_SEARCH_RATIO
 
 
 def test_reference_constants():

@@ -116,13 +116,26 @@ class TestSolve:
         # --degree shapes the generated graph; the file's degree is not checked
         path = tmp_path / "p1_d4.txt"
         sched = AngleSchedule(1, 4, 1.0, (0.5,), (-0.3,))
-        write_angle_file(path, AngleOptimum(sched, 0.0, 0.0, 0.0))
+        write_angle_file(path, AngleOptimum(sched, 0.0))
         assert main(["solve", "--n", "20", "--angles", str(path)]) == 0
         assert parse_trace(capsys.readouterr().out)["set_size"] > 0
 
     def test_needs_input(self, capsys):
-        assert main(["solve", "--solver", "greedy"]) == 2
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--solver", "greedy"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qgreedy solve ") and "--in and --n" in err
+
+    def test_in_and_n_together_rejected(self, tmp_path, capsys):
+        # --n must not be silently ignored in favour of the file
+        path = tmp_path / "g10.txt"
+        main(["generate", "--n", "10", "--out", str(path)])
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--in", str(path), "--n", "500", "--solver", "greedy"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qgreedy solve ") and "--in and --n" in err
 
 
 class TestShots:

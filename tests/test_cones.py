@@ -20,6 +20,7 @@ from helpers import (
     reference_extract,
     relabel_cone,
     rooted_isomorphic,
+    tree_ball_size,
 )
 from qgreedy.cones import (
     CensusReport,
@@ -32,7 +33,6 @@ from qgreedy.cones import (
     extract_lightcone_multi,
     key_digest,
     key_size,
-    tree_ball_size,
     tree_key,
 )
 from qgreedy.graph import Graph, generate_regular

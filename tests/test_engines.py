@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, random_degree3_graph, relabel_cone
+from helpers import complete, expectation_p1_edge, random_degree3_graph, relabel_cone
 from qgreedy import engines
 from qgreedy.angles import edge_cone, load_default_angles, vertex_cone
 from qgreedy.circuits import AngleSchedule, build_circuit
@@ -21,7 +21,6 @@ from qgreedy.engines import (
     expectation,
     expectation_contract,
     expectation_p1_analytic,
-    expectation_p1_edge,
     expectation_statevector,
     sample_shots,
 )

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, path, petersen, random_graph
+from helpers import complete, energy_pauli, path, petersen, random_graph
 from qgreedy.errors import RestartBudgetExceeded
 from qgreedy.graph import (
     Graph,
     IsingParams,
     energy,
-    energy_pauli,
     generate_regular,
     is_independent,
     read_edge_list,

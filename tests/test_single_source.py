@@ -2,17 +2,18 @@
 by ``bench.solver_config``, the angle file name is spelled out only by
 ``angles.angle_file_name``, ``engines.expectation`` is the one routing
 decision (the closed form at depth 1, else contraction; dense statevector
-and the closed edge form are test oracles only), the Ising coefficients
-come from ``graph.IsingParams`` alone, ``cones._tree_code`` is the one
-tree encoder, and ``graph.check_regular`` is the one test of which regular
-graphs exist."""
+is a test oracle only), the Ising coefficients come from
+``graph.IsingParams`` alone, ``cones._tree_code`` is the one tree encoder,
+and ``graph.check_regular`` is the one test of which regular graphs exist.
+The package defines none of the test oracles (they live in
+``tests/helpers.py``) nor the depth-trend fits (``scripts/run_bench.py``)."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src" / "qgreedy").glob("*.py"),
-                  *(ROOT / "scripts").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "qgreedy").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
 
 
 def _functions(tree):
@@ -87,8 +88,17 @@ def test_closed_form_called_only_by_the_router():
     ]
 
 
-def test_closed_edge_form_is_oracle_only():
-    assert _sites(_calls_to("expectation_p1_edge")) == []
+def test_package_defines_no_test_only_names():
+    # oracles moved to tests/helpers.py, the fits to scripts/run_bench.py
+    moved = {"expectation_p1_edge", "energy_pauli", "tree_ball_size",
+             "fit_curve", "CurveFit", "BenchmarkReport"}
+    found = [
+        (path.name, node.name)
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in moved
+    ]
+    assert found == []
 
 
 def test_ising_coefficients_spelled_once():
