@@ -13,6 +13,7 @@ from . import __version__
 from .angles import angle_file_name, optimize_tree_angles, write_angle_file
 from .bench import load_plan, run_plan, solver_config
 from .cones import enumerate_cones
+from .engines import MAX_SHOTS
 from .errors import AngleFileMismatch, QGreedyError
 from .graph import generate_regular, read_edge_list, write_edge_list
 from .noise import NoiseParams, fit_noise, required_shots
@@ -183,8 +184,8 @@ def _solve_usage_error(args) -> str | None:
     else:
         advice = getattr(args, "advice", _DEFAULTS["advice"])
         shots = getattr(args, "shots", _DEFAULTS["shots"])
-        if advice == "shots" and shots < 1:
-            return "--advice shots needs --shots >= 1"
+        if advice == "shots" and not 1 <= shots <= MAX_SHOTS:
+            return f"--advice shots needs 1 <= --shots <= {MAX_SHOTS}"
         if advice != "shots":
             unread["shots"] = f"--advice {advice}"
         if advice != "noise":

@@ -112,5 +112,10 @@ def required_shots(n: int, eps: float, gap: float) -> int:
         raise ValueError("gap must be positive; use the cutoff path for gap 0")
     if not gap <= 2.0:  # two expectations in [-1, 1] are at most 2 apart
         raise ValueError(f"gap must be at most 2, got {gap}")
-    return math.ceil(math.log(n / eps) / gap**2)
+    # log(n) - log(eps) is finite for any n and eps, unlike n / eps; a tiny
+    # gap squares to 0 or to a subnormal, and the budget is then no integer
+    budget = (math.log(n) - math.log(eps)) / gap**2 if gap**2 else math.inf
+    if math.isinf(budget):
+        raise ValueError(f"gap must be large enough for a finite budget, got {gap}")
+    return math.ceil(budget)
 

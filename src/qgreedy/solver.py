@@ -46,7 +46,7 @@ import numpy as np
 
 from .circuits import AngleSchedule
 from .cones import extract_lightcone, key_size, tree_key
-from .engines import ExpectationCache, evaluate_cone, sample_shots
+from .engines import MAX_SHOTS, ExpectationCache, evaluate_cone, sample_shots
 from .errors import NodeLimitExceeded
 from .graph import Graph, is_independent
 from .noise import NoiseParams, NoiseRealization, apply_noise
@@ -87,8 +87,8 @@ def check_advice(advice: str, shots: int, noise: NoiseParams | None) -> None:
     """Raise ValueError unless the advice source has what it reads."""
     if advice not in ("ideal", "shots", "noise"):
         raise ValueError(f"unknown advice source {advice!r}")
-    if advice == "shots" and shots < 1:
-        raise ValueError("shot advice needs shots >= 1")
+    if advice == "shots" and not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shot advice needs 1 <= shots <= MAX_SHOTS = {MAX_SHOTS}")
     if advice == "noise" and noise is None:
         raise ValueError("noise advice needs NoiseParams")
 
@@ -125,9 +125,6 @@ def resolve_delta(cfg: SolverConfig) -> float:
     return delta_cutoff(cfg.schedule)
 
 
-_LOW_128 = (1 << 128) - 1
-
-
 def _make_advice(cfg: SolverConfig):
     """Map (node, ideal value, key bytes) to the value the argmax actually
     sees; None for ideal advice, which is the ideal value itself.
@@ -137,36 +134,26 @@ def _make_advice(cfg: SolverConfig):
     have produced, which is what makes incremental and full recomputation
     agree even with finite shots.  Each draw hashes the triple, encoded as
     ``b"{seed}:{node}:" + key bytes`` (injective, since decimal digits hold
-    no colon), with 256-bit BLAKE2b and sets the closure's own PCG64 to it:
-    the low 128 bits are the state, the high 128 the increment, forced odd.
-    This keys the generator directly by the triple, as counter-based
-    generators do (Salmon et al., "Parallel random numbers: as easy as 1,
-    2, 3", SC 2011), and skips a SeedSequence and a new generator per draw.
+    no colon), with 64-bit BLAKE2b into one uniform word, and
+    :func:`sample_shots` turns the word into a shot count by inverting the
+    binomial CDF.  The keyed hash is itself the counter-based random source
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
+    2011), so no generator state exists between draws.
     Noise offsets are seeded per cone key alone, so isomorphic cones share
     an offset, and the noise's cone size is read off the key.
     """
     if cfg.advice == "ideal":
         return None
     if cfg.advice == "shots":
-        # one generator per solve, reseeded by every draw; never shared
-        # between solves, threads or worker processes
-        bitgen = np.random.PCG64()
-        rng = np.random.Generator(bitgen)
         prefix = b"%d:" % cfg.seed
+        shots = cfg.shots
 
         def shot_advice(node, value, key):
             ideal = min(1.0, max(-1.0, value))
             digest = hashlib.blake2b(
-                prefix + b"%d:" % node + key, digest_size=32
+                prefix + b"%d:" % node + key, digest_size=8
             ).digest()
-            word = int.from_bytes(digest, "little")
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": word & _LOW_128, "inc": (word >> 128) | 1},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            return sample_shots(ideal, cfg.shots, rng)
+            return sample_shots(ideal, shots, int.from_bytes(digest, "little"))
 
         return shot_advice
     realization = NoiseRealization(cfg.noise)

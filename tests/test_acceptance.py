@@ -436,7 +436,8 @@ def test_a11_shot_budget_arithmetic_and_estimator_variance():
     shots = 100
     for ideal in (0.0, 0.3):
         rng = np.random.default_rng(1111)
-        draws = np.array([sample_shots(ideal, shots, rng) for _ in range(10_000)])
+        words = rng.integers(2**64, size=10_000, dtype=np.uint64)
+        draws = np.array([sample_shots(ideal, shots, int(w)) for w in words])
         assert float(draws.var(ddof=1)) <= 1.1 / shots
         assert abs(float(draws.mean()) - ideal) <= 0.005
 

@@ -19,6 +19,7 @@ from qgreedy.bench import (
     run_plan,
     solver_config,
 )
+from qgreedy.engines import MAX_SHOTS
 from qgreedy.graph import generate_regular
 from qgreedy.noise import NoiseParams
 from qgreedy.solver import SolverConfig, solve_quantum_greedy
@@ -116,6 +117,7 @@ class TestParsePlan:
     @pytest.mark.parametrize("fields", [
         dict(advice="shots"),
         dict(advice="shots", shots=-3),
+        dict(advice="shots", shots=MAX_SHOTS + 1),
         dict(advice="noise"),
         dict(advice="oracle"),
     ])
@@ -132,6 +134,8 @@ class TestParsePlan:
         "noise_seed = -1", "sigma = nan", "alpha = inf",
         # no simple 3-regular graph on 7 or 3 nodes, nor a degree-(-1) one
         "sizes = 7", "sizes = 3", "degree = -1",
+        # past MAX_SHOTS, which once overflowed inside the sampler mid-sweep
+        "advice = shots\nshots = 99999999999999999999",
     ])
     def test_bad_plan_fails_before_any_work(self, tmp_path, line):
         out = tmp_path / "r.csv"
@@ -272,7 +276,7 @@ class TestRunPlan:
             assert row.split() == ["14", "qgreedy", "2", str(i), f"{ratio:.17g}"]
 
     def test_shot_sweep_csv_independent_of_workers(self, tmp_path):
-        # each worker process draws shots with its own generators
+        # a shot draw depends on (seed, node, cone key), not on the process
         plan = ExperimentPlan(sizes=(12, 16), instances=2, solvers=("qgreedy",),
                               depths=(1, 2), advice="shots", shots=64, seed=4,
                               out=str(tmp_path / "w1.csv"), stamp=False)

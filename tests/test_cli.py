@@ -239,6 +239,7 @@ class TestExitCodes:
         # shot advice without a usable shot count
         (["--advice", "shots"], "--shots"),
         (["--advice", "shots", "--shots", "0"], "--shots"),
+        (["--advice", "shots", "--shots", "99999999999999999999"], "--shots"),
     ])
     def test_solve_flag_misuse_is_usage_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -283,7 +284,8 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and flag[2:] in err
 
-    @pytest.mark.parametrize("gap", ["0", "3", "inf"])
+    # 1e-300 and 1e-160 square to 0 and to a subnormal: no finite budget
+    @pytest.mark.parametrize("gap", ["0", "3", "inf", "1e-300", "1e-160"])
     def test_shots_gap_outside_range_is_runtime_error(self, capsys, gap):
         argv = ["shots", "--n", "10", "--eps", "0.05", "--gap", gap]
         assert main(argv) == 2

@@ -16,6 +16,7 @@ from qgreedy.cones import (
     extract_lightcone,
 )
 from qgreedy.engines import (
+    MAX_SHOTS,
     ExpectationCache,
     evaluate_cone,
     expectation,
@@ -269,10 +270,32 @@ class TestEliminationOrder:
             assert err.value.entries > 16
 
 
+def _words(rng, count):
+    """``count`` uniform 64-bit words, the randomness of one shot draw each."""
+    return [int(w) for w in rng.integers(2**64, size=count, dtype=np.uint64)]
+
+
+def _binomial_pmf(shots, ideal):
+    p = (1.0 + ideal) / 2.0
+    return [math.comb(shots, k) * p**k * (1.0 - p) ** (shots - k)
+            for k in range(shots + 1)]
+
+
+def _counts_with_mass(shots, ideal):
+    """Counts whose exact Binomial(shots, (1 + ideal)/2) mass exceeds 2**-64."""
+    num, den = ((1.0 + ideal) / 2.0).as_integer_ratio()
+    return [k for k in range(shots + 1)
+            if math.comb(shots, k) * num**k * (den - num) ** (shots - k) * 2**64
+            > den**shots]
+
+
 class TestSampleShots:
+    CASES = [(1, 0.3), (7, 0.9), (64, 0.25), (991, -0.6)]
+
     def test_extremes_are_exact(self):
-        assert sample_shots(1.0, 50, 0) == 1.0
-        assert sample_shots(-1.0, 50, 0) == -1.0
+        for word in (0, 12345, 2**64 - 1):
+            assert sample_shots(1.0, 50, word) == 1.0
+            assert sample_shots(-1.0, 50, word) == -1.0
 
     def test_seed_reproducible(self):
         a = sample_shots(0.3, 100, 42)
@@ -281,14 +304,61 @@ class TestSampleShots:
 
     def test_unbiased(self):
         rng = np.random.default_rng(0)
-        draws = [sample_shots(0.25, 64, rng) for _ in range(4000)]
+        draws = [sample_shots(0.25, 64, w) for w in _words(rng, 4000)]
         assert np.mean(draws) == pytest.approx(0.25, abs=0.01)
+
+    @pytest.mark.parametrize("shots, ideal", CASES)
+    def test_counts_follow_the_exact_pmf(self, shots, ideal):
+        from scipy.stats import chi2
+
+        draws = 20_000
+        rng = np.random.default_rng(shots)
+        counts = np.zeros(shots + 1)
+        for w in _words(rng, draws):
+            counts[round((sample_shots(ideal, shots, w) + 1) * shots / 2)] += 1
+        # pool neighbouring counts until each bin expects at least 5 draws
+        observed, expected, o, e = [], [], 0.0, 0.0
+        for k, mass in enumerate(_binomial_pmf(shots, ideal)):
+            o, e = o + counts[k], e + draws * mass
+            if e >= 5:
+                observed.append(o)
+                expected.append(e)
+                o = e = 0.0
+        observed[-1] += o
+        expected[-1] += e
+        observed, expected = np.array(observed), np.array(expected)
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2.sf(stat, len(expected) - 1) > 1e-3
+
+    @pytest.mark.parametrize("shots, ideal", CASES + [(991, 0.0), (4096, 0.0)])
+    def test_extreme_words_give_extreme_counts_with_mass(self, shots, ideal):
+        ks = _counts_with_mass(shots, ideal)
+        assert sample_shots(ideal, shots, 0) == (2 * ks[0] - shots) / shots
+        last = sample_shots(ideal, shots, 2**64 - 1)
+        assert last == (2 * ks[-1] - shots) / shots
+
+    def test_table_grows_as_root_of_shots(self):
+        shots = 2**20
+        for ideal in (0.0, 0.3, -0.9):
+            thresholds = engines._shot_table(ideal, shots)[1]
+            assert len(thresholds) + 1 < 20 * math.sqrt(shots)
+            assert list(thresholds) == sorted(set(thresholds))
+
+    def test_memoized_tables_stay_under_64_mb(self):
+        widest = engines._shot_table(0.0, MAX_SHOTS)[1]
+        size = widest.itemsize * len(widest)
+        assert engines._shot_table.cache_info().maxsize * size < 64 * 2**20
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             sample_shots(1.5, 10, 0)
         with pytest.raises(ValueError):
             sample_shots(0.0, 0, 0)
+        with pytest.raises(ValueError, match=str(MAX_SHOTS)):
+            sample_shots(0.0, MAX_SHOTS + 1, 0)
+        for word in (-1, 2**64):
+            with pytest.raises(ValueError, match="word"):
+                sample_shots(0.0, 10, word)
 
 
 def _labelled_copies(cone, rng, count):

@@ -1,10 +1,16 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgreedy
 from helpers import complete, energy_pauli, path, petersen, random_graph
 from qgreedy.errors import RestartBudgetExceeded
 from qgreedy.graph import (
@@ -213,6 +219,30 @@ class TestGenerateRegular:
     def test_restart_budget(self):
         with pytest.raises(RestartBudgetExceeded):
             generate_regular(4, 3, 0, restarts=0)
+
+    # SHA-256 over write_edge_list of every graph in the grid below, pinned
+    # when the duplicate check still used np.unique
+    EDGE_DIGEST = (
+        "2fe56606757a4cf3f25c1eeb8066c692d25090d2ede1b648b34149200346a4bf"
+    )
+
+    def test_edge_lists_pinned(self):
+        h = hashlib.sha256()
+        grid = itertools.product((6, 10, 20, 50, 100, 500), (1, 2, 3, 4), (0, 1, 7))
+        for n, d, seed in grid:
+            if (n * d) % 2 == 0:
+                h.update(write_edge_list(generate_regular(n, d, seed)).encode())
+        assert h.hexdigest() == self.EDGE_DIGEST
+
+    def test_leaves_numpy_ma_unloaded(self):
+        # numpy.ma costs about 10 ms to import, more than a small graph
+        code = (
+            "import sys, qgreedy; qgreedy.generate_regular(200, 3, 1); "
+            "sys.exit('numpy.ma' in sys.modules)"
+        )
+        src = str(Path(qgreedy.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestEdgeListFormat:

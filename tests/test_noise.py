@@ -154,6 +154,16 @@ class TestRequiredShots:
         with pytest.raises(ValueError):
             required_shots(10, 0.05, 0.0)
 
+    @pytest.mark.parametrize("gap", [1e-300, 1e-160])
+    def test_gap_without_finite_budget_is_named(self, gap):
+        with pytest.raises(ValueError, match="gap must be large enough"):
+            required_shots(10, 0.05, gap)
+
+    def test_extreme_n_and_eps_give_finite_budgets(self):
+        # n / eps overflows a float here, but the budget does not
+        assert required_shots(10, 5e-324, 0.1) == 74_675
+        assert required_shots(10**400, 0.05, 0.1) == 92_403
+
     def test_nan_gap_is_named(self):
         with pytest.raises(ValueError, match="gap"):
             required_shots(10, 0.05, float("nan"))

@@ -4,9 +4,10 @@ by ``bench.solver_config``, the angle file name is spelled out only by
 decision (the closed form at depth 1, else contraction; dense statevector
 is a test oracle only), the Ising coefficients come from
 ``graph.IsingParams`` alone, ``cones._tree_code`` is the one tree encoder,
-and ``graph.check_regular`` is the one test of which regular graphs exist.
-The package defines none of the test oracles (they live in
-``tests/helpers.py``) nor the depth-trend fits (``scripts/run_bench.py``)."""
+``graph.check_regular`` is the one test of which regular graphs exist, and
+``engines.sample_shots`` is the one shot sampler.  The package defines none
+of the test oracles (they live in ``tests/helpers.py``) nor the depth-trend
+fits (``scripts/run_bench.py``)."""
 
 import ast
 from pathlib import Path
@@ -121,3 +122,15 @@ def test_one_tree_encoder():
         ("cones.py", "canonical_key"),
         ("cones.py", "tree_key"),
     ]
+
+
+def test_one_shot_sampler():
+    # shot counts come from inverting the binomial CDF in sample_shots; a
+    # numpy generator's binomial would be a second stream
+    found = [
+        (path.name, lineno)
+        for path in PACKAGE
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if "PCG64" in line or ".binomial(" in line
+    ]
+    assert found == []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import complete, k33, petersen, random_graph
 from qgreedy.angles import load_default_angles
 from qgreedy.cones import canonical_key, extract_lightcone, tree_key
-from qgreedy.engines import ExpectationCache
+from qgreedy.engines import MAX_SHOTS, ExpectationCache
 from qgreedy.errors import NodeLimitExceeded
 from qgreedy.graph import Graph, generate_regular, is_independent
 from qgreedy.noise import NoiseParams
@@ -357,9 +357,9 @@ class TestTraceDigest:
     ulp but flip no pick."""
 
     # SHA-256 over the concatenated format_trace texts, in grid order
-    DIGEST = "683fda8a3e723c500978e2aad0494a984c6ff6f6210e87ffc8c090905aabed02"
+    DIGEST = "eb980c57894cf98e2a7b41521fdc737615ad6a775cba2bf25937e46d03834df8"
     # SHA-256 over the same traces' picks (see _picks)
-    PICK_DIGEST = "e1e16f6f33113654ecf043f62db956fde09010fc11ccc40d02ef630d598c2f73"
+    PICK_DIGEST = "0999a5a3cbc448f1a335ee39f771106e705e72ed1843b2ba2d1051e31e43aa16"
 
     def test_grid_digest(self, sched_p1, sched_p2):
         traces = _grid_traces(sched_p1, sched_p2)
@@ -370,9 +370,9 @@ class TestTraceDigest:
         assert _digest(_picks(t) for t in traces) == self.PICK_DIGEST
 
     # SHA-256 over the classical texts, then the sparse-graph quantum texts
-    SPARSE_DIGEST = "b765ff0a96466bb255e784f7ed1df2e55e851290b8f634bbe357f84b3554b15d"
+    SPARSE_DIGEST = "fe3e954ad9b0b58523981a1ee3b8cf74dec03e4db5f6befbd18a76b356075fca"
     SPARSE_PICK_DIGEST = (
-        "eb8cf149ee2b47ed2cd6f7cd47b81279051a4a340c9424a827e83e9a66c614c0"
+        "68e8475f68bb1ace70e213bdc852d96b38d462b460f3ccb6b70ff98da1debe8b"
     )
 
     def test_classical_and_isolated_digest(self, sched_p1, sched_p2):
@@ -467,6 +467,14 @@ class TestSolverConfig:
             SolverConfig(schedule=sched_p1, advice="noise")
         with pytest.raises(ValueError):
             SolverConfig(schedule=sched_p1, delta=-0.1)
+
+    def test_shots_above_limit_rejected(self, sched_p1):
+        # a shot count past MAX_SHOTS used to overflow inside the sampler
+        assert SolverConfig(schedule=sched_p1, advice="shots",
+                            shots=MAX_SHOTS).shots == MAX_SHOTS
+        for shots in (MAX_SHOTS + 1, 10**20):
+            with pytest.raises(ValueError, match=f"MAX_SHOTS = {MAX_SHOTS}"):
+                SolverConfig(schedule=sched_p1, advice="shots", shots=shots)
 
     def test_nan_delta_rejected(self, sched_p1):
         # NaN passes a "< 0" check; with it every value would count as tied
