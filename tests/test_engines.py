@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -196,6 +197,43 @@ class TestContraction:
                     expectation_statevector(full), abs=1e-12
                 ), (p, obs, cone.dists, cone.edges)
             checked += 1
+
+    # SHA-256 over repr of every value _contraction_values yields
+    VALUE_DIGEST = "38eb7289d1cb9edb8a5ace713be07551d19a07c7c72107ee83e931a140f816af"
+
+    def test_value_digest(self):
+        # contraction values are pinned bit for bit, on the solver's pruned
+        # circuits and the oracle's unpruned ones, so a change to the circuit
+        # format or the network built from it cannot move a value unseen
+        h = hashlib.sha256()
+        for value in _contraction_values():
+            h.update(repr(value).encode())
+        assert h.hexdigest() == self.VALUE_DIGEST
+
+
+def _contraction_values():
+    """Contraction values over p = 1..3 cones of an N = 30 graph (a
+    subnormal gamma, whose couplings round to 0.0, included) and the p = 4
+    tree vertex and edge cones, each pruned and unpruned, on the
+    observables (0,) and (0, 1)."""
+    cases = []
+    for p in (1, 2, 3):
+        g = generate_regular(30, 3, p)
+        s = load_default_angles(p).schedule
+        cases += [(extract_lightcone(g, root, p), s) for root in range(30)]
+    tiny = dataclasses.replace(
+        load_default_angles(2).schedule, gammas=(5e-324, 0.4)
+    )
+    g = generate_regular(30, 3, 7)
+    cases += [(extract_lightcone(g, root, 2), tiny) for root in range(0, 30, 3)]
+    s4 = load_default_angles(4).schedule
+    cases += [(vertex_cone(4, 3), s4), (edge_cone(4, 3), s4)]
+    for cone, s in cases:
+        for prune in (True, False):
+            for obs in OBSERVABLES:
+                yield expectation_contract(
+                    build_circuit(cone, s, prune_layers=prune, observable=obs)
+                )
 
 
 def _replay(nb, order):
