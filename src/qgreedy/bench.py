@@ -50,8 +50,8 @@ CSV_COLUMNS = "size,solver,depth,instances,mean_r,sem,3sem,lambda,advice,seed"
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    sizes: tuple[int, ...]
-    instances: int
+    sizes: tuple[int, ...] = ()  # required: empty is rejected
+    instances: int = 1
     solvers: tuple[str, ...] = ("greedy",)
     depths: tuple[int, ...] = ()
     lam: float = 1.0
@@ -80,20 +80,63 @@ class ExperimentPlan:
         if any(p < 1 for p in self.depths):
             raise ValueError(f"depths must be >= 1: {self.depths}")
         check_advice(self.advice, self.shots, self.noise)
+        # a field that no cell reads is a mistake in the plan, not a no-op
+        quantum = "qgreedy" in self.solvers
+        for name, unread in [
+            ("shots", self.shots and self.advice != "shots"),
+            ("noise (eta, alpha, sigma, noise_seed)",
+             self.noise is not None and self.advice != "noise"),
+            ("depths", self.depths and not quantum),
+            ("angles_dir", self.angles_dir is not None and not quantum),
+            ("advice", self.advice != "ideal" and not quantum),
+        ]:
+            if unread:
+                raise ValueError(f"{name} is set but no cell reads it (advice "
+                                 f"{self.advice!r}, solvers {self.solvers})")
+        for name in ("sizes", "solvers", "depths"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} holds a duplicate: {values}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0: {self.seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
 
-_PLAN_KEYS = frozenset(
-    "sizes instances solvers depths lambda advice shots eta alpha sigma "
-    "noise_seed seed degree out angles_dir workers stamp".split()
-)
-
-
 _STAMP_TOKENS = {"true": True, "1": True, "yes": True,
                  "false": False, "0": False, "no": False}
+
+
+def _words(text: str) -> tuple[str, ...]:
+    return tuple(text.replace(",", " ").split())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in _words(text))
+
+
+def _stamp(text: str) -> bool:
+    token = text.lower()
+    if token not in _STAMP_TOKENS:
+        raise ValueError(f"stamp must be true/false, 1/0 or yes/no: {token!r}")
+    return _STAMP_TOKENS[token]
+
+
+# plan key -> (ExperimentPlan field, parser of its text); a key the text
+# leaves out takes the field's default
+_PLAN_FIELDS = {
+    "sizes": ("sizes", _ints), "instances": ("instances", int),
+    "solvers": ("solvers", _words), "depths": ("depths", _ints),
+    "lambda": ("lam", float), "advice": ("advice", str),
+    "shots": ("shots", int), "seed": ("seed", int), "degree": ("degree", int),
+    "out": ("out", str), "angles_dir": ("angles_dir", str),
+    "workers": ("workers", int), "stamp": ("stamp", _stamp),
+}
+# plan key -> (NoiseParams field, parser); an unset one reads 0
+_NOISE_FIELDS = {
+    "eta": ("eta", float), "alpha": ("alpha", float),
+    "sigma": ("sigma", float), "noise_seed": ("seed", int),
+}
 
 
 def parse_plan(text: str) -> ExperimentPlan:
@@ -107,46 +150,19 @@ def parse_plan(text: str) -> ExperimentPlan:
             raise ValueError(f"plan line is not key = value: {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _PLAN_KEYS:
+        if key not in _PLAN_FIELDS and key not in _NOISE_FIELDS:
             raise ValueError(f"unknown plan key {key!r}")
         if key in raw:
             raise ValueError(f"plan key {key!r} given twice")
         raw[key] = val.strip()
-
-    def ints(key, default):
-        if key not in raw:
-            return default
-        return tuple(int(t) for t in raw[key].replace(",", " ").split())
-
-    stamp = raw.get("stamp", "true").lower()
-    if stamp not in _STAMP_TOKENS:
-        raise ValueError(f"stamp must be true/false, 1/0 or yes/no: {stamp!r}")
-    noise = None
-    if any(k in raw for k in ("eta", "alpha", "sigma", "noise_seed")):
-        noise = NoiseParams(
-            eta=float(raw.get("eta", 0.0)),
-            alpha=float(raw.get("alpha", 0.0)),
-            sigma=float(raw.get("sigma", 0.0)),
-            seed=int(raw.get("noise_seed", 0)),
-        )
-    return ExperimentPlan(
-        sizes=ints("sizes", ()),
-        instances=int(raw.get("instances", 1)),
-        solvers=tuple(raw["solvers"].replace(",", " ").split())
-        if "solvers" in raw
-        else ("greedy",),
-        depths=ints("depths", ()),
-        lam=float(raw.get("lambda", 1.0)),
-        advice=raw.get("advice", "ideal"),
-        shots=int(raw.get("shots", 0)),
-        noise=noise,
-        seed=int(raw.get("seed", 0)),
-        degree=int(raw.get("degree", 3)),
-        out=raw.get("out", "bench.csv"),
-        angles_dir=raw.get("angles_dir"),
-        workers=int(raw.get("workers", 1)),
-        stamp=_STAMP_TOKENS[stamp],
-    )
+    fields = {name: parse(raw[key])
+              for key, (name, parse) in _PLAN_FIELDS.items() if key in raw}
+    if raw.keys() & _NOISE_FIELDS.keys():
+        fields["noise"] = NoiseParams(**{
+            name: parse(raw.get(key, "0"))
+            for key, (name, parse) in _NOISE_FIELDS.items()
+        })
+    return ExperimentPlan(**fields)
 
 
 def load_plan(path) -> ExperimentPlan:
@@ -304,8 +320,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[ReportRow, ...]:
                 flush(_run_instance(plan, configs, size, index))
 
     rows = []
-    for size in sorted(set(plan.sizes)):
-        for solver, depth in sorted(set(_cells(plan))):
+    for size in sorted(plan.sizes):
+        for solver, depth in sorted(_cells(plan)):
             rs = [done[size, solver, depth, i] for i in range(plan.instances)]
             mean = float(np.mean(rs))
             sem = float(np.std(rs, ddof=1) / math.sqrt(len(rs))) if len(rs) > 1 else 0.0

@@ -8,15 +8,18 @@ A depth-p schedule drives the alternating ansatz
 with H the Ising cost restricted to the cone: the coupling of
 :class:`qgreedy.graph.IsingParams` as ZZ weight on every causal edge and its
 field h_v for the vertex's in-cone degree as Z weight.  Gate "weight" w
-means the gate exp(-i * w * P) for Pauli string P.
+means the gate exp(-i * w * P) for Pauli string P: gamma times the
+coefficient for ZZ and Z, beta for the X mixer.
 
 Layer pruning drops gates that cannot reach the observable: counting layers
 k = 0..p-1 in application order, layer k keeps ZZ gates on edges whose
 nearer endpoint is within distance p-k-1 of the observable and
-single-qubit gates on vertices within distance p-k.  The pruned circuit is
-exactly value-preserving, and it is the one :func:`qgreedy.engines.expectation`
-contracts; the unpruned circuit, with every gate in every layer, is the
-input of the tests' dense oracle.
+single-qubit gates on vertices within distance p-k.  So a vertex keeps a
+prefix of the layers, at least layer 0, and a ZZ gate sits in a layer both
+its endpoints keep.  The pruned circuit is exactly value-preserving, and it
+is the one :func:`qgreedy.engines.expectation` contracts; the unpruned
+circuit, with every gate in every layer, is the input of the tests' dense
+oracle.
 """
 
 from __future__ import annotations
@@ -53,23 +56,19 @@ class AngleSchedule:
 
 
 @dataclass(frozen=True)
-class Layer:
-    """Gates of one (cost, mixer) step.
+class ConeCircuit:
+    """Gates of a depth-p cone circuit, per vertex and per edge.
 
-    zz: (u, v, weight); z: (v, weight); x: (v, angle).  Deterministic order:
-    edges sorted, vertices ascending.
+    ``gates[v]`` holds v's (Z weight, mixer angle) for layers 0..len-1, the
+    layers that act on v.  ``couplings`` holds (u, v, layer, ZZ weight) in
+    layer order, edges in the cone's order within a layer; a ZZ gate of
+    weight 0.0 is left out.
     """
 
-    zz: tuple[tuple[int, int, float], ...]
-    z: tuple[tuple[int, float], ...]
-    x: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
-class ConeCircuit:
     n_qubits: int
     depth: int
-    layers: tuple[Layer, ...]
+    gates: tuple[tuple[tuple[float, float], ...], ...]
+    couplings: tuple[tuple[int, int, int, float], ...]
     observable: tuple[int, ...] = (0,)
 
 
@@ -79,7 +78,7 @@ def build_circuit(
     prune_layers: bool = False,
     observable: tuple[int, ...] | None = None,
 ) -> ConeCircuit:
-    """Compile a cone and a schedule into an explicit layered gate list."""
+    """Compile a cone and a schedule into per-vertex and per-edge gates."""
     if schedule.depth != cone.depth:
         raise ValueError(
             f"schedule depth {schedule.depth} != cone depth {cone.depth}"
@@ -89,35 +88,30 @@ def build_circuit(
     coupling = ising.coupling
     fields = [ising.field(d) for d in cone.in_degrees()]
     observable = (0,) if observable is None else tuple(observable)
+    if not all(0 <= q < cone.size for q in observable):
+        raise ValueError(f"observable {observable} outside the cone")
     # distance to the observable through the cone's edges, capped at p; for
-    # the roots it is cone.dists
-    dists = [p] * cone.size
-    frontier = set(observable)
-    for q in frontier:
-        dists[q] = 0
-    adj = cone.adjacency()
-    for d in range(1, p):
-        frontier = {w for v in frontier for w in adj[v] if dists[w] > d}
-        for w in frontier:
-            dists[w] = d
-    layers = []
-    for k in range(p):
-        gamma = schedule.gammas[k]
-        beta = schedule.betas[k]
-        edge_reach = p - k - 1 if prune_layers else p  # unpruned: every gate
-        vert_reach = edge_reach + 1
-        zz = tuple(
-            (u, v, coupling * gamma)
-            for u, v in cone.edges
-            if min(dists[u], dists[v]) <= edge_reach
-        )
-        z = tuple(
-            (v, fields[v] * gamma)
-            for v in range(cone.size)
-            if dists[v] <= vert_reach
-        )
-        x = tuple((v, beta) for v in range(cone.size) if dists[v] <= vert_reach)
-        layers.append(Layer(zz=zz, z=z, x=x))
-    return ConeCircuit(
-        n_qubits=cone.size, depth=p, layers=tuple(layers), observable=observable
+    # the roots it is cone.dists.  Unpruned, every vertex counts as observed.
+    dists = [0] * cone.size
+    if prune_layers:
+        dists = [p] * cone.size
+        frontier = set(observable)
+        for q in frontier:
+            dists[q] = 0
+        adj = cone.adjacency()
+        for d in range(1, p):
+            frontier = {w for v in frontier for w in adj[v] if dists[w] > d}
+            for w in frontier:
+                dists[w] = d
+    layers = list(zip(schedule.gammas, schedule.betas))
+    gates = tuple(
+        tuple((h * gamma, beta) for gamma, beta in layers[: p + 1 - d])
+        for h, d in zip(fields, dists)
     )
+    couplings = tuple(
+        (u, v, k, coupling * gamma)
+        for k, gamma in enumerate(schedule.gammas)
+        for u, v in cone.edges
+        if k < p - min(dists[u], dists[v]) and coupling * gamma != 0.0
+    )
+    return ConeCircuit(cone.size, p, gates, couplings, observable)

@@ -23,18 +23,18 @@ the tests.
 The contraction engine views the expectation as a classical partition
 function on a time-expanded copy of the cone graph: the cost layers are
 diagonal and the mixers factor per qubit, so after inserting a
-computational basis between every layer, each (vertex, time slice) pair
-where the vertex has a gate carries one size-4 variable (its forward and
-backward spin at that slice); a pruned vertex has none for the slices
-after its last gate.  Mixer transfer matrices link consecutive slices of
-a vertex, each causal edge couples same-slice neighbors with a 4x4 phase
-kernel, and the shared measurement slice is summed into each vertex's
-last factor up front.  The elimination order is planned on bitmasks of
-the time-expanded graph: greedy minimum degree, ties to the lowest vertex
-and, within a vertex, to its latest slice, so a vertex's chain is
-eliminated from its last slice back.  On trees this collapses leaf chains
-first, keeping the peak intermediate exponential in the layer count only.
-Each elimination is one einsum over its cluster.
+computational basis between every layer, each vertex carries one size-4
+variable (its forward and backward spin) per time slice in its gate list
+``ConeCircuit.gates[v]``; a pruned vertex has none for the slices after
+its last gate.  Mixer transfer matrices link consecutive slices of a
+vertex, each entry of ``ConeCircuit.couplings`` links two same-slice
+variables with a 4x4 phase kernel, and the shared measurement slice is
+summed into each vertex's last factor up front.  The elimination order is
+planned on bitmasks of the time-expanded graph: greedy minimum degree,
+ties to the lowest vertex and, within a vertex, to its latest slice, so a
+vertex's chain is eliminated from its last slice back.  On trees this
+collapses leaf chains first, keeping the peak intermediate exponential in
+the layer count only.  Each elimination is one einsum over its cluster.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import heapq
 import math
 from array import array
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -104,14 +105,16 @@ def expectation_statevector(circ: ConeCircuit, cap: int = STATEVECTOR_CAP) -> fl
             spin_cache[q] = arr
         return arr
 
-    for layer in circ.layers:
+    for k in range(circ.depth):
         diag = np.zeros(shape, dtype=np.float64)
-        for u, v, w in layer.zz:
-            diag += w * (spin_axis(u) * spin_axis(v))
-        for v, w in layer.z:
-            diag += w * spin_axis(v)
+        for u, v, layer, w in circ.couplings:
+            if layer == k:
+                diag += w * (spin_axis(u) * spin_axis(v))
+        gated = [(v, g[k]) for v, g in enumerate(circ.gates) if k < len(g)]
+        for v, (z, _) in gated:
+            diag += z * spin_axis(v)
         state *= np.exp(-1j * diag)
-        for q, beta in layer.x:
+        for q, (_, beta) in gated:
             if beta == 0.0:
                 continue
             cb = math.cos(beta)
@@ -152,7 +155,8 @@ def _transfer(beta: float, nxt_f: np.ndarray, nxt_b: np.ndarray) -> np.ndarray:
 def _vertex_factors(profile):
     """Mixer transfer chain with the measurement slice summed in.
 
-    ``profile`` is ((z weight, mixer angle) per gated slice, observed).  One
+    ``profile`` is (``ConeCircuit.gates[v]``, observed): the (z weight,
+    mixer angle) of each gated slice, and whether v is measured.  One
     size-4 variable per gated slice holds the vertex's forward and backward
     spin where that phase layer acts.  The mixer after a slice links it to
     the next gated one, since no gate acts on the vertex in between; the
@@ -163,14 +167,14 @@ def _vertex_factors(profile):
     slice's weight.  A vertex with one gated slice gets that weight alone,
     a vector.  Read-only, since calls share them.
     """
-    steps, observed = profile
-    diag = [np.exp(-1j * z * (_TAU_F - _TAU_B)) for z, _ in steps]
+    gates, observed = profile
+    diag = [np.exp(-1j * z * (_TAU_F - _TAU_B)) for z, _ in gates]
     diag[0] = diag[0] * 0.5  # |+> overlap, both branches
     chain = [
         (d[:, None] * _transfer(beta, _TAU_F, _TAU_B)).T
-        for d, (_, beta) in zip(diag, steps[:-1])
+        for d, (_, beta) in zip(diag, gates[:-1])
     ][::-1]
-    last = _transfer(steps[-1][1], _MEASURED, _MEASURED)
+    last = _transfer(gates[-1][1], _MEASURED, _MEASURED)
     if observed:
         last = last * _MEASURED[None, :]
     last = diag[-1] * last.sum(axis=1)
@@ -239,45 +243,30 @@ def expectation_contract(
 ) -> float:
     """Contract the cone's path-integral network.
 
-    Variables live on the (vertex, slice) pairs where the vertex has a gate,
-    so the accumulator cost is 4^cluster regardless of depth.  They are
-    numbered vertex by vertex, each vertex's from its last gated slice
-    back, and eliminated in the min-degree order of
+    Variables live on the slices of each vertex's gate list, so the
+    accumulator cost is 4^cluster regardless of depth.  They are numbered
+    vertex by vertex, each vertex's from its last gated slice back, so
+    slice k of vertex v needs no table: it is ``first[v + 1] - 1 - k``
+    (the circuit couples only slices that both endpoints keep).  The
+    variables are eliminated in the min-degree order of
     :func:`_elimination_order`, so ties go to the lowest vertex and, within
     it, to its latest slice.  The projected peak intermediate size is
     checked against ``budget`` before any tensor is built.  Each elimination
     is one einsum over the cluster, with no path search.
     """
-    n = circ.n_qubits
-    # gated slices per vertex, in layer order: [z weight, mixer angle];
-    # slice 0 always, so that a vertex without gates keeps one variable
-    steps = [{0: [0.0, 0.0]} for _ in range(n)]
-    couplings = []  # (u, v, slice, weight); zero weights drop out
-    for k, layer in enumerate(circ.layers):
-        for v, w in layer.z:
-            steps[v].setdefault(k, [0.0, 0.0])[0] = w
-        for v, beta in layer.x:
-            steps[v].setdefault(k, [0.0, 0.0])[1] = beta
-        for u, v, w in layer.zz:
-            if w != 0.0:
-                steps[u].setdefault(k, [0.0, 0.0])
-                steps[v].setdefault(k, [0.0, 0.0])
-                couplings.append((u, v, k, w))
-    var: dict[tuple[int, int], int] = {}  # (vertex, slice) -> variable id
-    first = []  # each vertex's last slice; its earlier slices follow
-    for v in range(n):
-        first.append(len(var))
-        for k in reversed(steps[v]):
-            var[v, k] = len(var)
-    first.append(len(var))
+    # variables of vertex v: first[v] (its last slice) to first[v + 1] - 1
+    first = [0, *accumulate(map(len, circ.gates))]
 
     # plan elimination on the time-expanded graph and check the budget first
-    nb = [0] * len(var)
-    for v in range(n):
-        for x in range(first[v], first[v + 1] - 1):
+    nb = [0] * first[-1]
+    for start, end in zip(first, first[1:]):
+        for x in range(start, end - 1):
             nb[x] |= 1 << x + 1
             nb[x + 1] |= 1 << x
-    edges = [(var[u, k], var[v, k], w) for u, v, k, w in couplings]
+    edges = [
+        (first[u + 1] - 1 - k, first[v + 1] - 1 - k, w)
+        for u, v, k, w in circ.couplings
+    ]
     for a, b, _ in edges:
         nb[a] |= 1 << b
         nb[b] |= 1 << a
@@ -309,9 +298,8 @@ def expectation_contract(
             add(1 << a | 1 << b, [b, a], mat.T)
 
     observed = set(circ.observable)
-    for v in range(n):
-        gated = tuple(tuple(zx) for zx in steps[v].values())
-        chain = _vertex_factors((gated, v in observed))
+    for v, gates in enumerate(circ.gates):
+        chain = _vertex_factors((gates, v in observed))
         if chain[0].ndim == 1:
             r = rank[first[v]]
             add(1 << r, [r], chain[0])

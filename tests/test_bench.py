@@ -27,7 +27,7 @@ from qgreedy.solver import SolverConfig, solve_quantum_greedy
 # the depth-trend fits live in their one caller
 fit_curve = load_run_bench().fit_curve
 
-PLAN_TEXT = """\
+SHOT_PLAN_TEXT = """\
 # small comparison run
 sizes = 50, 100
 instances = 4
@@ -36,17 +36,24 @@ depths = 1 2
 lambda = 2.0
 advice = shots
 shots = 500
-eta = 0.02
-noise_seed = 9
 seed = 11
 out = run.csv
 stamp = false
 """
 
+NOISE_PLAN_TEXT = """\
+sizes = 50
+solvers = qgreedy
+depths = 3
+advice = noise
+eta = 0.02
+noise_seed = 9
+"""
+
 
 class TestParsePlan:
     def test_fields(self):
-        plan = parse_plan(PLAN_TEXT)
+        plan = parse_plan(SHOT_PLAN_TEXT)
         assert plan.sizes == (50, 100)
         assert plan.instances == 4
         assert plan.solvers == ("greedy", "qgreedy")
@@ -54,11 +61,15 @@ class TestParsePlan:
         assert plan.lam == 2.0
         assert plan.advice == "shots"
         assert plan.shots == 500
-        assert plan.noise is not None and plan.noise.eta == 0.02
-        assert plan.noise.seed == 9
+        assert plan.noise is None
         assert plan.seed == 11
         assert plan.out == "run.csv"
         assert plan.stamp is False
+        plan = parse_plan(NOISE_PLAN_TEXT)
+        assert plan.advice == "noise"
+        assert plan.noise is not None and plan.noise.eta == 0.02
+        assert plan.noise.seed == 9
+        assert plan.noise.alpha == plan.noise.sigma == 0.0
 
     def test_defaults(self):
         plan = parse_plan("sizes = 10\n")
@@ -157,8 +168,41 @@ class TestParsePlan:
 
     def test_load_plan_round_trip(self, tmp_path):
         path = tmp_path / "plan.txt"
-        path.write_text(PLAN_TEXT)
-        assert load_plan(path) == parse_plan(PLAN_TEXT)
+        for text in (SHOT_PLAN_TEXT, NOISE_PLAN_TEXT):
+            path.write_text(text)
+            assert load_plan(path) == parse_plan(text)
+
+    def test_missing_sizes_is_value_error(self):
+        with pytest.raises(ValueError, match="sizes"):
+            parse_plan("instances = 2\nsolvers = greedy\n")
+
+    QGREEDY = "solvers = greedy qgreedy\ndepths = 1\n"
+
+    @pytest.mark.parametrize("lines, key", [
+        (QGREEDY + "advice = ideal\nshots = 991", "shots"),
+        (QGREEDY + "advice = noise\neta = 0.1\nshots = 991", "shots"),
+        (QGREEDY + "advice = shots\nshots = 991\neta = 0.1", "noise"),
+        (QGREEDY + "noise_seed = 3", "noise"),
+        ("solvers = greedy\ndepths = 1 2", "depths"),
+        ("solvers = greedy\nangles_dir = angles", "angles_dir"),
+        ("solvers = greedy\nadvice = shots\nshots = 991", "advice"),
+        ("solvers = greedy\nadvice = noise\neta = 0.1", "advice"),
+    ])
+    def test_unread_key_rejected(self, lines, key):
+        # a key that no cell reads must fail, not be silently ignored
+        with pytest.raises(ValueError, match=f"^{key} "):
+            parse_plan(f"sizes = 10\n{lines}\n")
+
+    @pytest.mark.parametrize("lines, key", [
+        ("sizes = 10, 10", "sizes"),
+        ("sizes = 10 12 10", "sizes"),
+        ("sizes = 10\nsolvers = greedy greedy", "solvers"),
+        ("sizes = 10\nsolvers = qgreedy\ndepths = 1 1", "depths"),
+    ])
+    def test_duplicate_rejected(self, lines, key):
+        # a repeated size, solver or depth would run every instance twice
+        with pytest.raises(ValueError, match=f"^{key} holds a duplicate"):
+            parse_plan(lines + "\n")
 
 
 def test_derived_seed_deterministic():

@@ -54,14 +54,14 @@ class TestBuildCircuit:
     def test_star_weights(self):
         cone = extract_lightcone(complete(4), 0, 1)
         circ = build_circuit(cone, sched((0.5,), (0.25,), lam=2.0))
-        layer = circ.layers[0]
-        # lam/4 * gamma on every causal edge
-        assert layer.zz == ((0, 1, 0.25), (0, 2, 0.25), (0, 3, 0.25))
+        # lam/4 * gamma on every causal edge, all in layer 0
+        assert circ.couplings == (
+            (0, 1, 0, 0.25), (0, 2, 0, 0.25), (0, 3, 0, 0.25)
+        )
         # root in-cone degree 3: h = (2*3-2)/4 = 1; leaves: h = 0
-        assert layer.z[0] == (0, 1.0 * 0.5)
-        for v, w in layer.z[1:]:
-            assert w == 0.0
-        assert all(b == 0.25 for _, b in layer.x)
+        assert circ.gates[0] == ((1.0 * 0.5, 0.25),)
+        for gates in circ.gates[1:]:
+            assert gates == ((0.0, 0.25),)
         assert circ.observable == (0,)
 
     def test_depth_mismatch_rejected(self):
@@ -76,9 +76,42 @@ class TestBuildCircuit:
             cone, sched((0.3, 0.7), (0.2, 0.4)), prune_layers=True
         )
         # layer 0 touches everything; layer 1 only what can reach the root
-        assert len(pruned.layers[0].zz) == len(full.layers[0].zz)
-        assert len(pruned.layers[1].zz) < len(full.layers[1].zz)
-        assert len(pruned.layers[1].x) < len(full.layers[1].x)
+        def couplings(circ, k):
+            return [c for c in circ.couplings if c[2] == k]
+
+        def gated(circ, k):
+            return [v for v, gates in enumerate(circ.gates) if len(gates) > k]
+
+        assert len(couplings(pruned, 0)) == len(couplings(full, 0))
+        assert len(couplings(pruned, 1)) < len(couplings(full, 1))
+        assert len(gated(pruned, 1)) < len(gated(full, 1))
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_couplings_act_on_gated_layers(self, seed):
+        # the contraction numbers slice k of v from v's gate count, so every
+        # ZZ gate must sit in a layer that both its endpoints keep
+        rng = np.random.default_rng(seed)
+        g = random_degree3_graph(rng, 14)
+        p = int(rng.integers(1, 4))
+        cone = extract_lightcone(g, int(rng.integers(14)), p)
+        s = sched(rng.uniform(-1.5, 1.5, p), rng.uniform(-1.5, 1.5, p))
+        for prune in (False, True):
+            for obs in ((0,), (0, 1))[: cone.size]:
+                circ = build_circuit(cone, s, prune_layers=prune, observable=obs)
+                assert all(1 <= len(gates) <= p for gates in circ.gates)
+                layers = [k for _, _, k, _ in circ.couplings]
+                assert layers == sorted(layers)
+                for u, v, k, _ in circ.couplings:
+                    assert k < min(len(circ.gates[u]), len(circ.gates[v]))
+
+    def test_zero_couplings_left_out(self):
+        # a subnormal gamma rounds the ZZ weight itself to 0.0
+        cone = extract_lightcone(petersen(), 0, 2)
+        circ = build_circuit(cone, sched((5e-324, 0.7), (0.2, 0.4)))
+        assert circ.couplings
+        assert all(k == 1 for _, _, k, _ in circ.couplings)
+        assert circ.gates[0][0] == (0.0, 0.2)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -92,6 +125,13 @@ class TestBuildCircuit:
         a = expectation_statevector(build_circuit(cone, s))
         b = expectation_statevector(build_circuit(cone, s, prune_layers=True))
         assert a == pytest.approx(b, abs=1e-12)
+
+    @pytest.mark.parametrize("observable", [(0, 4), (-1,)])
+    def test_observable_outside_cone_rejected(self, observable):
+        cone = extract_lightcone(complete(4), 0, 1)
+        for prune in (False, True):
+            with pytest.raises(ValueError, match="observable"):
+                build_circuit(cone, sched((0.3,), (0.2,)), prune, observable)
 
     def test_custom_observable(self):
         cone = extract_lightcone(petersen(), 0, 1)
