@@ -203,8 +203,8 @@ class TestQuantumGreedy:
 
 
 def _grid_traces(sched_p1, sched_p2):
-    """p=1,2 x ideal/shot/noise x delta 0/auto/0.05 x incremental/full, in
-    that order."""
+    """(advice source, trace) for p=1,2 x ideal/shot/noise x delta
+    0/auto/0.05 x incremental/full, in that order."""
     noise = NoiseParams(eta=0.05, alpha=-0.02, sigma=0.03, seed=9)
     advice = [
         {},
@@ -223,18 +223,19 @@ def _grid_traces(sched_p1, sched_p2):
         sched, cache, g = runs[depth]
         cfg = SolverConfig(schedule=sched, delta=delta, seed=idx,
                            full_recompute=full, **extra)
-        yield solve_quantum_greedy(g, cfg, cache)
+        yield cfg.advice, solve_quantum_greedy(g, cfg, cache)
 
 
 def _sparse_traces(sched_p1, sched_p2):
-    """Classical solves, then quantum solves on sparse graphs."""
+    """(advice source, trace) for classical solves, then quantum solves on
+    sparse graphs; classical solves have source "classical"."""
     rng = np.random.default_rng(43)
     regular = [generate_regular(n, 3, 43 + n) for n in (40, 200)]
     sparse = [random_graph(rng, n, 2.0 / n) for n in (30, 60, 120)]
     # every sparse graph starts with degree-0 nodes, which rank by advice
     assert all(any(s.degree(i) == 0 for i in range(s.n)) for s in sparse)
     for idx, g in enumerate(regular + sparse):
-        yield solve_classical_greedy(g, seed=idx)
+        yield "classical", solve_classical_greedy(g, seed=idx)
     noise = NoiseParams(eta=0.05, alpha=-0.02, sigma=0.03, seed=9)
     advice = [
         {},
@@ -249,7 +250,7 @@ def _sparse_traces(sched_p1, sched_p2):
     for idx, (depth, extra, delta, g) in enumerate(grid):
         sched, cache = runs[depth]
         cfg = SolverConfig(schedule=sched, delta=delta, seed=idx, **extra)
-        yield solve_quantum_greedy(g, cfg, cache)
+        yield cfg.advice, solve_quantum_greedy(g, cfg, cache)
 
 
 def _picks(trace) -> str:
@@ -263,6 +264,14 @@ def _digest(texts) -> str:
     for text in texts:
         h.update(text.encode())
     return h.hexdigest()
+
+
+def _by_mode(runs) -> dict:
+    """{advice source: its traces in run order} from (source, trace) pairs."""
+    groups = {}
+    for mode, trace in runs:
+        groups.setdefault(mode, []).append(trace)
+    return groups
 
 
 class TestTreeCones:
@@ -352,37 +361,63 @@ class TestTraceDigest:
     """Selection is pinned byte for byte: any change to the loop, the advice
     sources or the cone layers that alters a pick, value or key shows here.
     The grid crosses depth, advice source, delta (0, auto, fixed) and
-    incremental versus full recomputation.  The pick digests leave the
-    values out, so they hold across engine changes that move a value by an
-    ulp but flip no pick."""
+    incremental versus full recomputation.  Each advice source has its own
+    digests, so a change that moves one source re-pins only its entry.  The
+    pick digests leave the values out, so they hold across engine changes
+    that move a value by an ulp but flip no pick."""
 
-    # SHA-256 over the concatenated format_trace texts, in grid order
-    DIGEST = "eb980c57894cf98e2a7b41521fdc737615ad6a775cba2bf25937e46d03834df8"
+    # SHA-256 over each source's format_trace texts, in grid order
+    DIGEST = {
+        "ideal": "698b60a87fe034d133a4756ccf63fc2ef9e610d5afc78e508951664ee149cafc",
+        "shots": "1484d480fb309584388a31414c81e4ea82ff123c34096cdc4ef8f1ccb558234d",
+        "noise": "78763c28c165c73f471c7624ffa3e4b71bec87b05a27b4d1c58375a5ac919ff7",
+    }
     # SHA-256 over the same traces' picks (see _picks)
-    PICK_DIGEST = "0999a5a3cbc448f1a335ee39f771106e705e72ed1843b2ba2d1051e31e43aa16"
+    PICK_DIGEST = {
+        "ideal": "7e4baff774e85c5dc02d45a40d6911188e7d8bd39e2975a69bbb1f96f647c086",
+        "shots": "b1e4ab7aa87d9ddcae160ea8e2c87082fccdfaaad7d78a84ef6d73ae3ab32b4e",
+        "noise": "971ec693dd003a422ccccfbb5a25bb95723d5c772b9b7c4504632d4fd0520ca3",
+    }
 
-    def test_grid_digest(self, sched_p1, sched_p2):
-        traces = _grid_traces(sched_p1, sched_p2)
-        assert _digest(format_trace(t) for t in traces) == self.DIGEST
+    @pytest.fixture(scope="class")
+    def grid(self, sched_p1, sched_p2):
+        return _by_mode(_grid_traces(sched_p1, sched_p2))
 
-    def test_grid_pick_digest(self, sched_p1, sched_p2):
-        traces = _grid_traces(sched_p1, sched_p2)
-        assert _digest(_picks(t) for t in traces) == self.PICK_DIGEST
+    @pytest.fixture(scope="class")
+    def sparse(self, sched_p1, sched_p2):
+        return _by_mode(_sparse_traces(sched_p1, sched_p2))
 
-    # SHA-256 over the classical texts, then the sparse-graph quantum texts
-    SPARSE_DIGEST = "fe3e954ad9b0b58523981a1ee3b8cf74dec03e4db5f6befbd18a76b356075fca"
-    SPARSE_PICK_DIGEST = (
-        "68e8475f68bb1ace70e213bdc852d96b38d462b460f3ccb6b70ff98da1debe8b"
-    )
+    @pytest.mark.parametrize("mode", ["ideal", "shots", "noise"])
+    def test_grid_digest(self, grid, mode):
+        assert _digest(format_trace(t) for t in grid[mode]) == self.DIGEST[mode]
 
-    def test_classical_and_isolated_digest(self, sched_p1, sched_p2):
-        traces = _sparse_traces(sched_p1, sched_p2)
-        assert _digest(format_trace(t) for t in traces) == self.SPARSE_DIGEST
+    @pytest.mark.parametrize("mode", ["ideal", "shots", "noise"])
+    def test_grid_pick_digest(self, grid, mode):
+        assert _digest(_picks(t) for t in grid[mode]) == self.PICK_DIGEST[mode]
 
-    def test_classical_and_isolated_pick_digest(self, sched_p1, sched_p2):
-        traces = _sparse_traces(sched_p1, sched_p2)
-        assert (_digest(_picks(t) for t in traces)
-                == self.SPARSE_PICK_DIGEST)
+    # the same over the classical texts and the sparse-graph quantum texts
+    SPARSE_DIGEST = {
+        "classical": "784f32edcf5f7f6633593cde51f858215c368aa904b7ddaba2f09d61c79b63c6",
+        "ideal": "bf9850f5b3b92d539672e5083adfcdaf826ebc35c8e4c898574bd0382c64dd77",
+        "shots": "bf02b9eb9cf899dd47b51d2e674bcbf0158a4a57718e399e117c0f2c6e014f94",
+        "noise": "000dbdd9397fef215c233f45393b38938de4f9deb540986073ffb3ca76eef7f5",
+    }
+    SPARSE_PICK_DIGEST = {
+        "classical": "a05ab00f410b64fa6e1be694c7adbcddc84fa8ba4470dbcd51a478c195dcda25",
+        "ideal": "ad9222973747a778bfa2d1b3cff424d00a6b0a34383f01ab92205c0dc97a7926",
+        "shots": "08342a96c6e67024d69158d8028f17e9635dc038fb0e51702f7b07c72335a56a",
+        "noise": "8243d8d1bd98319278c66fd28c4d5759d4ad0f028555b0607f73203743a04303",
+    }
+
+    @pytest.mark.parametrize("mode", ["classical", "ideal", "shots", "noise"])
+    def test_classical_and_isolated_digest(self, sparse, mode):
+        texts = (format_trace(t) for t in sparse[mode])
+        assert _digest(texts) == self.SPARSE_DIGEST[mode]
+
+    @pytest.mark.parametrize("mode", ["classical", "ideal", "shots", "noise"])
+    def test_classical_and_isolated_pick_digest(self, sparse, mode):
+        texts = (_picks(t) for t in sparse[mode])
+        assert _digest(texts) == self.SPARSE_PICK_DIGEST[mode]
 
 
 def _shot_advice(sched, seed, shots=64):
