@@ -89,6 +89,7 @@ class ExperimentPlan:
             ("depths", self.depths and not quantum),
             ("angles_dir", self.angles_dir is not None and not quantum),
             ("advice", self.advice != "ideal" and not quantum),
+            ("lambda", self.lam != 1.0 and not quantum),
         ]:
             if unread:
                 raise ValueError(f"{name} is set but no cell reads it (advice "

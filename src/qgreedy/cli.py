@@ -160,39 +160,47 @@ _DEFAULTS = dict(
     seed=0, lam=1.0, depth=1, out=None, angles=None, advice="ideal", shots=0,
     eta=0.0, alpha=0.0, sigma=0.0, noise_seed=0, node_limit=40,
 )
-_QUANTUM_FLAGS = (
-    "angles", "advice", "shots", "delta", "depth", "eta", "alpha", "sigma", "noise_seed"
-)
+_SHARED_FLAGS = ("seed", "lam", "depth", "out")
+# the shared flags each subcommand reads; bench, fit-noise and shots read none
+_SHARED_READ = {"generate": ("seed", "out"), "census": ("depth",),
+                "angles": _SHARED_FLAGS, "solve": _SHARED_FLAGS}
+_QUANTUM_FLAGS = ("angles", "advice", "shots", "delta", "depth", "lam",
+                  "eta", "alpha", "sigma", "noise_seed")
 _NOISE_FLAGS = ("eta", "alpha", "sigma", "noise_seed")
 
 
-def _solve_usage_error(args) -> str | None:
-    """Why these solve flags cannot run as given, or None.
+def _usage_error(args) -> str | None:
+    """Why these flags cannot run as given, or None.
 
-    The graph comes from exactly one of --in and --n, and a flag that the
-    chosen solver or advice source does not read is an error rather than
-    silently ignored.
+    A flag that the subcommand, or solve's chosen solver or advice source,
+    does not read is an error rather than silently ignored.  Solve's graph
+    comes from exactly one of --in and --n.
     """
-    if (args.infile is None) == (args.n is None):
-        return "solve needs exactly one of --in and --n"
-    solver = args.solver
-    unread = {}  # flag dest -> the choice that does not read it
-    if solver != "exact":
-        unread["node_limit"] = f"--solver {solver}"
-    if solver != "qgreedy":
-        unread.update(dict.fromkeys(_QUANTUM_FLAGS, f"--solver {solver}"))
-    else:
-        advice = getattr(args, "advice", _DEFAULTS["advice"])
-        shots = getattr(args, "shots", _DEFAULTS["shots"])
-        if advice == "shots" and not 1 <= shots <= MAX_SHOTS:
-            return f"--advice shots needs 1 <= --shots <= {MAX_SHOTS}"
-        if advice != "shots":
-            unread["shots"] = f"--advice {advice}"
-        if advice != "noise":
-            unread.update(dict.fromkeys(_NOISE_FLAGS, f"--advice {advice}"))
+    command = args.command
+    read = _SHARED_READ.get(command, ())
+    # flag dest -> the choice that does not read it
+    unread = {d: f"qgreedy {command}" for d in _SHARED_FLAGS if d not in read}
+    if command == "solve":
+        if (args.infile is None) == (args.n is None):
+            return "solve needs exactly one of --in and --n"
+        solver = args.solver
+        if solver != "exact":
+            unread["node_limit"] = f"--solver {solver}"
+        if solver != "qgreedy":
+            unread.update(dict.fromkeys(_QUANTUM_FLAGS, f"--solver {solver}"))
+        else:
+            advice = getattr(args, "advice", _DEFAULTS["advice"])
+            shots = getattr(args, "shots", _DEFAULTS["shots"])
+            if advice == "shots" and not 1 <= shots <= MAX_SHOTS:
+                return f"--advice shots needs 1 <= --shots <= {MAX_SHOTS}"
+            if advice != "shots":
+                unread["shots"] = f"--advice {advice}"
+            if advice != "noise":
+                unread.update(dict.fromkeys(_NOISE_FLAGS, f"--advice {advice}"))
     for dest, choice in unread.items():
         if hasattr(args, dest):
-            return f"--{dest.replace('_', '-')} is not read with {choice}"
+            flag = "lambda" if dest == "lam" else dest.replace("_", "-")
+            return f"--{flag} is not read with {choice}"
     return None
 
 
@@ -284,10 +292,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    if args.command == "solve":
-        problem = _solve_usage_error(args)
-        if problem:
-            args.parser.error(problem)
+    problem = _usage_error(args)
+    if problem:
+        args.parser.error(problem)
     # with --angles, an unset --depth or --lambda takes the file's value
     from_file = dict(depth=None, lam=None) if hasattr(args, "angles") else {}
     args = argparse.Namespace(**{**_DEFAULTS, **from_file, **vars(args)})

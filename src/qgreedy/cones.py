@@ -219,8 +219,9 @@ def _tree_code(adj, alive, deg, u: int, parent: int, k: int,
 
 
 def key_digest(key_data: bytes) -> int:
-    """Stable 64-bit digest of a canonical key, for seeding RNG streams."""
-    return int.from_bytes(hashlib.sha256(key_data).digest()[:8], "big")
+    """The 64-bit BLAKE2b word of ``key_data``, little-endian: the package's
+    one per-cone random source, keyed by seed for shot and noise advice."""
+    return int.from_bytes(hashlib.blake2b(key_data, digest_size=8).digest(), "little")
 
 
 def canonical_key(cone: LightCone) -> bytes:

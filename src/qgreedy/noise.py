@@ -5,16 +5,18 @@ A hardware estimate of a cone expectation is modeled as
     noisy = (1 - eta)^{cone_size} * ideal + alpha + xi
 
 with a shrink rate eta per involved qubit, a uniform bias alpha, and a
-residual offset xi ~ Normal(0, sigma).  xi is frozen per canonical cone key
-per realization rather than redrawn per evaluation: two alive vertices whose
-cones are isomorphic see the same offset, and reruns with the same seed see
-the same offset table.
+residual offset xi ~ Normal(0, sigma).  xi is a pure function of (noise
+seed, canonical cone key) rather than redrawn per evaluation: two alive
+vertices whose cones are isomorphic see the same offset, and reruns with
+the same seed see the same offsets.  It is drawn from the keyed word of
+:func:`~qgreedy.cones.key_digest`, the source shot advice draws from too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -39,29 +41,20 @@ class NoiseParams:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-class NoiseRealization:
-    """Lazily drawn per-cone-key offset table for one realization."""
-
-    def __init__(self, params: NoiseParams):
-        self.params = params
-        self._offsets: dict[bytes, float] = {}
-
-    def offset(self, key_data: bytes) -> float:
-        xi = self._offsets.get(key_data)
-        if xi is None:
-            if self.params.sigma == 0.0:
-                xi = 0.0
-            else:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([self.params.seed, key_digest(key_data)])
-                )
-                xi = float(rng.normal(0.0, self.params.sigma))
-            self._offsets[key_data] = xi
-        return xi
+def noise_offset(params: NoiseParams, key_data: bytes) -> float:
+    """The offset xi of cone key ``key_data``: sigma times the standard
+    normal quantile of the top 52 bits of the keyed word, at the midpoint of
+    their 2**-52 cell.  52 bits keep the uniform strictly below 1.0, so the
+    extreme words map to about +-8.21 sigma; sigma 0 gives +0.0 unhashed."""
+    if params.sigma == 0.0:
+        return 0.0
+    word = key_digest(b"%d:" % params.seed + key_data)
+    u = ((word >> 12) + 0.5) / 2**52
+    return params.sigma * NormalDist().inv_cdf(u)
 
 
 def apply_noise(ideal: float, cone_size: int, params: NoiseParams, xi: float) -> float:
-    """(1-eta)^cone_size * ideal + alpha + xi; pass xi = realization.offset(key)."""
+    """(1-eta)^cone_size * ideal + alpha + xi; pass xi = noise_offset(params, key)."""
     if not -1.0 <= ideal <= 1.0:
         raise ValueError(f"expectation {ideal} outside [-1, 1]")
     if cone_size < 1:

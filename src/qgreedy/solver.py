@@ -37,7 +37,6 @@ recorded.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -45,11 +44,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import AngleSchedule
-from .cones import extract_lightcone, key_size, tree_key
+from .cones import extract_lightcone, key_digest, key_size, tree_key
 from .engines import MAX_SHOTS, ExpectationCache, evaluate_cone, sample_shots
 from .errors import NodeLimitExceeded
 from .graph import Graph, is_independent
-from .noise import NoiseParams, NoiseRealization, apply_noise
+from .noise import NoiseParams, apply_noise, noise_offset
 
 
 @dataclass(frozen=True)
@@ -129,18 +128,17 @@ def _make_advice(cfg: SolverConfig):
     """Map (node, ideal value, key bytes) to the value the argmax actually
     sees; None for ideal advice, which is the ideal value itself.
 
-    A shot draw depends only on (seed, node, cone key): a value that is not
-    recomputed (its cone was untouched) equals what a recomputation would
-    have produced, which is what makes incremental and full recomputation
-    agree even with finite shots.  Each draw hashes the triple, encoded as
-    ``b"{seed}:{node}:" + key bytes`` (injective, since decimal digits hold
-    no colon), with 64-bit BLAKE2b into one uniform word, and
-    :func:`sample_shots` turns the word into a shot count by inverting the
-    binomial CDF.  The keyed hash is itself the counter-based random source
-    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
-    2011), so no generator state exists between draws.
-    Noise offsets are seeded per cone key alone, so isomorphic cones share
-    an offset, and the noise's cone size is read off the key.
+    Both sources draw from :func:`key_digest`, a keyed hash and so a
+    counter-based random source (Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3", SC 2011) with no state between draws: a value that is
+    not recomputed (its cone was untouched) equals what a recomputation
+    would have produced, which is what makes incremental and full
+    recomputation agree.  A shot draw hashes (seed, node, cone key),
+    encoded as ``b"{seed}:{node}:" + key bytes`` (injective, since decimal
+    digits hold no colon), and :func:`sample_shots` turns the word into a
+    shot count by inverting the binomial CDF.  A noise offset is a function
+    of (noise seed, cone key) alone, so isomorphic cones share an offset, and
+    the noise's cone size is read off the key.
     """
     if cfg.advice == "ideal":
         return None
@@ -150,19 +148,14 @@ def _make_advice(cfg: SolverConfig):
 
         def shot_advice(node, value, key):
             ideal = min(1.0, max(-1.0, value))
-            digest = hashlib.blake2b(
-                prefix + b"%d:" % node + key, digest_size=8
-            ).digest()
-            return sample_shots(ideal, shots, int.from_bytes(digest, "little"))
+            return sample_shots(ideal, shots, key_digest(prefix + b"%d:" % node + key))
 
         return shot_advice
-    realization = NoiseRealization(cfg.noise)
+    noise = cfg.noise
 
     def noisy_advice(node, value, key):
         ideal = min(1.0, max(-1.0, value))
-        return apply_noise(
-            ideal, key_size(key), cfg.noise, realization.offset(key)
-        )
+        return apply_noise(ideal, key_size(key), noise, noise_offset(noise, key))
 
     return noisy_advice
 

@@ -48,9 +48,9 @@ from qgreedy.graph import (
 )
 from qgreedy.noise import (
     NoiseParams,
-    NoiseRealization,
     apply_noise,
     fit_noise,
+    noise_offset,
     required_shots,
 )
 from qgreedy.solver import (
@@ -380,9 +380,9 @@ def test_a10b_noise_fit_recovers_generator_parameters(sched_p2, cache_p2):
     truth = NoiseParams(eta=0.03, alpha=-0.05, sigma=0.04)
     fits = []
     for seed in range(20):
-        real = NoiseRealization(dataclasses.replace(truth, seed=seed))
+        real = dataclasses.replace(truth, seed=seed)
         triples = [
-            (x, apply_noise(x, s, truth, real.offset(k)), s)
+            (x, apply_noise(x, s, truth, noise_offset(real, k)), s)
             for x, s, k in zip(ideals, sizes, keys)
         ]
         fit = fit_noise(triples)

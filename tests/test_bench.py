@@ -187,6 +187,9 @@ class TestParsePlan:
         ("solvers = greedy\nangles_dir = angles", "angles_dir"),
         ("solvers = greedy\nadvice = shots\nshots = 991", "advice"),
         ("solvers = greedy\nadvice = noise\neta = 0.1", "advice"),
+        # the classical greedy reads no lambda, yet it went into every CSV row
+        ("lambda = 2", "lambda"),
+        ("solvers = greedy\nlambda = 0.5", "lambda"),
     ])
     def test_unread_key_rejected(self, lines, key):
         # a key that no cell reads must fail, not be silently ignored

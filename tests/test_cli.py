@@ -240,6 +240,9 @@ class TestExitCodes:
         (["--advice", "shots"], "--shots"),
         (["--advice", "shots", "--shots", "0"], "--shots"),
         (["--advice", "shots", "--shots", "99999999999999999999"], "--shots"),
+        # the classical and exact solvers read no lambda
+        (["--solver", "greedy", "--lambda", "2"], "--lambda"),
+        (["--solver", "exact", "--lambda", "2"], "--lambda"),
     ])
     def test_solve_flag_misuse_is_usage_error(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -247,6 +250,30 @@ class TestExitCodes:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert err.startswith("usage: qgreedy solve ") and flag in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        # shared flags a subcommand does not read, on either side of it
+        (["shots", "--n", "10", "--eps", "0.1", "--gap", "0.5", "--depth", "4"],
+         "--depth"),
+        (["generate", "--n", "10", "--depth", "3", "--lambda", "5"], "--lambda"),
+        (["generate", "--n", "10", "--depth", "3"], "--depth"),
+        (["census", "--depth", "2", "--lambda", "5"], "--lambda"),
+        (["census", "--depth", "2", "--seed", "9"], "--seed"),
+        (["census", "--out", "x.txt"], "--out"),
+        (["--seed", "1", "bench", "--plan", "p.plan"], "--seed"),
+        (["fit-noise", "--pairs", "p.txt", "--out", "x.txt"], "--out"),
+        (["--lambda", "2", "solve", "--n", "20", "--solver", "greedy"],
+         "--lambda"),
+    ])
+    def test_unread_shared_flag_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        command = next(a for a in argv if a in ("shots", "generate", "census",
+                                                "bench", "fit-noise", "solve"))
+        assert err.startswith(f"usage: qgreedy {command} ")
+        assert f"error: {flag} is not read" in err
 
     @pytest.mark.parametrize("argv, flag, found", [
         (["solve", "--depth", "3"], "--depth", "depth 2"),

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgreedy.noise
 from qgreedy.noise import (
     NoiseParams,
-    NoiseRealization,
     apply_noise,
     fit_noise,
+    noise_offset,
     required_shots,
 )
 
@@ -59,26 +63,60 @@ class TestApplyNoise:
 
 
 class TestRealization:
+    """An offset is a pure function of (noise seed, cone key)."""
+
     def test_offsets_frozen_per_key(self):
-        real = NoiseRealization(NoiseParams(eta=0.0, alpha=0.0, sigma=0.5, seed=1))
-        a = real.offset(b"cone-key")
-        assert real.offset(b"cone-key") == a
-        assert real.offset(b"other") != a
+        p = NoiseParams(eta=0.0, alpha=0.0, sigma=0.5, seed=1)
+        a = noise_offset(p, b"cone-key")
+        assert noise_offset(p, b"cone-key") == a
+        assert noise_offset(p, b"other") != a
 
     def test_same_seed_same_table(self):
-        p = NoiseParams(eta=0.0, alpha=0.0, sigma=0.5, seed=4)
-        a = NoiseRealization(p)
-        b = NoiseRealization(p)
-        assert a.offset(b"k1") == b.offset(b"k1")
+        a = NoiseParams(eta=0.0, alpha=0.0, sigma=0.5, seed=4)
+        b = NoiseParams(eta=0.0, alpha=0.0, sigma=0.5, seed=4)
+        assert noise_offset(a, b"k1") == noise_offset(b, b"k1")
 
     def test_different_seed_differs(self):
-        a = NoiseRealization(NoiseParams(0.0, 0.0, 0.5, seed=1))
-        b = NoiseRealization(NoiseParams(0.0, 0.0, 0.5, seed=2))
-        assert a.offset(b"k1") != b.offset(b"k1")
+        a = NoiseParams(0.0, 0.0, 0.5, seed=1)
+        b = NoiseParams(0.0, 0.0, 0.5, seed=2)
+        assert noise_offset(a, b"k1") != noise_offset(b, b"k1")
 
-    def test_sigma_zero_never_draws(self):
-        real = NoiseRealization(NoiseParams(eta=0.1, alpha=0.1, sigma=0.0))
-        assert real.offset(b"k") == 0.0
+    def test_sigma_zero_never_draws(self, monkeypatch):
+        def no_draw(key_data):
+            raise AssertionError("sigma 0 hashed a key")
+
+        monkeypatch.setattr(qgreedy.noise, "key_digest", no_draw)
+        xi = noise_offset(NoiseParams(eta=0.1, alpha=0.1, sigma=0.0), b"k")
+        # +0.0 exactly, so zero-sigma advice adds nothing, not even a sign
+        assert xi == 0.0 and math.copysign(1.0, xi) == 1.0
+
+    KEYS = [b"%d" % i for i in range(10_000)]
+
+    def test_offsets_are_normal(self):
+        p = NoiseParams(eta=0.0, alpha=0.0, sigma=0.3, seed=7)
+        xs = [noise_offset(p, k) for k in self.KEYS]
+        # the keys are fixed, so this is deterministic; 1% critical value
+        statistic = stats.kstest(xs, stats.norm(0.0, 0.3).cdf).statistic
+        assert statistic < stats.kstwo.ppf(0.99, len(xs))
+
+    def test_seeds_uncorrelated(self):
+        a = NoiseParams(0.0, 0.0, 1.0, seed=1)
+        b = NoiseParams(0.0, 0.0, 1.0, seed=2)
+        xa = [noise_offset(a, k) for k in self.KEYS]
+        xb = [noise_offset(b, k) for k in self.KEYS]
+        assert abs(np.corrcoef(xa, xb)[0, 1]) < 0.05
+
+    def test_extreme_words_finite_and_opposite(self, monkeypatch):
+        # 52 bits keep the uniform below 1.0, where inv_cdf would raise
+        p = NoiseParams(eta=0.0, alpha=0.0, sigma=0.5)
+        xs = []
+        for word in (0, 2**64 - 1):
+            monkeypatch.setattr(qgreedy.noise, "key_digest", lambda _: word)
+            xs.append(noise_offset(p, b"k"))
+        lo, hi = xs
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert lo == pytest.approx(-8.2095 * 0.5, abs=1e-3)
+        assert hi == pytest.approx(8.2095 * 0.5, abs=1e-3)
 
 
 class TestFitNoise:

@@ -4,10 +4,11 @@ by ``bench.solver_config``, the angle file name is spelled out only by
 decision (the closed form at depth 1, else contraction; dense statevector
 is a test oracle only), the Ising coefficients come from
 ``graph.IsingParams`` alone, ``cones._tree_code`` is the one tree encoder,
-``graph.check_regular`` is the one test of which regular graphs exist, and
-``engines.sample_shots`` is the one shot sampler.  The package defines none
-of the test oracles (they live in ``tests/helpers.py``) nor the depth-trend
-fits (``scripts/run_bench.py``)."""
+``graph.check_regular`` is the one test of which regular graphs exist,
+``engines.sample_shots`` is the one shot sampler, and ``cones.key_digest``
+is the one per-cone random source (shot words and noise offsets alike).
+The package defines none of the test oracles (they live in
+``tests/helpers.py``) nor the depth-trend fits (``scripts/run_bench.py``)."""
 
 import ast
 from pathlib import Path
@@ -134,3 +135,14 @@ def test_one_shot_sampler():
         if "PCG64" in line or ".binomial(" in line
     ]
     assert found == []
+
+
+def test_one_keyed_random_source():
+    # shot words and noise offsets both read the BLAKE2b word of key_digest;
+    # a per-key numpy generator in the noise model would be a second source
+    assert _sites(_calls_to("blake2b")) == [("cones.py", "key_digest")]
+    assert sorted(_sites(_calls_to("key_digest"))) == [
+        ("noise.py", "noise_offset"), ("solver.py", "shot_advice")
+    ]
+    for name in ("SeedSequence", "default_rng"):
+        assert [f for f, _ in _sites(_calls_to(name)) if f == "noise.py"] == []

@@ -370,13 +370,13 @@ class TestTraceDigest:
     DIGEST = {
         "ideal": "698b60a87fe034d133a4756ccf63fc2ef9e610d5afc78e508951664ee149cafc",
         "shots": "1484d480fb309584388a31414c81e4ea82ff123c34096cdc4ef8f1ccb558234d",
-        "noise": "78763c28c165c73f471c7624ffa3e4b71bec87b05a27b4d1c58375a5ac919ff7",
+        "noise": "bf93ec5d50729e076da9aca9e1a14b5ec8eec987958130b25bc3570e0beffc9d",
     }
     # SHA-256 over the same traces' picks (see _picks)
     PICK_DIGEST = {
         "ideal": "7e4baff774e85c5dc02d45a40d6911188e7d8bd39e2975a69bbb1f96f647c086",
         "shots": "b1e4ab7aa87d9ddcae160ea8e2c87082fccdfaaad7d78a84ef6d73ae3ab32b4e",
-        "noise": "971ec693dd003a422ccccfbb5a25bb95723d5c772b9b7c4504632d4fd0520ca3",
+        "noise": "8a54440681cecf80259016d8d9984709e4e10babaedb7668b382784bacc820b7",
     }
 
     @pytest.fixture(scope="class")
@@ -400,13 +400,13 @@ class TestTraceDigest:
         "classical": "784f32edcf5f7f6633593cde51f858215c368aa904b7ddaba2f09d61c79b63c6",
         "ideal": "bf9850f5b3b92d539672e5083adfcdaf826ebc35c8e4c898574bd0382c64dd77",
         "shots": "bf02b9eb9cf899dd47b51d2e674bcbf0158a4a57718e399e117c0f2c6e014f94",
-        "noise": "000dbdd9397fef215c233f45393b38938de4f9deb540986073ffb3ca76eef7f5",
+        "noise": "4071a218f93dfdc192386046ef0e3b96fea88aab14eb69d8f2bcb29f3da88cb2",
     }
     SPARSE_PICK_DIGEST = {
         "classical": "a05ab00f410b64fa6e1be694c7adbcddc84fa8ba4470dbcd51a478c195dcda25",
         "ideal": "ad9222973747a778bfa2d1b3cff424d00a6b0a34383f01ab92205c0dc97a7926",
         "shots": "08342a96c6e67024d69158d8028f17e9635dc038fb0e51702f7b07c72335a56a",
-        "noise": "8243d8d1bd98319278c66fd28c4d5759d4ad0f028555b0607f73203743a04303",
+        "noise": "d2975fd80002b1398b3b73a3dfcc8598be65dc83bbef8564cb57746891c08a21",
     }
 
     @pytest.mark.parametrize("mode", ["classical", "ideal", "shots", "noise"])
