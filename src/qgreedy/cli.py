@@ -1,6 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
+
+A flag that no run of its subcommand would read, given the other flags, is
+a usage error, and so is a flag value that no run can use: the flag's type
+function decides that (``--lambda`` takes only finite values >= 1, ``--delta``
+only "auto" or finite values >= 0), before anything runs.
 """
 
 from __future__ import annotations
@@ -48,6 +53,15 @@ def cutoff(text: str) -> float | None:
     return value
 
 
+def penalty(text: str) -> float:
+    """--lambda value: a finite number >= 1, as the MIS cost needs."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 1):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 1, got {text!r}")
+    return value
+
+
 def seed(text: str) -> int:
     """--seed or --noise-seed value: an integer >= 0."""
     value = int(text)
@@ -69,7 +83,8 @@ def build_parser() -> _Parser:
     # subparser from clobbering a value given before it, and marks it as given
     shared = _Parser(add_help=False)
     shared.add_argument("--seed", type=seed, default=argparse.SUPPRESS)
-    shared.add_argument("--lambda", dest="lam", type=float, default=argparse.SUPPRESS)
+    shared.add_argument("--lambda", dest="lam", type=penalty,
+                        default=argparse.SUPPRESS)
     shared.add_argument("--depth", type=int, default=argparse.SUPPRESS)
     shared.add_argument("--out", default=argparse.SUPPRESS)
     ap = _Parser(prog="qgreedy", description=__doc__, parents=[shared])
@@ -95,13 +110,15 @@ def build_parser() -> _Parser:
     sol.add_argument("--in", dest="infile", default=None,
                      help="edge list file (else generate from --n/--seed)")
     sol.add_argument("--n", type=int, default=None)
-    sol.add_argument("--degree", type=int, default=3)
     sol.add_argument("--solver", choices=("qgreedy", "greedy", "exact"),
                      default="qgreedy")
-    # the flags below are read by some solvers and advice sources only;
-    # they stay unset unless given, so that a flag the run would ignore is
-    # caught as a usage error; _DEFAULTS fills in the rest
+    # the flags below are read by some runs only; they stay unset unless
+    # given, so that a flag the run would ignore is caught as a usage
+    # error; _DEFAULTS fills in the rest
     unset = argparse.SUPPRESS
+    sol.add_argument("--degree", type=int, default=unset,
+                     help="of the generated graph and the shipped angles "
+                          "(default: 3)")
     sol.add_argument("--angles", default=unset, help="angle file (default: shipped)")
     sol.add_argument("--advice", choices=("ideal", "shots", "noise"), default=unset)
     sol.add_argument("--shots", type=int, default=unset)
@@ -157,8 +174,8 @@ def _cmd_angles(args) -> int:
 
 # values of unset flags; an unset --delta leaves SolverConfig's auto
 _DEFAULTS = dict(
-    seed=0, lam=1.0, depth=1, out=None, angles=None, advice="ideal", shots=0,
-    eta=0.0, alpha=0.0, sigma=0.0, noise_seed=0, node_limit=40,
+    seed=0, lam=1.0, depth=1, out=None, degree=3, angles=None, advice="ideal",
+    shots=0, eta=0.0, alpha=0.0, sigma=0.0, noise_seed=0, node_limit=40,
 )
 _SHARED_FLAGS = ("seed", "lam", "depth", "out")
 # the shared flags each subcommand reads; bench, fit-noise and shots read none
@@ -172,9 +189,9 @@ _NOISE_FLAGS = ("eta", "alpha", "sigma", "noise_seed")
 def _usage_error(args) -> str | None:
     """Why these flags cannot run as given, or None.
 
-    A flag that the subcommand, or solve's chosen solver or advice source,
-    does not read is an error rather than silently ignored.  Solve's graph
-    comes from exactly one of --in and --n.
+    A flag that the subcommand, or solve's chosen solver, advice source or
+    graph source, does not read is an error rather than silently ignored.
+    Solve's graph comes from exactly one of --in and --n.
     """
     command = args.command
     read = _SHARED_READ.get(command, ())
@@ -186,6 +203,13 @@ def _usage_error(args) -> str | None:
         solver = args.solver
         if solver != "exact":
             unread["node_limit"] = f"--solver {solver}"
+        if args.infile is not None:  # the graph is not generated
+            if solver == "exact":  # nor is anything drawn
+                unread["seed"] = "--in and --solver exact"
+            if solver != "qgreedy":
+                unread["degree"] = f"--in and --solver {solver}"
+            elif hasattr(args, "angles"):  # nor a shipped file chosen
+                unread["degree"] = "--in and --angles"
         if solver != "qgreedy":
             unread.update(dict.fromkeys(_QUANTUM_FLAGS, f"--solver {solver}"))
         else:

@@ -31,8 +31,9 @@ non-causal edges between them are never seen.  The walk meets no vertex
 twice exactly when the cone is a tree.  A node whose cone is known to be a
 tree is keyed by a walk that marks nothing and stops one shell short of
 the outermost: a vertex there has its parent and one edge per child, so
-its code follows from its alive degree.  The knowledge cannot go stale
-while the graph only loses vertices: a deletion never shortens a
+its code is read from a table by its alive degree (filled on first use, for
+any degree), as the ``T`` header is by depth.  The knowledge cannot go
+stale while the graph only loses vertices: a deletion never shortens a
 distance, so a cone's causal edges only shrink, and a tree stays a tree.
 """
 
@@ -169,7 +170,19 @@ def tree_key(g: Graph, root: int, depth: int,
         return b"T\x01(" + b"()" * g._deg[root] + b")"
     code = _tree_code(g.adj, g.alive, g._deg, root, -1, depth,
                       None if known else {root})
-    return None if code is None else b"T" + bytes([depth]) + code
+    return None if code is None else _TREE_HEADER[depth] + code
+
+
+class _ShellCodes(dict):
+    """Code of a vertex one shell inside the outermost of a known tree, by
+    alive degree d: its d - 1 children are leaves.  Coded on first use."""
+    def __missing__(self, d: int) -> bytes:
+        code = self[d] = b"(" + b"()" * (d - 1) + b")"
+        return code
+
+
+_SHELL_CODE = _ShellCodes()
+_TREE_HEADER = [b"T" + bytes([depth]) for depth in range(256)]
 
 
 def _tree_code(adj, alive, deg, u: int, parent: int, k: int,
@@ -181,16 +194,14 @@ def _tree_code(adj, alive, deg, u: int, parent: int, k: int,
     reaches and returns None at the first one already marked.  Outermost
     vertices are marked but not expanded, so edges between them are never
     seen.  With ``seen`` None the cone must be a tree, and a vertex one
-    shell inside the outermost is coded from its alive degree ``deg``: its
-    edges are its parent's and one per child, so the outermost shell is
-    never visited.
+    shell inside the outermost is coded from its alive degree ``deg`` (by
+    ``_SHELL_CODE``): its edges are its parent's and one per child, so the
+    outermost shell is never visited.
     """
-    sub = []
     if seen is None and k == 2:
-        for v in adj[u]:
-            if alive[v] and v != parent:
-                sub.append(b"(" + b"()" * (deg[v] - 1) + b")")
+        sub = [_SHELL_CODE[deg[v]] for v in adj[u] if alive[v] and v != parent]
     else:
+        sub = []
         for v in adj[u]:
             if alive[v] and v != parent:
                 if seen is not None:

@@ -10,9 +10,11 @@ ball is rescored.  The loop never adds two adjacent vertices, so the
 output is independent no matter how wrong the scores are.
 
 Selection reads an index, not every live score: an ascending list of live
-nodes per distinct rank, and the ranks in ascending order, both kept with
-bisect.  The candidates are the lists of the ranks within delta of the top
-(the top list as it stands when it is alone), so a step costs its rescored
+nodes per distinct rank, and the ranks in ascending order.  The first pass
+scores in ascending id order, so it appends to each list and sorts the
+ranks once; a rescore moves a node between lists with bisect.  The
+candidates are the lists of the ranks within delta of the top (the top
+list as it stands when it is alone), so a step costs its rescored
 vertices and the tie window, not the graph size.
 
 Each score first asks ``tree_key`` for the node's key, read straight off
@@ -49,6 +51,8 @@ from .engines import MAX_SHOTS, ExpectationCache, evaluate_cone, sample_shots
 from .errors import NodeLimitExceeded
 from .graph import Graph, is_independent
 from .noise import NoiseParams, apply_noise, noise_offset
+
+_new = object.__new__
 
 
 @dataclass(frozen=True)
@@ -176,29 +180,11 @@ def _greedy(g: Graph, depth: int, score, delta: float, seed: int,
     # selection index: rank -> live nodes holding it in ascending id order,
     # and the distinct ranks in ascending order
     buckets: dict[float, list[int]] = {}
-    levels: list[float] = []
-
-    def forget(i: int) -> None:
-        rank = scored.pop(i)[0]
-        bucket = buckets[rank]
-        del bucket[bisect_left(bucket, i)]
-        if not bucket:
-            del buckets[rank]
-            del levels[bisect_left(levels, rank)]
-
-    pending = work.alive_nodes()
+    for i in work.alive_nodes():  # ascending ids: each list stays sorted
+        scored[i] = result = score(work, i)
+        buckets.setdefault(result[0], []).append(i)
+    levels = sorted(buckets)
     while work.alive_count:
-        for i in pending:
-            if i in scored:
-                forget(i)
-            scored[i] = result = score(work, i)
-            rank = result[0]
-            bucket = buckets.get(rank)
-            if bucket is None:
-                buckets[rank] = [i]
-                insort(levels, rank)
-            else:
-                insort(bucket, i)
         lo = bisect_left(levels, levels[-1] - delta)  # first tied rank
         if lo == len(levels) - 1:
             candidates = buckets[levels[-1]]
@@ -212,16 +198,34 @@ def _greedy(g: Graph, depth: int, score, delta: float, seed: int,
         affected = work.ball(pick, depth + 1)
         _, value, key = scored[pick]
         removed = work.remove_closed_neighborhood(pick)
-        for r in removed:
-            forget(r)
-        trace.steps.append(TraceStep(
-            len(trace.steps), pick, value, "-" if key is None else key.hex(),
-            len(removed),
-        ))
-        if full_recompute:
-            pending = work.alive_nodes()
-        else:
-            pending = [x for x, _ in affected if alive[x]]
+        step = _new(TraceStep)  # the frozen __init__ is slow; see cones._extract
+        fields = step.__dict__
+        fields["step"] = len(trace.steps)
+        fields["node"] = pick
+        fields["value"] = value
+        fields["key_hex"] = "-" if key is None else key.hex()
+        fields["removed"] = len(removed)
+        trace.steps.append(step)
+        pending = (work.alive_nodes() if full_recompute
+                   else [x for x, _ in affected if alive[x]])
+        # every removed and pending node is scored: take its old rank out,
+        # and give a live one its new rank
+        for i in removed + pending:
+            rank = scored.pop(i)[0]
+            bucket = buckets[rank]
+            del bucket[bisect_left(bucket, i)]
+            if not bucket:
+                del buckets[rank]
+                del levels[bisect_left(levels, rank)]
+            if alive[i]:
+                scored[i] = result = score(work, i)
+                rank = result[0]
+                bucket = buckets.get(rank)
+                if bucket is None:
+                    buckets[rank] = [i]
+                    insort(levels, rank)
+                else:
+                    insort(bucket, i)
     return trace
 
 
@@ -262,7 +266,7 @@ def solve_classical_greedy(g: Graph, seed: int = 0) -> SolveTrace:
     """Repeatedly pick uniformly among minimum-degree vertices."""
 
     def score(work: Graph, i: int) -> tuple[int, float, None]:
-        d = work.degree(i)
+        d = work._deg[i]
         return -d, float(d), None
 
     # a deletion changes degrees only at distance 2 from the pick, inside

@@ -2,16 +2,21 @@
 brute-force rooted-isomorphism oracle for canonical-key checks, the plain
 frontier-list cone BFS as an oracle for the shell-indexed one, closed-form
 oracles (the depth-1 edge expectation, the spin-basis cost, the tree ball
-size), and source files outside the package (the benchmark's tracer,
-``scripts/run_bench.py``) loaded by path."""
+size), the greedy loop as it stood before its per-step rework, and source
+files outside the package (the benchmark's tracer, ``scripts/run_bench.py``,
+``scripts/bench_pairs.py``) loaded by path."""
 
 import importlib.util
 import math
+from bisect import bisect_left, insort
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
+
 from qgreedy.cones import LightCone
 from qgreedy.graph import Graph, IsingParams
+from qgreedy.solver import SolveTrace, TraceStep
 
 
 def petersen() -> Graph:
@@ -247,9 +252,77 @@ def tree_ball_size(depth: int, d: int) -> int:
     return 1 + d * ((d - 1) ** depth - 1) // (d - 2)
 
 
+# the greedy loop as it stood before its per-step rework, kept verbatim as
+# the oracle that the reworked loop's traces are compared against
+def reference_greedy(g: Graph, depth: int, score, delta: float, seed: int,
+            full_recompute: bool) -> SolveTrace:
+    """The greedy loop.  ``score(work, i)`` gives (rank, value, key bytes)
+    of live node i from the alive nodes within ``depth`` of it, with key
+    None when there is no cone; the loop picks by rank and records value
+    and key hex ("-" for None), converting only the picked node's key."""
+    if g.alive_count == 0:
+        raise ValueError("graph has no alive nodes")
+    work = g.copy()
+    alive = work.alive
+    rng = np.random.default_rng(seed)
+    trace = SolveTrace(n=work.alive_count)
+    scored: dict[int, tuple[float, float, bytes | None]] = {}
+    # selection index: rank -> live nodes holding it in ascending id order,
+    # and the distinct ranks in ascending order
+    buckets: dict[float, list[int]] = {}
+    levels: list[float] = []
+
+    def forget(i: int) -> None:
+        rank = scored.pop(i)[0]
+        bucket = buckets[rank]
+        del bucket[bisect_left(bucket, i)]
+        if not bucket:
+            del buckets[rank]
+            del levels[bisect_left(levels, rank)]
+
+    pending = work.alive_nodes()
+    while work.alive_count:
+        for i in pending:
+            if i in scored:
+                forget(i)
+            scored[i] = result = score(work, i)
+            rank = result[0]
+            bucket = buckets.get(rank)
+            if bucket is None:
+                buckets[rank] = [i]
+                insort(levels, rank)
+            else:
+                insort(bucket, i)
+        lo = bisect_left(levels, levels[-1] - delta)  # first tied rank
+        if lo == len(levels) - 1:
+            candidates = buckets[levels[-1]]
+        else:
+            candidates = sorted(i for v in levels[lo:] for i in buckets[v])
+        if len(candidates) == 1:
+            pick = candidates[0]
+        else:
+            pick = candidates[int(rng.integers(len(candidates)))]
+        # neighborhood whose scores the deletion can touch, taken pre-deletion
+        affected = work.ball(pick, depth + 1)
+        _, value, key = scored[pick]
+        removed = work.remove_closed_neighborhood(pick)
+        for r in removed:
+            forget(r)
+        trace.steps.append(TraceStep(
+            len(trace.steps), pick, value, "-" if key is None else key.hex(),
+            len(removed),
+        ))
+        if full_recompute:
+            pending = work.alive_nodes()
+        else:
+            pending = [x for x, _ in affected if alive[x]]
+    return trace
+
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 RUN_BENCH = ROOT / "scripts" / "run_bench.py"
+BENCH_PAIRS = ROOT / "scripts" / "bench_pairs.py"
 
 
 def _load(path: Path, name: str):
@@ -268,3 +341,8 @@ def load_tracing():
 def load_run_bench():
     """``scripts/run_bench.py`` as a module; its ``main`` is not run."""
     return _load(RUN_BENCH, "run_bench")
+
+
+def load_bench_pairs():
+    """``scripts/bench_pairs.py`` as a module; its ``main`` is not run."""
+    return _load(BENCH_PAIRS, "bench_pairs")

@@ -275,6 +275,52 @@ class TestExitCodes:
         assert err.startswith(f"usage: qgreedy {command} ")
         assert f"error: {flag} is not read" in err
 
+    @pytest.mark.parametrize("argv, flag, choice", [
+        # a graph read from a file is not generated: no run reads its
+        # degree or, with nothing drawn by the exact solver, the seed
+        (["--solver", "exact", "--seed", "5"], "--seed", "--solver exact"),
+        (["--solver", "greedy", "--degree", "4"], "--degree", "--solver greedy"),
+        (["--angles", P2_FILE, "--degree", "4"], "--degree", "--angles"),
+    ])
+    def test_unread_graph_flag_with_in_is_usage_error(self, tmp_path, capsys,
+                                                      argv, flag, choice):
+        path = tmp_path / "g.txt"
+        path.write_text(write_edge_list(Graph(4, [(0, 1), (1, 2), (2, 3)])))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--in", str(path), *argv])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: qgreedy solve ")
+        assert f"error: {flag} is not read with --in and {choice}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "12", "--solver", "greedy", "--degree", "3"],
+        ["--in", "{path}", "--degree", "3"],  # picks the shipped angles
+    ])
+    def test_read_degree_is_accepted(self, tmp_path, capsys, argv):
+        path = tmp_path / "g.txt"
+        path.write_text(write_edge_list(Graph(4, [(0, 1), (1, 2), (2, 3)])))
+        argv = [a.format(path=path) for a in argv]
+        assert main(["solve", *argv]) == 0
+        assert parse_trace(capsys.readouterr().out)["set_size"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "12", "--depth", "1", "--lambda", "nan"],
+        ["solve", "--n", "12", "--depth", "1", "--lambda", "inf"],
+        ["solve", "--n", "12", "--depth", "1", "--lambda", "0.5"],
+        ["angles", "--depth", "1", "--lambda", "inf"],
+    ])
+    def test_unusable_lambda_is_usage_error(self, capsys, argv):
+        # no MIS cost has a penalty weight that is not finite and >= 1
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: qgreedy {argv[0]} ")
+        assert "argument --lambda: must be a finite number >= 1" in err
+
     @pytest.mark.parametrize("argv, flag, found", [
         (["solve", "--depth", "3"], "--depth", "depth 2"),
         (["--depth", "1", "solve"], "--depth", "depth 2"),

@@ -1,12 +1,15 @@
 """Smoke tests for the experiment scripts: each runs as a subprocess on a
 tiny input, exits 0 and prints its expected lines."""
 
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import ROOT, load_bench_pairs
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -117,3 +120,61 @@ def test_run_bench(tmp_path):
     assert any(line.startswith("depth trend at N=20:") for line in lines)
     assert lines[-1] == f"wrote {out}"
     assert out.exists()
+
+
+BENCH_ARGS = {"--workload": "classical", "--base": "HEAD", "--pairs": "1",
+              "--seconds": "1", "--seed": "1", "--label": "usage-check"}
+
+
+@pytest.mark.parametrize("flag, value, why", [
+    ("--workload", "nope", "--workload must be one of cold-p3, warm-p2"),
+    ("--base", "no-such-revision", "--base: git knows no commit"),
+    ("--pairs", "0", "argument --pairs: must be an integer >= 1"),
+    ("--seconds", "nan", "argument --seconds: invalid seconds value"),
+    ("--seconds", "0", "argument --seconds: invalid seconds value"),
+    ("--seed", "-1", "argument --seed: must be an integer >= 0"),
+    ("--label", "a/b", "argument --label: invalid label value"),
+    ("--label", None, "the following arguments are required: --label"),
+])
+def test_bench_pairs_bad_flag_is_a_usage_error(flag, value, why):
+    # refused before any revision is extracted or perfbench runs
+    args = dict(BENCH_ARGS, **{flag: value})
+    argv = [a for k, v in args.items() if v is not None for a in (k, v)]
+    done = run_failing("bench_pairs.py", *argv)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("usage: ")
+    assert f"error: {why}" in done.stderr
+    assert done.stdout == ""
+    assert not list(ROOT.glob("BENCH_usage-check-*.json"))
+
+
+def _perfbench_stdout(op_s, rss, correct=True):
+    """What perfbench/run.py prints: comment and metric lines, then JSON."""
+    final = {"correct": correct, "attempted": 300, "failed": 0, "metrics": {
+        "op_s": {"value": op_s, "unit": "s"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
+    }}
+    return ("# workload classical seed 1 seconds 5 trace 0\n"
+            f"op_s {op_s} s the solve_s below\n\n{json.dumps(final)}\n")
+
+
+def test_bench_pairs_summarizes_final_lines():
+    bench_pairs = load_bench_pairs()
+    runs = [bench_pairs.final_line(_perfbench_stdout(op_s, rss))
+            for op_s, rss in ((0.0190, 119.0), (0.0160, 121.0), (0.0170, 118.0))]
+    assert runs[1]["metrics"]["op_s"] == {"value": 0.0160, "unit": "s"}
+    assert bench_pairs.summarize(runs) == {"op_s": 0.0170, "peak_rss_mb": 119.0}
+    # an even count takes the mean of the middle two
+    assert bench_pairs.summarize(runs[:2]) == {"op_s": 0.0175,
+                                               "peak_rss_mb": 120.0}
+
+
+@pytest.mark.parametrize("stdout", [
+    "",
+    "# workload classical seed 1 seconds 5 trace 0\nop_s 0.0186 s\n",
+    _perfbench_stdout(0.0186, 119.0, correct=False),
+], ids=["empty", "no-json", "failed-check"])
+def test_bench_pairs_refuses_a_failed_run(stdout):
+    bench_pairs = load_bench_pairs()
+    with pytest.raises(bench_pairs.RunFailed):
+        bench_pairs.final_line(stdout)

@@ -3,12 +3,13 @@ by ``bench.solver_config``, the angle file name is spelled out only by
 ``angles.angle_file_name``, ``engines.expectation`` is the one routing
 decision (the closed form at depth 1, else contraction; dense statevector
 is a test oracle only), the Ising coefficients come from
-``graph.IsingParams`` alone, ``cones._tree_code`` is the one tree encoder,
-``graph.check_regular`` is the one test of which regular graphs exist,
-``engines.sample_shots`` is the one shot sampler, and ``cones.key_digest``
-is the one per-cone random source (shot words and noise offsets alike).
-The package defines none of the test oracles (they live in
-``tests/helpers.py``) nor the depth-trend fits (``scripts/run_bench.py``)."""
+``graph.IsingParams`` alone, ``solver._greedy`` is the one greedy loop,
+``cones._tree_code`` is the one tree encoder, ``graph.check_regular`` is
+the one test of which regular graphs exist, ``engines.sample_shots`` is
+the one shot sampler, and ``cones.key_digest`` is the one per-cone random
+source (shot words and noise offsets alike).  The package defines none of
+the test oracles (they live in ``tests/helpers.py``) nor the depth-trend
+fits (``scripts/run_bench.py``)."""
 
 import ast
 from pathlib import Path
@@ -93,7 +94,7 @@ def test_closed_form_called_only_by_the_router():
 def test_package_defines_no_test_only_names():
     # oracles moved to tests/helpers.py, the fits to scripts/run_bench.py
     moved = {"expectation_p1_edge", "energy_pauli", "tree_ball_size",
-             "fit_curve", "CurveFit", "BenchmarkReport"}
+             "fit_curve", "CurveFit", "BenchmarkReport", "reference_greedy"}
     found = [
         (path.name, node.name)
         for path in PACKAGE
@@ -101,6 +102,14 @@ def test_package_defines_no_test_only_names():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in moved
     ]
     assert found == []
+
+
+def test_one_greedy_loop():
+    # both greedy solvers run _greedy; a classical fast path would fork it
+    assert sorted(_sites(_calls_to("_greedy"))) == [
+        ("solver.py", "solve_classical_greedy"),
+        ("solver.py", "solve_quantum_greedy"),
+    ]
 
 
 def test_ising_coefficients_spelled_once():

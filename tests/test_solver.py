@@ -10,7 +10,7 @@ import qgreedy.solver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, k33, petersen, random_graph
+from helpers import complete, k33, petersen, random_graph, reference_greedy
 from qgreedy.angles import load_default_angles
 from qgreedy.cones import canonical_key, extract_lightcone, tree_key
 from qgreedy.engines import MAX_SHOTS, ExpectationCache
@@ -418,6 +418,57 @@ class TestTraceDigest:
     def test_classical_and_isolated_pick_digest(self, sparse, mode):
         texts = (_picks(t) for t in sparse[mode])
         assert _digest(texts) == self.SPARSE_PICK_DIGEST[mode]
+
+
+@st.composite
+def bounded_graphs(draw, max_n=40, max_degree=4):
+    """A graph of at most ``max_n`` nodes and degree at most ``max_degree``,
+    isolated nodes allowed: drawn pairs that would break a bound are
+    skipped."""
+    n = draw(st.integers(1, max_n))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    deg = [0] * n
+    edges = set()
+    for a, b in pairs:
+        a, b = min(a, b), max(a, b)
+        if a != b and (a, b) not in edges and max(deg[a], deg[b]) < max_degree:
+            edges.add((a, b))
+            deg[a] += 1
+            deg[b] += 1
+    return Graph(n, sorted(edges))
+
+
+class TestReferenceLoop:
+    """The greedy loop gives the same trace as the loop it replaced
+    (``helpers.reference_greedy``, kept verbatim), for either score, every
+    advice source it was timed on, tie cutoffs and both recompute modes."""
+
+    @staticmethod
+    def _both(solve):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qgreedy.solver, "_greedy", reference_greedy)
+            reference = solve()
+        trace = solve()
+        assert format_trace(trace) == format_trace(reference)
+        assert trace.steps == reference.steps  # the removed counts too
+
+    @given(g=bounded_graphs(), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_classical(self, g, seed):
+        self._both(lambda: solve_classical_greedy(g, seed=seed))
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("advice", [{}, {"advice": "shots", "shots": 64}])
+    @given(g=bounded_graphs(), seed=st.integers(0, 2**32),
+           delta=st.sampled_from([0.0, 0.02, 0.3]), full=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_quantum(self, sched_p1, sched_p2, cache_p2, depth, advice, g,
+                     seed, delta, full):
+        sched, cache = (sched_p1, None) if depth == 1 else (sched_p2, cache_p2)
+        cfg = SolverConfig(schedule=sched, delta=delta, seed=seed,
+                           full_recompute=full, **advice)
+        self._both(lambda: solve_quantum_greedy(g, cfg, cache))
 
 
 def _shot_advice(sched, seed, shots=64):
