@@ -87,7 +87,7 @@ def _energy(
 ) -> tuple[float, float, float]:
     """(energy per vertex, <Z_root>, <Z_u Z_v>) on prebuilt tree cones."""
     z = expectation(vcone, schedule)
-    zz = expectation(econe, schedule, observable=(0, 1))
+    zz = expectation(econe, schedule)
     d, ising = schedule.degree, IsingParams(schedule.lam)
     e = (d / 2.0) * ising.coupling * zz + ising.field(d) * z + ising.offset(d)
     return e, z, zz

@@ -11,12 +11,14 @@ field h_v for the vertex's in-cone degree as Z weight.  Gate "weight" w
 means the gate exp(-i * w * P) for Pauli string P: gamma times the
 coefficient for ZZ and Z, beta for the X mixer.
 
-Layer pruning drops gates that cannot reach the observable: counting layers
+The circuit measures the product of Z over the cone's roots, its
+distance-0 vertices: the root of a vertex cone, both ends of an edge cone.
+Layer pruning drops gates that cannot reach them: counting layers
 k = 0..p-1 in application order, layer k keeps ZZ gates on edges whose
-nearer endpoint is within distance p-k-1 of the observable and
-single-qubit gates on vertices within distance p-k.  So a vertex keeps a
-prefix of the layers, at least layer 0, and a ZZ gate sits in a layer both
-its endpoints keep.  The pruned circuit is exactly value-preserving, and it
+nearer endpoint is within distance p-k-1 of the roots and single-qubit
+gates on vertices within distance p-k, both read off ``cone.dists``.  So
+a vertex keeps a prefix of the layers, at least layer 0, and a ZZ gate
+sits in a layer both its endpoints keep.  The pruned circuit is exactly value-preserving, and it
 is the one :func:`qgreedy.engines.expectation` contracts; the unpruned
 circuit, with every gate in every layer, is the input of the tests' dense
 oracle.
@@ -62,23 +64,22 @@ class ConeCircuit:
     ``gates[v]`` holds v's (Z weight, mixer angle) for layers 0..len-1, the
     layers that act on v.  ``couplings`` holds (u, v, layer, ZZ weight) in
     layer order, edges in the cone's order within a layer; a ZZ gate of
-    weight 0.0 is left out.
+    weight 0.0 is left out.  ``observable`` lists the measured qubits, the
+    cone's roots.
     """
 
     n_qubits: int
     depth: int
     gates: tuple[tuple[tuple[float, float], ...], ...]
     couplings: tuple[tuple[int, int, int, float], ...]
-    observable: tuple[int, ...] = (0,)
+    observable: tuple[int, ...]
 
 
 def build_circuit(
-    cone: LightCone,
-    schedule: AngleSchedule,
-    prune_layers: bool = False,
-    observable: tuple[int, ...] | None = None,
+    cone: LightCone, schedule: AngleSchedule, prune_layers: bool = False
 ) -> ConeCircuit:
-    """Compile a cone and a schedule into per-vertex and per-edge gates."""
+    """Compile a cone and a schedule into per-vertex and per-edge gates
+    that measure the cone's roots."""
     if schedule.depth != cone.depth:
         raise ValueError(
             f"schedule depth {schedule.depth} != cone depth {cone.depth}"
@@ -87,22 +88,8 @@ def build_circuit(
     ising = IsingParams(schedule.lam)
     coupling = ising.coupling
     fields = [ising.field(d) for d in cone.in_degrees()]
-    observable = (0,) if observable is None else tuple(observable)
-    if not all(0 <= q < cone.size for q in observable):
-        raise ValueError(f"observable {observable} outside the cone")
-    # distance to the observable through the cone's edges, capped at p; for
-    # the roots it is cone.dists.  Unpruned, every vertex counts as observed.
-    dists = [0] * cone.size
-    if prune_layers:
-        dists = [p] * cone.size
-        frontier = set(observable)
-        for q in frontier:
-            dists[q] = 0
-        adj = cone.adjacency()
-        for d in range(1, p):
-            frontier = {w for v in frontier for w in adj[v] if dists[w] > d}
-            for w in frontier:
-                dists[w] = d
+    # distance to the roots; unpruned, every vertex keeps every layer
+    dists = cone.dists if prune_layers else (0,) * cone.size
     layers = list(zip(schedule.gammas, schedule.betas))
     gates = tuple(
         tuple((h * gamma, beta) for gamma, beta in layers[: p + 1 - d])
@@ -114,4 +101,5 @@ def build_circuit(
         for u, v in cone.edges
         if k < p - min(dists[u], dists[v]) and coupling * gamma != 0.0
     )
-    return ConeCircuit(cone.size, p, gates, couplings, observable)
+    roots = tuple(v for v, d in enumerate(cone.dists) if d == 0)
+    return ConeCircuit(cone.size, p, gates, couplings, roots)

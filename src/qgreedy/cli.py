@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 A flag that no run of its subcommand would read, given the other flags, is
 a usage error, and so is a flag value that no run can use: the flag's type
 function decides that (``--lambda`` takes only finite values >= 1, ``--delta``
-only "auto" or finite values >= 0), before anything runs.
+only "auto" or finite values >= 0, ``--depth`` only integers >= 1), before
+anything runs, and so does the subcommand where its range is narrower
+(``census`` is tabulated for ``--depth`` 1..3).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def seed(text: str) -> int:
 
 
 def count(text: str) -> int:
-    """An integer >= 1, such as --restarts."""
+    """An integer >= 1, such as --restarts or --depth."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
@@ -85,7 +87,7 @@ def build_parser() -> _Parser:
     shared.add_argument("--seed", type=seed, default=argparse.SUPPRESS)
     shared.add_argument("--lambda", dest="lam", type=penalty,
                         default=argparse.SUPPRESS)
-    shared.add_argument("--depth", type=int, default=argparse.SUPPRESS)
+    shared.add_argument("--depth", type=count, default=argparse.SUPPRESS)
     shared.add_argument("--out", default=argparse.SUPPRESS)
     ap = _Parser(prog="qgreedy", description=__doc__, parents=[shared])
     ap.add_argument("--version", action="version", version=__version__)
@@ -131,8 +133,7 @@ def build_parser() -> _Parser:
     sol.add_argument("--noise-seed", type=seed, default=unset)
     sol.add_argument("--node-limit", type=int, default=unset)
 
-    cen = add("census", help="enumerate depth-p cones of max degree d")
-    cen.add_argument("--degree", type=int, default=3)
+    add("census", help="enumerate depth-p cones of max degree 3")
 
     ben = add("bench", help="run an experiment plan")
     ben.add_argument("--plan", required=True)
@@ -195,6 +196,8 @@ def _usage_error(args) -> str | None:
     """
     command = args.command
     read = _SHARED_READ.get(command, ())
+    if command == "census" and getattr(args, "depth", 1) > 3:
+        return "census is tabulated for --depth 1..3"
     # flag dest -> the choice that does not read it
     unread = {d: f"qgreedy {command}" for d in _SHARED_FLAGS if d not in read}
     if command == "solve":
@@ -264,7 +267,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    report, _cones = enumerate_cones(args.depth, args.degree)
+    report, _cones = enumerate_cones(args.depth)
     print(f"total {report.total} trees {report.trees} nontrees {report.nontrees}")
     return 0
 

@@ -439,11 +439,14 @@ class CensusReport:
             raise ValueError("census classes do not add up")
 
 
-def enumerate_cones(depth: int, d: int = 3) -> tuple[CensusReport, list[LightCone]]:
-    """All realizable depth-``depth`` cones at max degree ``d``, up to rooted
-    isomorphism.
+CENSUS_DEGREE = 3  # the census's degree bound
 
-    A cone is any connected rooted graph with max degree <= d, every vertex
+
+def enumerate_cones(depth: int) -> tuple[CensusReport, list[LightCone]]:
+    """All realizable depth-``depth`` cones at max degree ``CENSUS_DEGREE``,
+    up to rooted isomorphism.
+
+    A cone is any connected rooted graph with max degree <= 3, every vertex
     within ``depth`` of the root, and no edge joining two outermost-shell
     vertices.  Enumeration grows shell by shell with canonical deduplication
     at every level; within-shell edges are only placed on shells that stay
@@ -451,8 +454,7 @@ def enumerate_cones(depth: int, d: int = 3) -> tuple[CensusReport, list[LightCon
     """
     if depth not in (1, 2, 3):
         raise ValueError(f"census supported for depth 1..3, got {depth}")
-    if d != 3:
-        raise ValueError("census is tabulated for degree bound 3")
+    d = CENSUS_DEGREE
 
     # partial = (dists tuple, edges tuple) with shells 0..k complete
     partials = {(0,): ((0,), ())}

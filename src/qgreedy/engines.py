@@ -1,18 +1,21 @@
 """Expectation-value engines for cone circuits.
 
-The solver and the angle optimizer compute <Z_root> (or a product of Z
-over the observable set) by two routes:
+Every expectation measures the roots of one light cone: <Z_root> on a
+vertex cone for the solver, and also <Z_u Z_v> on the two-root edge cone
+for the angle optimizer.  There are two routes:
 
 * a closed form for single-layer circuits,
 * a path-integral tensor contraction whose cost is set by the cone's
   treewidth, not its qubit count.
 
-:func:`expectation` is the one routing decision: <Z_root> on a depth-1
-cone takes the closed form, and every other cone contracts its pruned
+:func:`expectation` is the one routing decision: a depth-1 cone of one
+root takes the closed form, and every other cone contracts its pruned
 circuit, raising ContractionBudgetExceeded when the plan's peak-entry
 estimate trips ``CONTRACTION_BUDGET``.  The solver reaches it through
-:func:`evaluate_cone`, which adds only the cache; the angle optimizer and
-the resolution cutoff call it directly.
+:meth:`ExpectationCache.value`, which evaluates a missed class on the cone
+its key describes; a tree cone's key is read off the graph, and only a
+cyclic cone is extracted and keyed by :func:`evaluate_cone`.  The angle
+optimizer and the resolution cutoff call the router directly.
 Dense statevector evolution, capped at ``STATEVECTOR_CAP`` qubits, is a
 test oracle that no solve calls: each route agrees with it to tight
 tolerance on overlapping domains, which guards against a silent convention
@@ -79,15 +82,16 @@ def expectation_p1_analytic(
 # -- dense statevector ------------------------------------------------------
 
 
-def expectation_statevector(circ: ConeCircuit, cap: int = STATEVECTOR_CAP) -> float:
+def expectation_statevector(circ: ConeCircuit) -> float:
     """Evolve the full state and read off the observable.
 
     The expectation is computed from probabilities, so the returned value is
-    exactly real by construction.
+    exactly real by construction.  Raises StatevectorCapExceeded above
+    ``STATEVECTOR_CAP`` qubits.
     """
     n = circ.n_qubits
-    if n > cap:
-        raise StatevectorCapExceeded(n, cap)
+    if n > STATEVECTOR_CAP:
+        raise StatevectorCapExceeded(n, STATEVECTOR_CAP)
     shape = (2,) * n
     state = np.full(shape, 2.0 ** (-n / 2.0), dtype=np.complex128)
 
@@ -238,9 +242,7 @@ def _elimination_order(nb: list[int]) -> tuple[list[int], int]:
     return order, max_cluster
 
 
-def expectation_contract(
-    circ: ConeCircuit, budget: int = CONTRACTION_BUDGET
-) -> float:
+def expectation_contract(circ: ConeCircuit) -> float:
     """Contract the cone's path-integral network.
 
     Variables live on the slices of each vertex's gate list, so the
@@ -251,7 +253,7 @@ def expectation_contract(
     variables are eliminated in the min-degree order of
     :func:`_elimination_order`, so ties go to the lowest vertex and, within
     it, to its latest slice.  The projected peak intermediate size is
-    checked against ``budget`` before any tensor is built.  Each elimination
+    checked against ``CONTRACTION_BUDGET`` before any tensor is built.  Each elimination
     is one einsum over the cluster, with no path search.
     """
     # variables of vertex v: first[v] (its last slice) to first[v + 1] - 1
@@ -272,8 +274,9 @@ def expectation_contract(
         nb[b] |= 1 << a
     plan, max_cluster = _elimination_order(nb)
     entries = 4**max_cluster  # peak accumulator before summing the variable
-    if entries > budget:
-        raise ContractionBudgetExceeded(max_cluster - 1, entries, budget)
+    if entries > CONTRACTION_BUDGET:
+        raise ContractionBudgetExceeded(max_cluster - 1, entries,
+                                        CONTRACTION_BUDGET)
 
     # relabel the variables by their place in the plan; a factor then waits
     # in the bucket of its lowest variable, the first of them eliminated,
@@ -444,48 +447,38 @@ class ExpectationCache:
     def get(self, key: bytes) -> float | None:
         return self._store.get(key)
 
-    def insert(self, key: bytes, value: float) -> None:
-        self._store[key] = value
+    def value(self, key: bytes) -> float:
+        """The class's value: stored, or on a miss computed with
+        :func:`expectation` on the cone the key describes, and stored.  So
+        the value depends on the class alone, not on the member that
+        missed."""
+        value = self.get(key)
+        if value is None:
+            value = expectation(cone_from_key(key), self.schedule)
+            self._store[key] = value
+        return value
 
 
-def expectation(
-    cone: LightCone,
-    schedule: AngleSchedule,
-    observable: tuple[int, ...] = (0,),
-) -> float:
-    """<Z...> on ``observable``: the closed form for <Z_root> on a depth-1
-    cone, else a contraction of the cone's pruned circuit.
+def expectation(cone: LightCone, schedule: AngleSchedule) -> float:
+    """<Z> over the cone's roots: the closed form for a depth-1 cone of one
+    root, else a contraction of the cone's pruned circuit.
 
     Raises ContractionBudgetExceeded when the plan trips the budget.
     """
-    if cone.depth == 1 and tuple(observable) == (0,):
+    if cone.depth == 1 and cone.dists.count(0) == 1:
         deg = cone.in_degrees()[0]
         return expectation_p1_analytic(
             deg, IsingParams(schedule.lam).field(deg),
             schedule.gammas[0], schedule.betas[0], schedule.lam,
         )
-    circ = build_circuit(cone, schedule, prune_layers=True, observable=observable)
-    return expectation_contract(circ)
+    return expectation_contract(build_circuit(cone, schedule, prune_layers=True))
 
 
 def evaluate_cone(
-    cone: LightCone,
-    schedule: AngleSchedule,
-    cache: ExpectationCache | None = None,
+    cone: LightCone, schedule: AngleSchedule, cache: ExpectationCache
 ) -> tuple[float, bytes]:
-    """Ideal <Z_root> for a cone, through the cache when one is given.
-
-    A miss evaluates the class's own cone, rebuilt from its key, with
-    :func:`expectation`, so the value depends on the class alone.  Returns
-    (value, canonical key).
-    """
+    """(Ideal <Z_root>, canonical key) of a single-root cone, through the
+    cache, which must serve ``schedule``."""
     key = canonical_key(cone)
-    if cache is not None:
-        cache.check_schedule(schedule)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit, key
-    value = expectation(cone_from_key(key), schedule)
-    if cache is not None:
-        cache.insert(key, value)
-    return value, key
+    cache.check_schedule(schedule)
+    return cache.value(key), key

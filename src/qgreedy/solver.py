@@ -18,12 +18,14 @@ list as it stands when it is alone), so a step costs its rescored
 vertices and the tie window, not the graph size.
 
 Each score first asks ``tree_key`` for the node's key, read straight off
-the alive graph, and reads the value from the cache.  Once a node's cone
-has been a tree it stays one, so the node is flagged and later keyed by
-the walk that checks nothing.  Only a cyclic cone (``tree_key`` gives
-None) or a cache miss takes the extraction and ``evaluate_cone`` path.
-The cache's angle schedule is checked once, before the first score,
-since tree hits never reach ``evaluate_cone``.
+the alive graph, and takes the value from the cache's
+:meth:`~qgreedy.engines.ExpectationCache.value`, which evaluates a missed
+class on the cone its key describes.  Once a node's cone has been a tree
+it stays one, so the node is flagged and later keyed by the walk that
+checks nothing.  Only a cyclic cone (``tree_key`` gives None) is extracted
+and keyed, by ``evaluate_cone``.  The cache's angle schedule is checked
+once, before the first score, since tree cones never reach
+``evaluate_cone``.
 
 Tie-breaking draws one random index per step over the candidates in
 ascending id order, and none when there is one candidate (a draw over one
@@ -104,7 +106,6 @@ class SolverConfig:
     shots: int = 0
     noise: NoiseParams | None = None
     seed: int = 0
-    full_recompute: bool = False
 
     def __post_init__(self):
         check_advice(self.advice, self.shots, self.noise)
@@ -164,8 +165,7 @@ def _make_advice(cfg: SolverConfig):
     return noisy_advice
 
 
-def _greedy(g: Graph, depth: int, score, delta: float, seed: int,
-            full_recompute: bool) -> SolveTrace:
+def _greedy(g: Graph, depth: int, score, delta: float, seed: int) -> SolveTrace:
     """The greedy loop.  ``score(work, i)`` gives (rank, value, key bytes)
     of live node i from the alive nodes within ``depth`` of it, with key
     None when there is no cone; the loop picks by rank and records value
@@ -206,8 +206,7 @@ def _greedy(g: Graph, depth: int, score, delta: float, seed: int,
         fields["key_hex"] = "-" if key is None else key.hex()
         fields["removed"] = len(removed)
         trace.steps.append(step)
-        pending = (work.alive_nodes() if full_recompute
-                   else [x for x, _ in affected if alive[x]])
+        pending = [x for x, _ in affected if alive[x]]
         # every removed and pending node is scored: take its old rank out,
         # and give a live one its new rank
         for i in removed + pending:
@@ -236,7 +235,7 @@ def solve_quantum_greedy(
     if cache is None:
         cache = ExpectationCache(schedule)
     else:
-        cache.check_schedule(schedule)  # tree hits never reach evaluate_cone
+        cache.check_schedule(schedule)  # tree cones never reach evaluate_cone
     advice = _make_advice(cfg)
     depth = cfg.depth
     # one bytes object per key class, shared by the scores that hold it
@@ -246,20 +245,18 @@ def solve_quantum_greedy(
     tree = bytearray(g.n)
 
     def score(work: Graph, i: int) -> tuple[float, float, bytes]:
-        ideal = None
         key = tree_key(work, i, depth, tree[i])
-        if key is not None:
-            tree[i] = 1
-            key = keys.setdefault(key, key)
-            ideal = cache.get(key)
-        if ideal is None:
+        if key is None:
             cone = extract_lightcone(work, i, depth)
             ideal, key = evaluate_cone(cone, schedule, cache)
+        else:
+            tree[i] = 1
+            key = keys.setdefault(key, key)
+            ideal = cache.value(key)
         value = ideal if advice is None else advice(i, ideal, key)
         return value, value, key
 
-    return _greedy(g, depth, score, resolve_delta(cfg), cfg.seed,
-                   cfg.full_recompute)
+    return _greedy(g, depth, score, resolve_delta(cfg), cfg.seed)
 
 
 def solve_classical_greedy(g: Graph, seed: int = 0) -> SolveTrace:
@@ -271,7 +268,7 @@ def solve_classical_greedy(g: Graph, seed: int = 0) -> SolveTrace:
 
     # a deletion changes degrees only at distance 2 from the pick, inside
     # the depth-1 loop's rescored ball
-    return _greedy(g, 1, score, 0, seed, False)
+    return _greedy(g, 1, score, 0, seed)
 
 
 def worst_case_bound(d: int) -> float:

@@ -1,20 +1,26 @@
-"""Shared test utilities: small named graphs, random graph draws, a
-brute-force rooted-isomorphism oracle for canonical-key checks, the plain
+"""Shared test utilities: small named graphs, random graph draws, the
+one- and two-root cones of a vertex, a brute-force rooted-isomorphism oracle for canonical-key checks, the plain
 frontier-list cone BFS as an oracle for the shell-indexed one, closed-form
 oracles (the depth-1 edge expectation, the spin-basis cost, the tree ball
-size), the greedy loop as it stood before its per-step rework, and source
+size), the greedy loop as it stood before its per-step rework (the
+full-recompute oracle), and source
 files outside the package (the benchmark's tracer, ``scripts/run_bench.py``,
 ``scripts/bench_pairs.py``) loaded by path."""
 
 import importlib.util
 import math
 from bisect import bisect_left, insort
+from contextlib import contextmanager
+from functools import partial
 from itertools import permutations
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from qgreedy.cones import LightCone
+import qgreedy.solver
+
+from qgreedy.cones import LightCone, extract_lightcone, extract_lightcone_multi
 from qgreedy.graph import Graph, IsingParams
 from qgreedy.solver import SolveTrace, TraceStep
 
@@ -85,6 +91,17 @@ def random_degree3_graph(rng, n: int) -> Graph:
             deg[b] += 1
             edges.append((a, b))
     return Graph(n, edges)
+
+
+def root_cones(g: Graph, root: int, depth: int) -> list[LightCone]:
+    """The depth-``depth`` cone of ``root`` and, when it has a neighbour,
+    the two-root cone of ``root`` and its lowest neighbour: the solver
+    measures one root, the angle optimizer the two ends of an edge."""
+    cones = [extract_lightcone(g, root, depth)]
+    nbrs = g.neighbors_alive(root)
+    if nbrs:
+        cones.append(extract_lightcone_multi(g, (root, nbrs[0]), depth))
+    return cones
 
 
 def relabel_cone(cone: LightCone, rng) -> LightCone:
@@ -317,6 +334,17 @@ def reference_greedy(g: Graph, depth: int, score, delta: float, seed: int,
         else:
             pending = [x for x, _ in affected if alive[x]]
     return trace
+
+
+@contextmanager
+def reference_loop(full_recompute: bool):
+    """Solves run ``reference_greedy`` in place of ``solver._greedy``; with
+    ``full_recompute`` it rescores every live node after each step, not
+    only the pick's ball."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qgreedy.solver, "_greedy",
+                   partial(reference_greedy, full_recompute=full_recompute))
+        yield
 
 
 ROOT = Path(__file__).resolve().parents[1]

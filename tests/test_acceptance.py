@@ -20,6 +20,7 @@ from helpers import (
     energy_pauli,
     random_degree3_graph,
     random_graph,
+    reference_loop,
     relabel_cone,
     rooted_isomorphic,
 )
@@ -68,8 +69,8 @@ needs_extended = pytest.mark.skipif(
 
 def test_a01_census_counts_are_exact_and_fast():
     t0 = time.perf_counter()
-    r1, _ = enumerate_cones(1, 3)
-    r2, _ = enumerate_cones(2, 3)
+    r1, _ = enumerate_cones(1)
+    r2, _ = enumerate_cones(2)
     elapsed = time.perf_counter() - t0
     assert (r1.total, r1.trees, r1.nontrees) == (4, 4, 0)
     assert (r2.total, r2.trees, r2.nontrees) == (75, 20, 55)
@@ -81,7 +82,7 @@ def test_a01_census_counts_are_exact_and_fast():
 @pytest.mark.extended
 def test_a01_census_depth3_counts():
     t0 = time.perf_counter()
-    r3, cones = enumerate_cones(3, 3)
+    r3, cones = enumerate_cones(3)
     elapsed = time.perf_counter() - t0
     assert (r3.total, r3.trees, r3.nontrees) == (44502, 286, 44216)
     assert elapsed < 3600.0
@@ -93,7 +94,7 @@ def test_a01_census_depth3_counts():
 def test_a02_depth1_statevector_matches_closed_form():
     # 4 star cones x 50 random angle draws x two penalty weights
     rng = np.random.default_rng(2026)
-    _, stars = enumerate_cones(1, 3)
+    _, stars = enumerate_cones(1)
     assert len(stars) == 4
     worst = 0.0
     for cone in stars:
@@ -300,13 +301,10 @@ def test_a08_incremental_recompute_reproduces_full_traces(sched_p2, cache_p2):
         inc = solve_quantum_greedy(
             g, SolverConfig(schedule=sched_p2, seed=4200 + i, **extra), cache_p2
         )
-        full = solve_quantum_greedy(
-            g,
-            SolverConfig(
-                schedule=sched_p2, seed=4200 + i, full_recompute=True, **extra
-            ),
-            cache_p2,
-        )
+        with reference_loop(full_recompute=True):
+            full = solve_quantum_greedy(
+                g, SolverConfig(schedule=sched_p2, seed=4200 + i, **extra), cache_p2
+            )
         assert inc.steps == full.steps  # node, value, key, and removal count
 
 
@@ -370,7 +368,7 @@ def test_a10b_noise_fit_recovers_generator_parameters(sched_p2, cache_p2):
     # realizations; the seed-averaged fit must land within (0.01, 0.01,
     # 0.015) of the generator.  Single-seed fits carry irreducible sampling
     # scatter (75 points, sigma=0.04), so per seed only 3x is asserted.
-    _, cones2 = enumerate_cones(2, 3)
+    _, cones2 = enumerate_cones(2)
     ideals, sizes, keys = [], [], []
     for cone in cones2:
         value, key = evaluate_cone(cone, sched_p2, cache_p2)

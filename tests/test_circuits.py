@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, petersen, random_degree3_graph
+from helpers import complete, petersen, random_degree3_graph, root_cones
 from qgreedy.circuits import AngleSchedule, build_circuit
-from qgreedy.cones import extract_lightcone
+from qgreedy.cones import extract_lightcone, extract_lightcone_multi
 from qgreedy.engines import expectation_statevector
 
 
@@ -94,11 +94,11 @@ class TestBuildCircuit:
         rng = np.random.default_rng(seed)
         g = random_degree3_graph(rng, 14)
         p = int(rng.integers(1, 4))
-        cone = extract_lightcone(g, int(rng.integers(14)), p)
+        cones = root_cones(g, int(rng.integers(14)), p)
         s = sched(rng.uniform(-1.5, 1.5, p), rng.uniform(-1.5, 1.5, p))
         for prune in (False, True):
-            for obs in ((0,), (0, 1))[: cone.size]:
-                circ = build_circuit(cone, s, prune_layers=prune, observable=obs)
+            for cone in cones:
+                circ = build_circuit(cone, s, prune_layers=prune)
                 assert all(1 <= len(gates) <= p for gates in circ.gates)
                 layers = [k for _, _, k, _ in circ.couplings]
                 assert layers == sorted(layers)
@@ -126,14 +126,19 @@ class TestBuildCircuit:
         b = expectation_statevector(build_circuit(cone, s, prune_layers=True))
         assert a == pytest.approx(b, abs=1e-12)
 
-    @pytest.mark.parametrize("observable", [(0, 4), (-1,)])
-    def test_observable_outside_cone_rejected(self, observable):
-        cone = extract_lightcone(complete(4), 0, 1)
+    def test_observable_is_the_roots(self):
+        s = sched((0.3, 0.7), (0.2, 0.4))
         for prune in (False, True):
-            with pytest.raises(ValueError, match="observable"):
-                build_circuit(cone, sched((0.3,), (0.2,)), prune, observable)
+            one = build_circuit(extract_lightcone(petersen(), 0, 2), s, prune)
+            two = build_circuit(
+                extract_lightcone_multi(petersen(), (0, 1), 2), s, prune
+            )
+            assert (one.observable, two.observable) == ((0,), (0, 1))
 
-    def test_custom_observable(self):
-        cone = extract_lightcone(petersen(), 0, 1)
-        circ = build_circuit(cone, sched((0.3,), (0.2,)), observable=(0, 1))
-        assert circ.observable == (0, 1)
+    def test_pruning_reads_root_distances(self):
+        # a vertex at distance d >= 1 from the roots keeps layers 0..p-d,
+        # and a root keeps all p
+        for cone in root_cones(petersen(), 0, 2):
+            circ = build_circuit(cone, sched((0.3, 0.7), (0.2, 0.4)), True)
+            kept = [min(2, 3 - d) for d in cone.dists]
+            assert [len(g) for g in circ.gates] == kept

@@ -321,6 +321,32 @@ class TestExitCodes:
         assert err.startswith(f"usage: qgreedy {argv[0]} ")
         assert "argument --lambda: must be a finite number >= 1" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "12", "--depth", "0"],
+        ["solve", "--depth", "-1"],
+        ["angles", "--depth", "0"],
+        ["census", "--depth", "-2"],
+        ["census", "--depth", "4"],
+        ["--depth", "4", "census"],
+    ])
+    def test_unusable_depth_is_usage_error(self, capsys, argv):
+        # no circuit has fewer than one layer, and the census stops at 3
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        command = next(a for a in argv if a in ("solve", "angles", "census"))
+        assert err.startswith(f"usage: qgreedy {command} ")
+        assert "--depth" in err.splitlines()[-1]
+
+    def test_census_takes_no_degree(self, capsys):
+        # the census is tabulated for degree bound 3 only
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--depth", "1", "--degree", "3"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --degree 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, flag, found", [
         (["solve", "--depth", "3"], "--depth", "depth 2"),
         (["--depth", "1", "solve"], "--depth", "depth 2"),

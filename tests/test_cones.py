@@ -517,8 +517,6 @@ class TestCensus:
     def test_unsupported_depth_rejected(self):
         with pytest.raises(ValueError):
             enumerate_cones(4)
-        with pytest.raises(ValueError):
-            enumerate_cones(2, d=4)
 
     def test_report_consistency_guard(self):
         with pytest.raises(ValueError):

@@ -7,14 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, expectation_p1_edge, random_degree3_graph, relabel_cone
+from helpers import (
+    complete,
+    expectation_p1_edge,
+    random_degree3_graph,
+    relabel_cone,
+    root_cones,
+)
 from qgreedy import engines
 from qgreedy.angles import edge_cone, load_default_angles, vertex_cone
 from qgreedy.circuits import AngleSchedule, build_circuit
 from qgreedy.cones import (
     canonical_key,
+    cone_from_key,
     enumerate_cones,
     extract_lightcone,
+    extract_lightcone_multi,
 )
 from qgreedy.engines import (
     MAX_SHOTS,
@@ -29,11 +37,6 @@ from qgreedy.engines import (
 from qgreedy.errors import ContractionBudgetExceeded, StatevectorCapExceeded
 from qgreedy.graph import Graph, generate_regular
 from qgreedy.solver import SolverConfig, solve_quantum_greedy
-
-# the solver routes single-root observables, the angle optimizer edge ones;
-# each routing case runs on both (a loop keeps the test ids stable)
-OBSERVABLES = ((0,), (0, 1))
-
 
 def sched(gammas, betas, lam=1.0, degree=3):
     return AngleSchedule(
@@ -96,9 +99,7 @@ class TestClosedForms:
         cone = LightCone(depth=1, dists=dists, edges=tuple(sorted(edges)))
         lam = 1.0
         s = sched((gamma,), (beta,), lam=lam)
-        dense = expectation_statevector(
-            build_circuit(cone, s, observable=(0, 1))
-        )
+        dense = expectation_statevector(build_circuit(cone, s))
         closed = expectation_p1_edge(
             du, dv, (lam * du - 2.0) / 4.0, (lam * dv - 2.0) / 4.0,
             gamma, beta, lam,
@@ -107,10 +108,11 @@ class TestClosedForms:
 
 
 class TestStatevector:
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(engines, "STATEVECTOR_CAP", 3)
         cone = extract_lightcone(complete(4), 0, 2)
         with pytest.raises(StatevectorCapExceeded):
-            expectation_statevector(build_circuit(cone, sched((0.1, 0.1), (0.1, 0.1))), cap=3)
+            expectation_statevector(build_circuit(cone, sched((0.1, 0.1), (0.1, 0.1))))
 
     def test_zero_angles_give_zero(self):
         # |+...+> state: <Z> = 0 exactly
@@ -138,8 +140,9 @@ class TestContraction:
             )
 
     def test_edge_observable(self, sched_p2):
-        cone = extract_lightcone(complete(4), 0, 2)
-        circ = build_circuit(cone, sched_p2, observable=(0, 1))
+        cone = extract_lightcone_multi(complete(4), (0, 1), 2)
+        circ = build_circuit(cone, sched_p2)
+        assert circ.observable == (0, 1)
         assert expectation_contract(circ) == pytest.approx(
             expectation_statevector(circ), abs=1e-12
         )
@@ -152,11 +155,12 @@ class TestContraction:
         assert -1.0 <= v <= 1.0
         assert v == pytest.approx(expectation_statevector(circ), abs=1e-10)
 
-    def test_budget_enforced(self, sched_p2):
+    def test_budget_enforced(self, sched_p2, monkeypatch):
+        monkeypatch.setattr(engines, "CONTRACTION_BUDGET", 16)
         cone = extract_lightcone(complete(4), 0, 2)
         circ = build_circuit(cone, sched_p2)
         with pytest.raises(ContractionBudgetExceeded):
-            expectation_contract(circ, budget=16)
+            expectation_contract(circ)
 
     def test_high_degree_cone(self, sched_p2):
         # more factors meet at the hub than one einsum takes operands; those
@@ -186,16 +190,14 @@ class TestContraction:
         while checked < 24:
             p = 2 + checked % 2
             g = random_degree3_graph(rng, 14)
-            cone = extract_lightcone(g, int(rng.integers(14)), p)
-            if cone.size > 14:
-                continue
+            cones = root_cones(g, int(rng.integers(14)), p)
             s = sched(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
-            for obs in OBSERVABLES:
-                pruned = build_circuit(cone, s, prune_layers=True, observable=obs)
-                full = build_circuit(cone, s, observable=obs)
+            for cone in cones:
+                pruned = build_circuit(cone, s, prune_layers=True)
+                full = build_circuit(cone, s)
                 assert expectation_contract(pruned) == pytest.approx(
                     expectation_statevector(full), abs=1e-12
-                ), (p, obs, cone.dists, cone.edges)
+                ), (p, cone.dists, cone.edges)
             checked += 1
 
     # SHA-256 over repr of every value _contraction_values yields
@@ -229,11 +231,8 @@ def _contraction_values():
     s4 = load_default_angles(4).schedule
     cases += [(vertex_cone(4, 3), s4), (edge_cone(4, 3), s4)]
     for cone, s in cases:
-        roots = tuple(v for v, d in enumerate(cone.dists) if d == 0)
         for prune in (True, False):
-            yield expectation_contract(
-                build_circuit(cone, s, prune_layers=prune, observable=roots)
-            )
+            yield expectation_contract(build_circuit(cone, s, prune_layers=prune))
 
 
 def _replay(nb, order):
@@ -300,11 +299,11 @@ class TestEliminationOrder:
         monkeypatch.setattr(np, "einsum", built)
         monkeypatch.setattr(engines, "_vertex_factors", built)
         monkeypatch.setattr(engines, "_edge_kernel", built)
-        cone = extract_lightcone(complete(4), 0, 2)
-        for obs in OBSERVABLES:
-            circ = build_circuit(cone, sched_p2, prune_layers=True, observable=obs)
+        monkeypatch.setattr(engines, "CONTRACTION_BUDGET", 16)
+        for cone in root_cones(complete(4), 0, 2):
+            circ = build_circuit(cone, sched_p2, prune_layers=True)
             with pytest.raises(ContractionBudgetExceeded) as err:
-                expectation_contract(circ, budget=16)
+                expectation_contract(circ)
             assert err.value.entries > 16
 
 
@@ -420,10 +419,26 @@ def _cyclic_cone():
 class TestCacheAndRouting:
     def test_cache_round_trip(self, sched_p2):
         cache = ExpectationCache(sched_p2)
-        cache.insert(b"k", 0.5)
+        cache._store[b"k"] = 0.5
         assert cache.get(b"k") == 0.5
+        assert cache.value(b"k") == 0.5
         assert cache.get(b"other") is None
         assert len(cache) == 1
+
+    def test_miss_is_evaluated_from_its_key_once(self, sched_p2, monkeypatch):
+        # a miss computes the class's value on the cone its key describes
+        # and stores it; the next read is a hit
+        key = canonical_key(_cyclic_cone())
+        routed = []
+        plain = engines.expectation
+        monkeypatch.setattr(engines, "expectation",
+                            lambda *a: routed.append(a) or plain(*a))
+        cache = ExpectationCache(sched_p2)
+        value = cache.value(key)
+        assert cache.value(key) == value == cache.get(key)
+        assert len(routed) == 1 and len(cache) == 1
+        assert routed[0][0] == cone_from_key(key)
+        assert value == plain(cone_from_key(key), sched_p2)
 
     def test_cache_schedule_mismatch_rejected(self, sched_p1, sched_p2):
         cache = ExpectationCache(sched_p1)
@@ -437,60 +452,57 @@ class TestCacheAndRouting:
         cone = extract_lightcone(complete(4), 0, 2)
         twin = dataclasses.replace(sched_p2)
         assert twin is not sched_p2
-        assert evaluate_cone(cone, twin, cache) == evaluate_cone(cone, sched_p2)
+        fresh = ExpectationCache(sched_p2)
+        assert evaluate_cone(cone, twin, cache) == evaluate_cone(cone, sched_p2, fresh)
 
     def test_cache_hit_skips_recompute(self, sched_p2):
         cache = ExpectationCache(sched_p2)
         cone = extract_lightcone(complete(4), 0, 2)
         _, key = evaluate_cone(cone, sched_p2, cache)
         # poison the store; a hit must return the stored value untouched
-        cache.insert(key, 123.0)
+        cache._store[key] = 123.0
         assert evaluate_cone(cone, sched_p2, cache) == (123.0, key)
 
     def test_depth1_routes_analytic(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)
-        value, _ = evaluate_cone(cone, sched_p1)
+        value, _ = evaluate_cone(cone, sched_p1, ExpectationCache(sched_p1))
         circ = build_circuit(cone, sched_p1)
         assert value == pytest.approx(expectation_statevector(circ), abs=1e-10)
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
     def test_depth1_root_takes_closed_form(self, lam, monkeypatch):
         # the router's closed form agrees with contraction of the pruned
-        # circuit on every star and on the two-root edge cone
+        # circuit on every star; the two-root edge cone contracts
         closed = []
         form = engines.expectation_p1_analytic
         monkeypatch.setattr(engines, "expectation_p1_analytic",
                             lambda *a: closed.append(a) or form(*a))
         s = sched((0.37,), (-0.41,), lam=lam)
-        cones = [vertex_cone(1, k) for k in range(9)] + [edge_cone(1, 3)]
-        for cone in cones:
+        stars = [vertex_cone(1, k) for k in range(9)]
+        for cone in stars + [edge_cone(1, 3)]:
             circ = build_circuit(cone, s, prune_layers=True)
             oracle = expectation_contract(circ)
             assert expectation(cone, s) == pytest.approx(oracle, abs=1e-12)
-        assert len(closed) == len(cones)
+        assert len(closed) == len(stars)
 
     def test_small_nontree_routes_contraction(self, sched_p2):
         # a cyclic cone contracts, on its pruned circuit, to the value of
         # the unpruned circuit run dense
         cone = extract_lightcone(complete(4), 0, 2)
-        value, _ = evaluate_cone(cone, sched_p2)
+        value, _ = evaluate_cone(cone, sched_p2, ExpectationCache(sched_p2))
         assert value == pytest.approx(expectation(cone, sched_p2), abs=1e-12)
-        for obs in OBSERVABLES:
-            value = expectation(cone, sched_p2, observable=obs)
-            oracle = expectation_statevector(
-                build_circuit(cone, sched_p2, observable=obs)
-            )
-            assert value == pytest.approx(oracle, abs=1e-12), obs
+        for cone in root_cones(complete(4), 0, 2):
+            value = expectation(cone, sched_p2)
+            oracle = expectation_statevector(build_circuit(cone, sched_p2))
+            assert value == pytest.approx(oracle, abs=1e-12), cone.dists
 
     def test_large_tree_routes_contraction(self, sched_p3):
-        cone = vertex_cone(3, 3)
-        assert cone.size == 22
-        for obs in OBSERVABLES:
-            value = expectation(cone, sched_p3, observable=obs)
-            oracle = expectation_contract(
-                build_circuit(cone, sched_p3, observable=obs)
-            )
-            assert value == pytest.approx(oracle, abs=1e-12), obs
+        cones = [vertex_cone(3, 3), edge_cone(3, 3)]
+        assert [cone.size for cone in cones] == [22, 30]
+        for cone in cones:
+            value = expectation(cone, sched_p3)
+            oracle = expectation_contract(build_circuit(cone, sched_p3))
+            assert value == pytest.approx(oracle, abs=1e-12), cone.size
 
     def test_isomorphic_cones_get_equal_values(self, sched_p2, sched_p3):
         # a class's value is computed on the cone its key describes, so any
@@ -509,7 +521,7 @@ class TestCacheAndRouting:
 
     def test_returned_key_is_canonical(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)
-        _, key = evaluate_cone(cone, sched_p1)
+        _, key = evaluate_cone(cone, sched_p1, ExpectationCache(sched_p1))
         assert key == canonical_key(cone)
 
     @pytest.mark.parametrize("kind", ["cyclic", "tree"])

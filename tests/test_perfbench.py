@@ -45,7 +45,7 @@ def test_key_spans_read_the_cone(tracing, sched_p2):
     cyclic = extract_lightcone(complete(4), 0, 2)
     with tracer.active(0):
         for cone in (cyclic, vertex_cone(2, 3)):
-            engines.evaluate_cone(cone, sched_p2)
+            engines.evaluate_cone(cone, sched_p2, ExpectationCache(sched_p2))
     names = [span[0] for span in tracer.spans]
     assert "cones.key_cyclic" in names and "cones.key_tree" in names
 
@@ -62,6 +62,22 @@ def test_traced_solve_reports_every_layer(tracing, sched_p2):
     assert {"solver.quantum", "engines.evaluate", "engines.contract"} <= names
     metrics = tracing.layer_metrics(tracer, "ops", 1)
     assert [n for n, (value, _) in metrics.items() if value == "absent"] == []
+
+
+def test_traced_cold_solve_counts_each_miss_once(tracing, sched_p2):
+    # a tree cone is evaluated from the key read off the graph: it is not
+    # extracted, keyed again or looked up twice, so every miss fills one
+    # cache entry
+    cache = ExpectationCache(sched_p2)
+    tracer = tracing.Tracer()
+    with tracer.active(0):
+        qgreedy.solver.solve_quantum_greedy(
+            generate_regular(200, 3, 1), SolverConfig(schedule=sched_p2, seed=1),
+            cache,
+        )
+    names = [span[0] for span in tracer.spans]
+    assert tracer.counters["ops"]["cache_misses"] == len(cache) > 0
+    assert "cones.key_tree" not in names and "cones.key_cyclic" in names
 
 
 def test_traced_warm_resolve_counts_the_tree_path(tracing, sched_p2,

@@ -6,8 +6,11 @@ is a test oracle only), the Ising coefficients come from
 ``graph.IsingParams`` alone, ``solver._greedy`` is the one greedy loop,
 ``cones._tree_code`` is the one tree encoder, ``graph.check_regular`` is
 the one test of which regular graphs exist, ``engines.sample_shots`` is
-the one shot sampler, and ``cones.key_digest`` is the one per-cone random
-source (shot words and noise offsets alike).  The package defines none of
+the one shot sampler, ``cones.key_digest`` is the one per-cone random
+source (shot words and noise offsets alike), and ``ExpectationCache.value``
+is the one place a missed class is evaluated.  Every expectation measures
+its cone's roots, and no package call sets the contraction budget, the
+statevector cap or a recompute mode.  The package defines none of
 the test oracles (they live in ``tests/helpers.py``) nor the depth-trend
 fits (``scripts/run_bench.py``)."""
 
@@ -83,6 +86,45 @@ def test_contraction_called_only_by_the_router():
     assert _sites(_calls_to("expectation_contract")) == [
         ("engines.py", "expectation")
     ]
+
+
+def test_miss_evaluated_in_one_place():
+    # a missed class is evaluated on the cone its key describes, by the cache
+    assert _sites(_calls_to("cone_from_key")) == [("engines.py", "value")]
+
+
+def test_observable_is_not_a_parameter():
+    # the measured qubits are the cone's roots, read off cone.dists
+    params = {
+        node.name: [a.arg for a in (*node.args.args, *node.args.kwonlyargs)]
+        for path in PACKAGE
+        for node in _functions(ast.parse(path.read_text()))
+        if node.name in ("build_circuit", "expectation")
+    }
+    assert sorted(params) == ["build_circuit", "expectation"]
+    assert [n for n, args in params.items() if "observable" in args] == []
+
+
+def test_no_call_sets_a_fixed_value():
+    # the budget and cap are module constants, and rescoring is incremental:
+    # no call passes them and no function takes them
+    fixed = ("budget", "cap", "full_recompute")
+
+    def keywords(text, tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and any(
+                k.arg in fixed for k in node.keywords
+            ):
+                yield node.lineno
+
+    def parameters(text, tree):
+        for node in _functions(tree):
+            args = node.args
+            if any(a.arg in fixed for a in (*args.args, *args.kwonlyargs)):
+                yield node.lineno
+
+    assert _sites(keywords) == []
+    assert _sites(parameters) == []
 
 
 def test_closed_form_called_only_by_the_router():

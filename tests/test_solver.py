@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -10,7 +11,7 @@ import qgreedy.solver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, k33, petersen, random_graph, reference_greedy
+from helpers import complete, k33, petersen, random_graph, reference_loop
 from qgreedy.angles import load_default_angles
 from qgreedy.cones import canonical_key, extract_lightcone, tree_key
 from qgreedy.engines import MAX_SHOTS, ExpectationCache
@@ -131,11 +132,10 @@ class TestQuantumGreedy:
             inc = solve_quantum_greedy(
                 g, SolverConfig(schedule=sched_p2, seed=seed), cache_p2
             )
-            full = solve_quantum_greedy(
-                g,
-                SolverConfig(schedule=sched_p2, seed=seed, full_recompute=True),
-                cache_p2,
-            )
+            with reference_loop(full_recompute=True):
+                full = solve_quantum_greedy(
+                    g, SolverConfig(schedule=sched_p2, seed=seed), cache_p2
+                )
             assert inc.order == full.order
             assert [s.value for s in inc.steps] == [s.value for s in full.steps]
 
@@ -204,7 +204,8 @@ class TestQuantumGreedy:
 
 def _grid_traces(sched_p1, sched_p2):
     """(advice source, trace) for p=1,2 x ideal/shot/noise x delta
-    0/auto/0.05 x incremental/full, in that order."""
+    0/auto/0.05 x incremental/full, in that order; the full cells run the
+    reference loop in its full-recompute mode."""
     noise = NoiseParams(eta=0.05, alpha=-0.02, sigma=0.03, seed=9)
     advice = [
         {},
@@ -221,9 +222,11 @@ def _grid_traces(sched_p1, sched_p2):
     )
     for idx, (depth, extra, delta, full) in enumerate(grid):
         sched, cache, g = runs[depth]
-        cfg = SolverConfig(schedule=sched, delta=delta, seed=idx,
-                           full_recompute=full, **extra)
-        yield cfg.advice, solve_quantum_greedy(g, cfg, cache)
+        cfg = SolverConfig(schedule=sched, delta=delta, seed=idx, **extra)
+        loop = reference_loop(full_recompute=True) if full else contextlib.nullcontext()
+        with loop:
+            trace = solve_quantum_greedy(g, cfg, cache)
+        yield cfg.advice, trace
 
 
 def _sparse_traces(sched_p1, sched_p2):
@@ -342,8 +345,7 @@ class TestTreeCones:
             # holds every key the solve reads, so only the check can stop it
             right = ExpectationCache(schedule)
             solve_quantum_greedy(g, cfg, right)
-            for key_data in right._store:
-                wrong.insert(key_data, right.get(key_data))
+            wrong._store.update(right._store)
         removed = []
         plain_remove = Graph.remove_closed_neighborhood
 
@@ -442,12 +444,12 @@ def bounded_graphs(draw, max_n=40, max_degree=4):
 class TestReferenceLoop:
     """The greedy loop gives the same trace as the loop it replaced
     (``helpers.reference_greedy``, kept verbatim), for either score, every
-    advice source it was timed on, tie cutoffs and both recompute modes."""
+    advice source it was timed on and tie cutoffs, with the reference in
+    either recompute mode."""
 
     @staticmethod
-    def _both(solve):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qgreedy.solver, "_greedy", reference_greedy)
+    def _both(solve, full=False):
+        with reference_loop(full_recompute=full):
             reference = solve()
         trace = solve()
         assert format_trace(trace) == format_trace(reference)
@@ -466,9 +468,8 @@ class TestReferenceLoop:
     def test_quantum(self, sched_p1, sched_p2, cache_p2, depth, advice, g,
                      seed, delta, full):
         sched, cache = (sched_p1, None) if depth == 1 else (sched_p2, cache_p2)
-        cfg = SolverConfig(schedule=sched, delta=delta, seed=seed,
-                           full_recompute=full, **advice)
-        self._both(lambda: solve_quantum_greedy(g, cfg, cache))
+        cfg = SolverConfig(schedule=sched, delta=delta, seed=seed, **advice)
+        self._both(lambda: solve_quantum_greedy(g, cfg, cache), full)
 
 
 def _shot_advice(sched, seed, shots=64):
