@@ -253,8 +253,8 @@ def expectation_contract(circ: ConeCircuit) -> float:
     variables are eliminated in the min-degree order of
     :func:`_elimination_order`, so ties go to the lowest vertex and, within
     it, to its latest slice.  The projected peak intermediate size is
-    checked against ``CONTRACTION_BUDGET`` before any tensor is built.  Each elimination
-    is one einsum over the cluster, with no path search.
+    checked against ``CONTRACTION_BUDGET`` before any tensor is built.
+    Each elimination is one einsum over the cluster, with no path search.
     """
     # variables of vertex v: first[v] (its last slice) to first[v + 1] - 1
     first = [0, *accumulate(map(len, circ.gates))]
@@ -460,8 +460,8 @@ class ExpectationCache:
 
 
 def expectation(cone: LightCone, schedule: AngleSchedule) -> float:
-    """<Z> over the cone's roots: the closed form for a depth-1 cone of one
-    root, else a contraction of the cone's pruned circuit.
+    """The product of Z over the cone's roots: the closed form for a
+    depth-1 cone of one root, else a contraction of its pruned circuit.
 
     Raises ContractionBudgetExceeded when the plan trips the budget.
     """
