@@ -1,11 +1,11 @@
 """Shared test utilities: small named graphs, random graph draws, the
-one- and two-root cones of a vertex, a brute-force rooted-isomorphism oracle for canonical-key checks, the plain
-frontier-list cone BFS as an oracle for the shell-indexed one, closed-form
-oracles (the depth-1 edge expectation, the spin-basis cost, the tree ball
-size), the greedy loop as it stood before its per-step rework (the
-full-recompute oracle), and source
-files outside the package (the benchmark's tracer, ``scripts/run_bench.py``,
-``scripts/bench_pairs.py``) loaded by path."""
+one- and two-root cones of a vertex, a brute-force rooted-isomorphism
+oracle for canonical-key checks, the plain frontier-list cone BFS as an
+oracle for the shell-indexed one, closed-form oracles (the depth-1 edge
+expectation, the spin-basis cost, the tree ball size), the greedy loop as
+it stood before its per-step rework (also the full-recompute oracle), and
+source files outside the package (the benchmark's tracer,
+``scripts/run_bench.py``, ``scripts/bench_pairs.py``) loaded by path."""
 
 import importlib.util
 import math
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import qgreedy.solver
-
 from qgreedy.cones import LightCone, extract_lightcone, extract_lightcone_multi
 from qgreedy.graph import Graph, IsingParams
 from qgreedy.solver import SolveTrace, TraceStep

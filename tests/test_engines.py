@@ -112,7 +112,9 @@ class TestStatevector:
         monkeypatch.setattr(engines, "STATEVECTOR_CAP", 3)
         cone = extract_lightcone(complete(4), 0, 2)
         with pytest.raises(StatevectorCapExceeded):
-            expectation_statevector(build_circuit(cone, sched((0.1, 0.1), (0.1, 0.1))))
+            expectation_statevector(
+                build_circuit(cone, sched((0.1, 0.1), (0.1, 0.1)))
+            )
 
     def test_zero_angles_give_zero(self):
         # |+...+> state: <Z> = 0 exactly
@@ -453,7 +455,9 @@ class TestCacheAndRouting:
         twin = dataclasses.replace(sched_p2)
         assert twin is not sched_p2
         fresh = ExpectationCache(sched_p2)
-        assert evaluate_cone(cone, twin, cache) == evaluate_cone(cone, sched_p2, fresh)
+        assert evaluate_cone(cone, twin, cache) == evaluate_cone(
+            cone, sched_p2, fresh
+        )
 
     def test_cache_hit_skips_recompute(self, sched_p2):
         cache = ExpectationCache(sched_p2)

@@ -223,8 +223,8 @@ def _grid_traces(sched_p1, sched_p2):
     for idx, (depth, extra, delta, full) in enumerate(grid):
         sched, cache, g = runs[depth]
         cfg = SolverConfig(schedule=sched, delta=delta, seed=idx, **extra)
-        loop = reference_loop(full_recompute=True) if full else contextlib.nullcontext()
-        with loop:
+        with (reference_loop(full_recompute=True) if full
+              else contextlib.nullcontext()):
             trace = solve_quantum_greedy(g, cfg, cache)
         yield cfg.advice, trace
 
