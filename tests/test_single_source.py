@@ -124,7 +124,8 @@ def test_no_call_sets_a_fixed_value():
                 yield node.lineno
 
     assert _sites(keywords) == []
-    assert _sites(parameters) == []
+    # the exceptions report the budget or cap that was tripped
+    assert [s for s in _sites(parameters) if s[0] != "errors.py"] == []
 
 
 def test_closed_form_called_only_by_the_router():
