@@ -17,7 +17,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from qgreedy import angles  # noqa: E402
-from qgreedy.cli import RUNTIME_ERRORS, _Parser, count, seed  # noqa: E402
+from qgreedy.cli import RUNTIME_ERRORS, _Parser, count, penalty, seed  # noqa: E402
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src/qgreedy/data/angles"
 # diminishing returns past a few restarts once the padded start is available
@@ -51,7 +51,7 @@ def main() -> int:
     ap = _Parser(description=__doc__)  # usage errors exit 1, as in the CLI
     ap.add_argument("--max-depth", type=count, default=4)
     ap.add_argument("--degree", type=int, default=3)
-    ap.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    ap.add_argument("--lambda", dest="lam", type=penalty, default=1.0)
     ap.add_argument("--seed", type=seed, default=0)
     ap.add_argument("--out-dir", type=pathlib.Path, default=DATA_DIR)
     args = ap.parse_args()

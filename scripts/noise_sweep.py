@@ -48,8 +48,8 @@ def sweep(args) -> None:
 
 def main() -> int:
     ap = _Parser(description=__doc__)  # usage errors exit 1, as in the CLI
-    ap.add_argument("--n", type=int, default=200)
-    ap.add_argument("--depth", type=int, default=3)
+    ap.add_argument("--n", type=count, default=200)
+    ap.add_argument("--depth", type=count, default=3)
     ap.add_argument("--instances", type=count, default=20)
     ap.add_argument("--eta-max", type=float, default=0.1)
     ap.add_argument("--eta-steps", type=count, default=11)

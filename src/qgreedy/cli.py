@@ -73,7 +73,7 @@ def seed(text: str) -> int:
 
 
 def count(text: str) -> int:
-    """An integer >= 1, such as --restarts or --depth."""
+    """An integer >= 1, such as --n, --restarts or --depth."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
@@ -101,7 +101,7 @@ def build_parser() -> _Parser:
         return parser
 
     gen = add("generate", help="emit a random regular graph edge list")
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=count, required=True)
     gen.add_argument("--degree", type=int, default=3)
 
     ang = add("angles", help="optimize tree angles, write an angle file")
@@ -111,7 +111,7 @@ def build_parser() -> _Parser:
     sol = add("solve", help="run one solver on one instance, print the trace")
     sol.add_argument("--in", dest="infile", default=None,
                      help="edge list file (else generate from --n/--seed)")
-    sol.add_argument("--n", type=int, default=None)
+    sol.add_argument("--n", type=count, default=None)
     sol.add_argument("--solver", choices=("qgreedy", "greedy", "exact"),
                      default="qgreedy")
     # the flags below are read by some runs only; they stay unset unless
@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
     sol.add_argument("--alpha", type=float, default=unset)
     sol.add_argument("--sigma", type=float, default=unset)
     sol.add_argument("--noise-seed", type=seed, default=unset)
-    sol.add_argument("--node-limit", type=int, default=unset)
+    sol.add_argument("--node-limit", type=count, default=unset)
 
     add("census", help="enumerate depth-p cones of max degree 3")
 
@@ -143,7 +143,7 @@ def build_parser() -> _Parser:
                      help="file of 'ideal noisy cone_size' lines")
 
     sho = add("shots", help="Hoeffding shot budget")
-    sho.add_argument("--n", type=int, required=True)
+    sho.add_argument("--n", type=count, required=True)
     sho.add_argument("--eps", type=float, required=True)
     sho.add_argument("--gap", type=float, required=True)
     return ap

@@ -35,6 +35,10 @@ its code is read from a table by its alive degree (filled on first use, for
 any degree), as the ``T`` header is by depth.  The knowledge cannot go
 stale while the graph only loses vertices: a deletion never shortens a
 distance, so a cone's causal edges only shrink, and a tree stays a tree.
+
+The census (:func:`enumerate_cones`) lists the depth-p cone classes of max
+degree 3 as a closure: starting from the root alone, it adds one vertex or
+one edge at a time and keeps one cone per canonical key.
 """
 
 from __future__ import annotations
@@ -432,11 +436,10 @@ class CensusReport:
     depth: int
     total: int
     trees: int
-    nontrees: int
 
-    def __post_init__(self):
-        if self.trees + self.nontrees != self.total:
-            raise ValueError("census classes do not add up")
+    @property
+    def nontrees(self) -> int:
+        return self.total - self.trees
 
 
 CENSUS_DEGREE = 3  # the census's degree bound
@@ -444,118 +447,55 @@ CENSUS_DEGREE = 3  # the census's degree bound
 
 def enumerate_cones(depth: int) -> tuple[CensusReport, list[LightCone]]:
     """All realizable depth-``depth`` cones at max degree ``CENSUS_DEGREE``,
-    up to rooted isomorphism.
+    up to rooted isomorphism, ordered by (size, edge count, key).
 
     A cone is any connected rooted graph with max degree <= 3, every vertex
     within ``depth`` of the root, and no edge joining two outermost-shell
-    vertices.  Enumeration grows shell by shell with canonical deduplication
-    at every level; within-shell edges are only placed on shells that stay
-    interior to the cone.
+    vertices.  The census is the closure of the root-only cone under the
+    one-step augmentations of :func:`_augmentations`, deduplicated by
+    canonical key; each class keeps the first member reached.
     """
     if depth not in (1, 2, 3):
         raise ValueError(f"census supported for depth 1..3, got {depth}")
-    d = CENSUS_DEGREE
-
-    # partial = (dists tuple, edges tuple) with shells 0..k complete
-    partials = {(0,): ((0,), ())}
-    for level in range(depth):
-        nxt: dict[bytes, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
-        for dists, edges in partials.values():
-            shell = [v for v, dv in enumerate(dists) if dv == level]
-            deg = [0] * len(dists)
-            for u, v in edges:
-                deg[u] += 1
-                deg[v] += 1
-            caps = [d - deg[v] for v in shell]
-            for attach in _attachments(len(shell), caps, d):
-                n0 = len(dists)
-                new_dists = dists + tuple([level + 1] * len(attach))
-                new_edges = list(edges)
-                for idx, parents in enumerate(attach):
-                    for pi in parents:
-                        new_edges.append((shell[pi], n0 + idx))
-                if level + 1 <= depth - 1 and len(attach) >= 2:
-                    ncaps = [d - len(parents) for parents in attach]
-                    for within in _within_edge_sets(len(attach), ncaps):
-                        cand_edges = new_edges + [
-                            (n0 + a, n0 + b) for a, b in within
-                        ]
-                        _census_insert(nxt, depth, new_dists, cand_edges)
-                else:
-                    _census_insert(nxt, depth, new_dists, new_edges)
-        partials = nxt
-
-    cones = []
-    for dists, edges in partials.values():
-        cones.append(LightCone(depth=depth, dists=dists, edges=tuple(sorted(edges))))
-    cones.sort(key=lambda c: (c.size, len(c.edges), canonical_key(c)))
-    trees = sum(1 for c in cones if c.is_tree)
-    report = CensusReport(
-        depth=depth, total=len(cones), trees=trees, nontrees=len(cones) - trees
-    )
-    return report, cones
+    root = LightCone(depth=depth, dists=(0,), edges=())
+    census = {canonical_key(root): root}
+    work = [root]
+    while work:
+        for cone in _augmentations(work.pop()):
+            key = canonical_key(cone)
+            if key not in census:
+                census[key] = cone
+                work.append(cone)
+    keys = sorted(census, key=lambda k: (census[k].size, len(census[k].edges), k))
+    cones = [census[k] for k in keys]
+    trees = sum(cone.is_tree for cone in cones)
+    return CensusReport(depth=depth, total=len(cones), trees=trees), cones
 
 
-def _census_insert(table, depth, dists, edges) -> None:
-    cone = LightCone(depth=depth, dists=tuple(dists), edges=tuple(sorted(edges)))
-    table[canonical_key(cone)] = (cone.dists, cone.edges)
+def _augmentations(cone: LightCone):
+    """The cones one vertex or one edge larger than ``cone``.
 
-
-def _attachments(n_parents: int, caps: list[int], d: int):
-    """Multisets of nonempty parent subsets honoring parent capacities.
-
-    Each element of the multiset becomes one next-shell vertex attached to
-    that subset.  Subsets are chosen in nondecreasing index order so each
-    multiset is produced once.
+    Free vertices have degree below ``CENSUS_DEGREE``, and ``top`` is the
+    largest distance.  A new vertex hangs off a free vertex at distance d,
+    top - 1 <= d < depth; a new edge joins two free non-adjacent vertices
+    in adjacent shells, or in one shell below the outermost.  The steps
+    read only distances and degrees, so isomorphic cones grow into the
+    same classes, and they keep ids ordered by shell.  Every cone is
+    reached by adding its BFS tree shell by shell, then its other edges.
     """
-    if n_parents == 0:
-        yield ()
-        return
-    subsets = []
-    for mask in range(1, 1 << n_parents):
-        members = [i for i in range(n_parents) if mask >> i & 1]
-        if len(members) <= d:
-            subsets.append(tuple(members))
-    out: list[tuple[tuple[int, ...], ...]] = []
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(start: int, caps: list[int]):
-        out.append(tuple(chosen))
-        for si in range(start, len(subsets)):
-            sub = subsets[si]
-            if all(caps[i] >= 1 for i in sub):
-                for i in sub:
-                    caps[i] -= 1
-                chosen.append(sub)
-                rec(si, caps)
-                chosen.pop()
-                for i in sub:
-                    caps[i] += 1
-
-    rec(0, list(caps))
-    yield from out
-
-
-def _within_edge_sets(n: int, caps: list[int]):
-    """Simple edge sets on n fresh vertices honoring degree capacities."""
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    chosen: list[tuple[int, int]] = []
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def rec(idx: int, caps: list[int]):
-        if idx == len(pairs):
-            out.append(tuple(chosen))
-            return
-        rec(idx + 1, caps)
-        a, b = pairs[idx]
-        if caps[a] >= 1 and caps[b] >= 1:
-            caps[a] -= 1
-            caps[b] -= 1
-            chosen.append((a, b))
-            rec(idx + 1, caps)
-            chosen.pop()
-            caps[a] += 1
-            caps[b] += 1
-
-    rec(0, list(caps))
-    yield from out
+    depth, dists, edges, n = cone.depth, cone.dists, cone.edges, cone.size
+    deg = cone.in_degrees()
+    free = [v for v in range(n) if deg[v] < CENSUS_DEGREE]
+    top = dists[-1]
+    for u in free:
+        if top - 1 <= dists[u] < depth:
+            yield LightCone(depth=depth, dists=dists + (dists[u] + 1,),
+                            edges=tuple(sorted(edges + ((u, n),))))
+    joined = set(edges)
+    for i, u in enumerate(free):
+        for v in free[i + 1:]:
+            gap = dists[v] - dists[u]  # u < v, so u is not the further out
+            causal = gap == 1 or (gap == 0 and dists[u] < depth)
+            if causal and (u, v) not in joined:
+                yield LightCone(depth=depth, dists=dists,
+                                edges=tuple(sorted(edges + ((u, v),))))

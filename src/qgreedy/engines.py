@@ -474,11 +474,7 @@ def expectation(cone: LightCone, schedule: AngleSchedule) -> float:
     return expectation_contract(build_circuit(cone, schedule, prune_layers=True))
 
 
-def evaluate_cone(
-    cone: LightCone, schedule: AngleSchedule, cache: ExpectationCache
-) -> tuple[float, bytes]:
-    """(Ideal <Z_root>, canonical key) of a single-root cone, through the
-    cache, which must serve ``schedule``."""
+def evaluate_cone(cone: LightCone, cache: ExpectationCache) -> tuple[float, bytes]:
+    """(Ideal <Z_root>, canonical key) of a single-root cone, from the cache."""
     key = canonical_key(cone)
-    cache.check_schedule(schedule)
     return cache.value(key), key

@@ -195,7 +195,10 @@ def check_regular(n: int, d: int) -> None:
         raise ValueError(f"n*d must be even, got n={n} d={d}")
 
 
-def generate_regular(n: int, d: int, seed: int, restarts: int = 2000) -> Graph:
+RESTART_BUDGET = 2000  # configuration-model draws before generate_regular gives up
+
+
+def generate_regular(n: int, d: int, seed: int) -> Graph:
     """Sample a uniform random simple d-regular graph via the configuration
     model, restarting from scratch on any self-loop or repeated edge.
 
@@ -206,7 +209,7 @@ def generate_regular(n: int, d: int, seed: int, restarts: int = 2000) -> Graph:
         return Graph(n, [])
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(restarts):
+    for _ in range(RESTART_BUDGET):
         rng.shuffle(stubs)
         pairs = stubs.reshape(-1, 2)
         u = pairs[:, 0]
@@ -220,7 +223,7 @@ def generate_regular(n: int, d: int, seed: int, restarts: int = 2000) -> Graph:
         if np.any(keys[1:] == keys[:-1]):
             continue
         return Graph(n, zip(lo.tolist(), hi.tolist()))
-    raise RestartBudgetExceeded(n, d, restarts)
+    raise RestartBudgetExceeded(n, d, RESTART_BUDGET)
 
 
 # -- edge-list text format --------------------------------------------------

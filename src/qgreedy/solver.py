@@ -24,8 +24,7 @@ class on the cone its key describes.  Once a node's cone has been a tree
 it stays one, so the node is flagged and later keyed by the walk that
 checks nothing.  Only a cyclic cone (``tree_key`` gives None) is extracted
 and keyed, by ``evaluate_cone``.  The cache's angle schedule is checked
-once, before the first score, since tree cones never reach
-``evaluate_cone``.
+once, before the first score; every value then comes from that cache.
 
 Tie-breaking draws one random index per step over the candidates in
 ascending id order, and none when there is one candidate (a draw over one
@@ -234,8 +233,7 @@ def solve_quantum_greedy(
     schedule = cfg.schedule
     if cache is None:
         cache = ExpectationCache(schedule)
-    else:
-        cache.check_schedule(schedule)  # tree cones never reach evaluate_cone
+    cache.check_schedule(schedule)
     advice = _make_advice(cfg)
     depth = cfg.depth
     # one bytes object per key class, shared by the scores that hold it
@@ -248,7 +246,7 @@ def solve_quantum_greedy(
         key = tree_key(work, i, depth, tree[i])
         if key is None:
             cone = extract_lightcone(work, i, depth)
-            ideal, key = evaluate_cone(cone, schedule, cache)
+            ideal, key = evaluate_cone(cone, cache)
         else:
             tree[i] = 1
             key = keys.setdefault(key, key)
@@ -320,6 +318,8 @@ def _mis(nodes: frozenset, adj, need: int):
 def solve_exact(g: Graph, node_limit: int = 40) -> set:
     """A maximum independent set of the alive subgraph, by branch and bound."""
     nodes = g.alive_nodes()
+    if not nodes:
+        raise ValueError("graph has no alive nodes")
     if len(nodes) > node_limit:
         raise NodeLimitExceeded(len(nodes), node_limit)
     adj = {v: frozenset(g.neighbors_alive(v)) for v in nodes}

@@ -1,12 +1,13 @@
 """Shared test utilities: small named graphs, random graph draws, the
 one- and two-root cones of a vertex, a brute-force rooted-isomorphism
-oracle for canonical-key checks, the plain frontier-list cone BFS as an
+oracle for canonical-key checks, a digest of a census's key set, the plain frontier-list cone BFS as an
 oracle for the shell-indexed one, closed-form oracles (the depth-1 edge
 expectation, the spin-basis cost, the tree ball size), the greedy loop as
 it stood before its per-step rework (also the full-recompute oracle), and
 source files outside the package (the benchmark's tracer,
 ``scripts/run_bench.py``, ``scripts/bench_pairs.py``) loaded by path."""
 
+import hashlib
 import importlib.util
 import math
 from bisect import bisect_left, insort
@@ -19,7 +20,12 @@ import numpy as np
 import pytest
 
 import qgreedy.solver
-from qgreedy.cones import LightCone, extract_lightcone, extract_lightcone_multi
+from qgreedy.cones import (
+    LightCone,
+    canonical_key,
+    extract_lightcone,
+    extract_lightcone_multi,
+)
 from qgreedy.graph import Graph, IsingParams
 from qgreedy.solver import SolveTrace, TraceStep
 
@@ -163,6 +169,13 @@ def rooted_isomorphic(c1: LightCone, c2: LightCone) -> bool:
         return False
 
     return extend(0, {})
+
+
+def census_digest(cones) -> str:
+    """SHA-256 of the sorted canonical keys of ``cones``: equal for two
+    censuses exactly when they hold the same classes (up to collisions)."""
+    keys = sorted(canonical_key(cone) for cone in cones)
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
 
 
 # The cone BFS as it stood before shells became local-id ranges, kept

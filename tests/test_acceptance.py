@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 from helpers import (
+    census_digest,
     energy_pauli,
     random_degree3_graph,
     random_graph,
@@ -87,6 +88,10 @@ def test_a01_census_depth3_counts():
     assert (r3.total, r3.trees, r3.nontrees) == (44502, 286, 44216)
     assert elapsed < 3600.0
     print(f"census depth 3 in {elapsed:.1f}s")
+    # pinned when the census still grew shell by shell
+    assert census_digest(cones) == (
+        "a1bdfc8d7c8567d1f9b32127e0aa41c34a43dd2bbd02752ff2a56770348cc759"
+    )
     # noise advice reads the cone size off the key
     assert all(key_size(canonical_key(c)) == c.size for c in cones)
 
@@ -150,9 +155,7 @@ def test_a04_depth1_argmax_equals_minimum_degree_at_every_step(sched_p1):
             alive = work.alive_nodes()
             vals = {}
             for v in alive:
-                value, _ = evaluate_cone(
-                    extract_lightcone(work, v, 1), sched_p1, cache
-                )
+                value, _ = evaluate_cone(extract_lightcone(work, v, 1), cache)
                 vals[v] = value
             vmax = max(vals.values())
             argmax = sorted(v for v, val in vals.items() if val >= vmax)
@@ -371,7 +374,7 @@ def test_a10b_noise_fit_recovers_generator_parameters(sched_p2, cache_p2):
     _, cones2 = enumerate_cones(2)
     ideals, sizes, keys = [], [], []
     for cone in cones2:
-        value, key = evaluate_cone(cone, sched_p2, cache_p2)
+        value, key = evaluate_cone(cone, cache_p2)
         ideals.append(value)
         sizes.append(cone.size)
         keys.append(key)

@@ -225,6 +225,23 @@ class TestExitCodes:
         assert "argument --restarts: must be an integer >= 1" in err
 
     @pytest.mark.parametrize("argv, flag", [
+        (["generate", "--n", "-3"], "--n"),
+        (["solve", "--n", "0"], "--n"),
+        (["shots", "--n", "0", "--eps", "0.1", "--gap", "0.1"], "--n"),
+        (["solve", "--n", "12", "--solver", "exact", "--node-limit", "-1"],
+         "--node-limit"),
+    ])
+    def test_count_below_one_is_usage_error(self, capsys, argv, flag):
+        # no graph, shot budget or exact search has fewer than one node
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: qgreedy {argv[0]} ")
+        assert f"argument {flag}: must be an integer >= 1" in err
+
+    @pytest.mark.parametrize("argv, flag", [
         # flags the chosen solver or advice source would ignore
         (["--solver", "greedy", "--advice", "shots", "--shots", "5",
           "--depth", "3"], "--advice"),
@@ -395,6 +412,16 @@ class TestExitCodes:
     def test_runtime_error(self, capsys):
         assert main(["solve", "--in", "/nonexistent/g.txt"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["exact", "greedy"])
+    def test_empty_graph_is_runtime_error(self, tmp_path, capsys, solver):
+        # the exact solver divided by the alive count, 0, with a traceback
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        assert main(["solve", "--in", str(path), "--solver", solver]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: graph has no alive nodes\n"
 
     def test_cyclic_cone_over_255_vertices_is_runtime_error(self, tmp_path,
                                                             capsys):

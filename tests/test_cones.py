@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import qgreedy.cones
 from helpers import (
+    census_digest,
     complete,
     complete_bipartite,
     hypercube,
@@ -23,7 +24,6 @@ from helpers import (
     tree_ball_size,
 )
 from qgreedy.cones import (
-    CensusReport,
     LightCone,
     _extract,
     canonical_key,
@@ -518,9 +518,22 @@ class TestCensus:
         with pytest.raises(ValueError):
             enumerate_cones(4)
 
-    def test_report_consistency_guard(self):
-        with pytest.raises(ValueError):
-            CensusReport(depth=1, total=4, trees=2, nontrees=1)
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_ids_are_numbered_shell_by_shell(self, depth):
+        # the root is id 0 and no vertex is numbered before a nearer one
+        for cone in enumerate_cones(depth)[1]:
+            assert cone.dists[0] == 0
+            assert list(cone.dists) == sorted(cone.dists), cone
+
+    # census_digest of the p = 1 and p = 2 censuses together, pinned when
+    # the census still grew shell by shell (a01 pins p = 3)
+    CENSUS_DIGEST = (
+        "0adf18f7adb1c160505e2040b2b45b1bc21be5d24f9a430ca514a6f5776465a0"
+    )
+
+    def test_classes_match_pinned_digest(self):
+        cones = enumerate_cones(1)[1] + enumerate_cones(2)[1]
+        assert census_digest(cones) == self.CENSUS_DIGEST
 
 
 class TestTreeBallSize:

@@ -444,32 +444,27 @@ class TestCacheAndRouting:
 
     def test_cache_schedule_mismatch_rejected(self, sched_p1, sched_p2):
         cache = ExpectationCache(sched_p1)
-        cone = extract_lightcone(complete(4), 0, 2)
         with pytest.raises(ValueError):
-            evaluate_cone(cone, sched_p2, cache)
+            cache.check_schedule(sched_p2)
 
     def test_equal_schedule_object_accepted(self, sched_p2):
         # the schedule check compares schedules by value, not identity
         cache = ExpectationCache(sched_p2)
-        cone = extract_lightcone(complete(4), 0, 2)
         twin = dataclasses.replace(sched_p2)
         assert twin is not sched_p2
-        fresh = ExpectationCache(sched_p2)
-        assert evaluate_cone(cone, twin, cache) == evaluate_cone(
-            cone, sched_p2, fresh
-        )
+        cache.check_schedule(twin)
 
     def test_cache_hit_skips_recompute(self, sched_p2):
         cache = ExpectationCache(sched_p2)
         cone = extract_lightcone(complete(4), 0, 2)
-        _, key = evaluate_cone(cone, sched_p2, cache)
+        _, key = evaluate_cone(cone, cache)
         # poison the store; a hit must return the stored value untouched
         cache._store[key] = 123.0
-        assert evaluate_cone(cone, sched_p2, cache) == (123.0, key)
+        assert evaluate_cone(cone, cache) == (123.0, key)
 
     def test_depth1_routes_analytic(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)
-        value, _ = evaluate_cone(cone, sched_p1, ExpectationCache(sched_p1))
+        value, _ = evaluate_cone(cone, ExpectationCache(sched_p1))
         circ = build_circuit(cone, sched_p1)
         assert value == pytest.approx(expectation_statevector(circ), abs=1e-10)
 
@@ -493,7 +488,7 @@ class TestCacheAndRouting:
         # a cyclic cone contracts, on its pruned circuit, to the value of
         # the unpruned circuit run dense
         cone = extract_lightcone(complete(4), 0, 2)
-        value, _ = evaluate_cone(cone, sched_p2, ExpectationCache(sched_p2))
+        value, _ = evaluate_cone(cone, ExpectationCache(sched_p2))
         assert value == pytest.approx(expectation(cone, sched_p2), abs=1e-12)
         for cone in root_cones(complete(4), 0, 2):
             value = expectation(cone, sched_p2)
@@ -518,14 +513,14 @@ class TestCacheAndRouting:
                 g = random_degree3_graph(rng, 12)
                 cone = extract_lightcone(g, int(rng.integers(12)), p)
                 values = {
-                    evaluate_cone(c, schedule, ExpectationCache(schedule))[0]
+                    evaluate_cone(c, ExpectationCache(schedule))[0]
                     for c in [cone] + [relabel_cone(cone, rng) for _ in range(3)]
                 }
                 assert len(values) == 1, (cone.dists, cone.edges)
 
     def test_returned_key_is_canonical(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)
-        _, key = evaluate_cone(cone, sched_p1, ExpectationCache(sched_p1))
+        _, key = evaluate_cone(cone, ExpectationCache(sched_p1))
         assert key == canonical_key(cone)
 
     @pytest.mark.parametrize("kind", ["cyclic", "tree"])
@@ -534,7 +529,7 @@ class TestCacheAndRouting:
         assert cone.is_tree == (kind == "tree")
         copies = _labelled_copies(cone, np.random.default_rng(5), 6)
         cache = ExpectationCache(sched_p2)
-        results = [evaluate_cone(c, sched_p2, cache) for c in copies * 2]
+        results = [evaluate_cone(c, cache) for c in copies * 2]
         assert len({key for _, key in results}) == 1
         assert len({value for value, _ in results}) == 1
         assert len(cache) == 1  # one value entry for the class

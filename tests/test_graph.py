@@ -216,9 +216,11 @@ class TestGenerateRegular:
         with pytest.raises(ValueError):
             generate_regular(3, 3, 0)
 
-    def test_restart_budget(self):
-        with pytest.raises(RestartBudgetExceeded):
-            generate_regular(4, 3, 0, restarts=0)
+    def test_restart_budget(self, monkeypatch):
+        monkeypatch.setattr(qgreedy.graph, "RESTART_BUDGET", 0)
+        with pytest.raises(RestartBudgetExceeded) as exc:
+            generate_regular(4, 3, 0)
+        assert exc.value.restarts == 0
 
     # SHA-256 over write_edge_list of every graph in the grid below, pinned
     # when the duplicate check still used np.unique

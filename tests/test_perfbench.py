@@ -45,7 +45,7 @@ def test_key_spans_read_the_cone(tracing, sched_p2):
     cyclic = extract_lightcone(complete(4), 0, 2)
     with tracer.active(0):
         for cone in (cyclic, vertex_cone(2, 3)):
-            engines.evaluate_cone(cone, sched_p2, ExpectationCache(sched_p2))
+            engines.evaluate_cone(cone, ExpectationCache(sched_p2))
     names = [span[0] for span in tracer.spans]
     assert "cones.key_cyclic" in names and "cones.key_tree" in names
 

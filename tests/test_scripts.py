@@ -53,8 +53,9 @@ def test_noise_sweep_negative_seed_is_a_usage_error():
     assert "error: argument --seed: must be an integer >= 0" in done.stderr
 
 
-@pytest.mark.parametrize("flag", ["--instances", "--eta-steps"])
+@pytest.mark.parametrize("flag", ["--instances", "--eta-steps", "--depth", "--n"])
 def test_noise_sweep_empty_grid_is_a_usage_error(flag):
+    # no instance, grid point, circuit layer or graph node: nothing to run
     done = run_failing("noise_sweep.py", flag, "0")
     assert done.returncode == 1, done.stderr
     assert f"error: argument {flag}: must be an integer >= 1" in done.stderr
@@ -84,7 +85,8 @@ def test_run_bench_bad_workers_is_a_usage_error(value):
     (("--degree", "x"), "argument --degree: invalid int value: 'x'"),
     (("--max-depth", "0"), "argument --max-depth: must be an integer >= 1"),
     (("--seed", "-1"), "argument --seed: must be an integer >= 0"),
-], ids=["degree", "max-depth", "seed"])
+    (("--lambda", "nan"), "argument --lambda: must be a finite number >= 1"),
+], ids=["degree", "max-depth", "seed", "lambda"])
 def test_gen_default_angles_bad_flag_is_a_usage_error(tmp_path, args, why):
     # parsing fails before the optimizer runs or any file is written
     out = tmp_path / "angles"

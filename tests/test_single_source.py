@@ -105,6 +105,19 @@ def test_observable_is_not_a_parameter():
     assert [n for n, args in params.items() if "observable" in args] == []
 
 
+def test_one_way_settings_are_not_parameters():
+    # generate_regular's restart count is a module constant, and
+    # evaluate_cone reads the schedule off its cache
+    params = {
+        node.name: [a.arg for a in (*node.args.args, *node.args.kwonlyargs)]
+        for path in PACKAGE
+        for node in _functions(ast.parse(path.read_text()))
+        if node.name in ("generate_regular", "evaluate_cone")
+    }
+    assert params == {"generate_regular": ["n", "d", "seed"],
+                      "evaluate_cone": ["cone", "cache"]}
+
+
 def test_no_call_sets_a_fixed_value():
     # the budget and cap are module constants, and rescoring is incremental:
     # no call passes them and no function takes them
