@@ -37,7 +37,7 @@ import numpy
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from qgreedy.cli import _Parser, count, seed  # noqa: E402
+from qgreedy.cli import _Parser, count, nonnegative  # noqa: E402
 
 SIDES = ("base", "change")
 
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="git revision to compare")
     ap.add_argument("--pairs", type=count, required=True)
     ap.add_argument("--seconds", type=seconds, required=True)
-    ap.add_argument("--seed", type=seed, required=True)
+    ap.add_argument("--seed", type=nonnegative, required=True)
     ap.add_argument("--label", type=label, required=True)
     args = ap.parse_args(argv)
     with open(ROOT / "BENCHMARK.json") as fh:

@@ -16,7 +16,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from qgreedy.bench import solver_config  # noqa: E402
-from qgreedy.cli import RUNTIME_ERRORS, _Parser, count, seed  # noqa: E402
+from qgreedy.cli import RUNTIME_ERRORS, _Parser, count, nonnegative  # noqa: E402
 from qgreedy.engines import ExpectationCache  # noqa: E402
 from qgreedy.graph import generate_regular  # noqa: E402
 from qgreedy.noise import NoiseParams  # noqa: E402
@@ -37,7 +37,8 @@ def sweep(args) -> None:
         eta = args.eta_max * k / (args.eta_steps - 1) if args.eta_steps > 1 else 0.0
         ratios = []
         for i, g in enumerate(graphs):
-            noise = dataclasses.replace(base.noise, eta=eta, seed=1000 * k + i)
+            noise = dataclasses.replace(base.noise, eta=eta,
+                                        seed=k * args.instances + i)
             cfg = dataclasses.replace(base, noise=noise, seed=args.seed + i)
             ratios.append(solve_quantum_greedy(g, cfg, cache).ratio)
         mean = float(np.mean(ratios))
@@ -55,7 +56,7 @@ def main() -> int:
     ap.add_argument("--eta-steps", type=count, default=11)
     ap.add_argument("--alpha", type=float, default=0.0)
     ap.add_argument("--sigma", type=float, default=0.0)
-    ap.add_argument("--seed", type=seed, default=0)
+    ap.add_argument("--seed", type=nonnegative, default=0)
     args = ap.parse_args()
     try:
         sweep(args)

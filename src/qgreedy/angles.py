@@ -56,54 +56,24 @@ def _full_tree(depth: int, d: int) -> tuple[Graph, list[list[int]]]:
     return Graph(nxt, edges), shells
 
 
-def _edge_tree(depth: int, d: int) -> Graph:
-    """Tree around one edge: roots 0 and 1 adjacent, d-1 subtrees each."""
-    edges = [(0, 1)]
-    frontier = [0, 1]
-    nxt = 2
-    for level in range(depth):
-        nfront = []
-        for v in frontier:
-            for _ in range(d - 1):
-                edges.append((v, nxt))
-                nfront.append(nxt)
-                nxt += 1
-        frontier = nfront
-    return Graph(nxt, edges)
-
-
 def vertex_cone(depth: int, d: int) -> LightCone:
     g, _ = _full_tree(depth, d)
     return extract_lightcone(g, 0, depth)
 
 
 def edge_cone(depth: int, d: int) -> LightCone:
-    g = _edge_tree(depth, d)
+    # the root and its first child; at d = 0, which has no edge and whose
+    # edge term has weight 0, the bare edge of the d = 1 tree stands in
+    g, _ = _full_tree(depth + 1, max(d, 1))
     return extract_lightcone_multi(g, (0, 1), depth)
 
 
-def _energy(
-    schedule: AngleSchedule, vcone: LightCone, econe: LightCone
-) -> tuple[float, float, float]:
-    """(energy per vertex, <Z_root>, <Z_u Z_v>) on prebuilt tree cones."""
+def _energy(schedule: AngleSchedule, vcone: LightCone, econe: LightCone) -> float:
+    """Energy per vertex from <Z_root> and <Z_u Z_v> on prebuilt tree cones."""
     z = expectation(vcone, schedule)
     zz = expectation(econe, schedule)
     d, ising = schedule.degree, IsingParams(schedule.lam)
-    e = (d / 2.0) * ising.coupling * zz + ising.field(d) * z + ising.offset(d)
-    return e, z, zz
-
-
-def tree_expectations(schedule: AngleSchedule) -> tuple[float, float]:
-    """(<Z_root> on the vertex cone, <Z_u Z_v> on the edge cone)."""
-    p, d = schedule.depth, schedule.degree
-    _, z, zz = _energy(schedule, vertex_cone(p, d), edge_cone(p, d))
-    return z, zz
-
-
-def tree_energy(schedule: AngleSchedule) -> float:
-    """Energy per vertex of a girth > 2p+1 d-regular graph."""
-    p, d = schedule.depth, schedule.degree
-    return _energy(schedule, vertex_cone(p, d), edge_cone(p, d))[0]
+    return (d / 2.0) * ising.coupling * zz + ising.field(d) * z + ising.offset(d)
 
 
 def normalize_schedule(schedule: AngleSchedule) -> AngleSchedule:
@@ -164,7 +134,7 @@ def optimize_tree_angles(
 
     def objective(x: np.ndarray) -> float:
         sched = AngleSchedule(depth, d, lam, tuple(x[:depth]), tuple(x[depth:]))
-        return _energy(sched, vcone, econe)[0]
+        return _energy(sched, vcone, econe)
 
     rng = np.random.default_rng(seed)
     starts = []
@@ -198,7 +168,7 @@ def optimize_tree_angles(
     sched = normalize_schedule(
         AngleSchedule(depth, d, lam, tuple(best_x[:depth]), tuple(best_x[depth:]))
     )
-    return AngleOptimum(schedule=sched, energy=_energy(sched, vcone, econe)[0])
+    return AngleOptimum(schedule=sched, energy=_energy(sched, vcone, econe))
 
 
 @functools.cache

@@ -13,15 +13,14 @@ coefficient for ZZ and Z, beta for the X mixer.
 
 The circuit measures the product of Z over the cone's roots, its
 distance-0 vertices: the root of a vertex cone, both ends of an edge cone.
-Layer pruning drops gates that cannot reach them: counting layers
-k = 0..p-1 in application order, layer k keeps ZZ gates on edges whose
-nearer endpoint is within distance p-k-1 of the roots and single-qubit
-gates on vertices within distance p-k, both read off ``cone.dists``.  So
-a vertex keeps a prefix of the layers, at least layer 0, and a ZZ gate
-sits in a layer both its endpoints keep.  The pruned circuit is exactly value-preserving, and it
-is the one :func:`qgreedy.engines.expectation` contracts; the unpruned
-circuit, with every gate in every layer, is the input of the tests' dense
-oracle.
+Gates that cannot reach them are never built: counting layers k = 0..p-1
+in application order, layer k holds ZZ gates on edges whose nearer
+endpoint is within distance p-k-1 of the roots and single-qubit gates on
+vertices within distance p-k, both read off ``cone.dists``.  So a vertex
+keeps a prefix of the layers, at least layer 0, and a ZZ gate sits in a
+layer both its endpoints keep.  Pruning preserves the value exactly, so
+this pruned circuit is the only one the package builds; the unpruned
+reference, with every gate in every layer, lives in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -75,11 +74,9 @@ class ConeCircuit:
     observable: tuple[int, ...]
 
 
-def build_circuit(
-    cone: LightCone, schedule: AngleSchedule, prune_layers: bool = False
-) -> ConeCircuit:
-    """Compile a cone and a schedule into per-vertex and per-edge gates
-    that measure the cone's roots."""
+def build_circuit(cone: LightCone, schedule: AngleSchedule) -> ConeCircuit:
+    """Compile a cone and a schedule into the pruned per-vertex and
+    per-edge gates that measure the cone's roots."""
     if schedule.depth != cone.depth:
         raise ValueError(
             f"schedule depth {schedule.depth} != cone depth {cone.depth}"
@@ -88,8 +85,7 @@ def build_circuit(
     ising = IsingParams(schedule.lam)
     coupling = ising.coupling
     fields = [ising.field(d) for d in cone.in_degrees()]
-    # distance to the roots; unpruned, every vertex keeps every layer
-    dists = cone.dists if prune_layers else (0,) * cone.size
+    dists = cone.dists
     layers = list(zip(schedule.gammas, schedule.betas))
     gates = tuple(
         tuple((h * gamma, beta) for gamma, beta in layers[: p + 1 - d])

@@ -5,9 +5,10 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 A flag that no run of its subcommand would read, given the other flags, is
 a usage error, and so is a flag value that no run can use: the flag's type
 function decides that (``--lambda`` takes only finite values >= 1, ``--delta``
-only "auto" or finite values >= 0, ``--depth`` only integers >= 1), before
-anything runs, and so does the subcommand where its range is narrower
-(``census`` is tabulated for ``--depth`` 1..3).
+only "auto" or finite values >= 0, ``--depth`` only integers >= 1,
+``--degree`` only integers >= 0), before anything runs, and so does the
+subcommand where its range is narrower (``census`` is tabulated for
+``--depth`` 1..3).
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def penalty(text: str) -> float:
     return value
 
 
-def seed(text: str) -> int:
-    """--seed or --noise-seed value: an integer >= 0."""
+def nonnegative(text: str) -> int:
+    """An integer >= 0, such as --seed, --noise-seed or --degree."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
@@ -84,7 +85,7 @@ def build_parser() -> _Parser:
     # shared flags are valid before and after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value given before it, and marks it as given
     shared = _Parser(add_help=False)
-    shared.add_argument("--seed", type=seed, default=argparse.SUPPRESS)
+    shared.add_argument("--seed", type=nonnegative, default=argparse.SUPPRESS)
     shared.add_argument("--lambda", dest="lam", type=penalty,
                         default=argparse.SUPPRESS)
     shared.add_argument("--depth", type=count, default=argparse.SUPPRESS)
@@ -102,10 +103,10 @@ def build_parser() -> _Parser:
 
     gen = add("generate", help="emit a random regular graph edge list")
     gen.add_argument("--n", type=count, required=True)
-    gen.add_argument("--degree", type=int, default=3)
+    gen.add_argument("--degree", type=nonnegative, default=3)
 
     ang = add("angles", help="optimize tree angles, write an angle file")
-    ang.add_argument("--degree", type=int, default=3)
+    ang.add_argument("--degree", type=nonnegative, default=3)
     ang.add_argument("--restarts", type=count, default=6)
 
     sol = add("solve", help="run one solver on one instance, print the trace")
@@ -118,7 +119,7 @@ def build_parser() -> _Parser:
     # given, so that a flag the run would ignore is caught as a usage
     # error; _DEFAULTS fills in the rest
     unset = argparse.SUPPRESS
-    sol.add_argument("--degree", type=int, default=unset,
+    sol.add_argument("--degree", type=nonnegative, default=unset,
                      help="of the generated graph and the shipped angles "
                           "(default: 3)")
     sol.add_argument("--angles", default=unset, help="angle file (default: shipped)")
@@ -130,7 +131,7 @@ def build_parser() -> _Parser:
     sol.add_argument("--eta", type=float, default=unset)
     sol.add_argument("--alpha", type=float, default=unset)
     sol.add_argument("--sigma", type=float, default=unset)
-    sol.add_argument("--noise-seed", type=seed, default=unset)
+    sol.add_argument("--noise-seed", type=nonnegative, default=unset)
     sol.add_argument("--node-limit", type=count, default=unset)
 
     add("census", help="enumerate depth-p cones of max degree 3")

@@ -10,18 +10,20 @@ for the angle optimizer.  There are two routes:
 
 :func:`expectation` is the one routing decision: a depth-1 cone of one
 root takes the closed form, and every other cone contracts its pruned
-circuit, raising ContractionBudgetExceeded when the plan's peak-entry
-estimate trips ``CONTRACTION_BUDGET``.  The solver reaches it through
+circuit, the only form :func:`~qgreedy.circuits.build_circuit` builds,
+raising ContractionBudgetExceeded when the plan's peak-entry estimate
+trips ``CONTRACTION_BUDGET``.  The solver reaches it through
 :meth:`ExpectationCache.value`, which evaluates a missed class on the cone
 its key describes; a tree cone's key is read off the graph, and only a
 cyclic cone is extracted and keyed by :func:`evaluate_cone`.  The angle
 optimizer and the resolution cutoff call the router directly.
 Dense statevector evolution, capped at ``STATEVECTOR_CAP`` qubits, is a
 test oracle that no solve calls: each route agrees with it to tight
-tolerance on overlapping domains, which guards against a silent convention
-error.  It stays in this module because the benchmark tracer
-(``perfbench/tracing.py``) names it as a span; the other oracles live with
-the tests.
+tolerance on overlapping domains, also when it runs the unpruned
+reference circuit of ``tests/helpers.py``, which guards against a silent
+convention error and a wrong pruning rule alike.  It stays in this module
+because the benchmark tracer (``perfbench/tracing.py``) names it as a
+span; the other oracles live with the tests.
 
 The contraction engine views the expectation as a classical partition
 function on a time-expanded copy of the cone graph: the cost layers are
@@ -471,7 +473,7 @@ def expectation(cone: LightCone, schedule: AngleSchedule) -> float:
             deg, IsingParams(schedule.lam).field(deg),
             schedule.gammas[0], schedule.betas[0], schedule.lam,
         )
-    return expectation_contract(build_circuit(cone, schedule, prune_layers=True))
+    return expectation_contract(build_circuit(cone, schedule))
 
 
 def evaluate_cone(cone: LightCone, cache: ExpectationCache) -> tuple[float, bytes]:

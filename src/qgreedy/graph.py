@@ -1,5 +1,5 @@
-"""Graph core: mutable bounded-degree graphs, the MIS cost function, and
-random regular instance generation.
+"""Graph core: mutable bounded-degree graphs, the Ising coefficients of
+the MIS cost function, and random regular instance generation.
 
 Graphs keep stable integer node ids for their whole life.  Greedy reductions
 never renumber: deletion flips an alive flag and updates cached degrees, so
@@ -87,12 +87,6 @@ class Graph:
     def alive_count(self) -> int:
         return self._alive_count
 
-    def degree(self, i: int) -> int:
-        """Alive degree of an alive node."""
-        if not self.alive[i]:
-            raise ValueError(f"node {i} is not alive")
-        return self._deg[i]
-
     def alive_nodes(self) -> list[int]:
         return [i for i in range(self.n) if self.alive[i]]
 
@@ -166,25 +160,6 @@ def is_independent(g: Graph, nodes) -> bool:
     if len(chosen) != len(nodes):
         return False
     return all(0 <= u < g.n and chosen.isdisjoint(g.adj[u]) for u in chosen)
-
-
-def energy(g: Graph, params: IsingParams, bits) -> float:
-    """Occupation-basis cost over the alive subgraph.
-
-    ``bits`` must assign 0/1 to every node id; entries for dead nodes are
-    ignored.
-    """
-    if len(bits) != g.n:
-        raise ValueError(f"assignment length {len(bits)} != node count {g.n}")
-    occupied = 0
-    conflicts = 0
-    for i in range(g.n):
-        if g.alive[i] and bits[i]:
-            occupied += 1
-    for u, v in g.edges_alive():
-        if bits[u] and bits[v]:
-            conflicts += 1
-    return params.lam * conflicts - float(occupied)
 
 
 def check_regular(n: int, d: int) -> None:

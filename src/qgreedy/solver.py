@@ -75,10 +75,6 @@ class SolveTrace:
         return [s.node for s in self.steps]
 
     @property
-    def chosen(self) -> frozenset:
-        return frozenset(s.node for s in self.steps)
-
-    @property
     def set_size(self) -> int:
         return len(self.steps)
 
@@ -328,7 +324,7 @@ def solve_exact(g: Graph, node_limit: int = 40) -> set:
     return set(result)
 
 
-# -- trace text round trip ---------------------------------------------------
+# -- trace text format -------------------------------------------------------
 
 
 def format_trace(trace: SolveTrace) -> str:
@@ -337,32 +333,3 @@ def format_trace(trace: SolveTrace) -> str:
     ]
     lines.append(f"set_size {trace.set_size} ratio {trace.ratio:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def parse_trace(text: str) -> dict:
-    order, values, keys = [], [], []
-    set_size = ratio = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "set_size":
-            if len(parts) != 4 or parts[2] != "ratio":
-                raise ValueError(f"malformed trace footer: {line!r}")
-            set_size, ratio = int(parts[1]), float(parts[3])
-        else:
-            if len(parts) != 4:
-                raise ValueError(f"malformed trace line: {line!r}")
-            order.append(int(parts[1]))
-            values.append(float(parts[2]))
-            keys.append(parts[3])
-    if set_size is None or set_size != len(order):
-        raise ValueError("trace footer missing or inconsistent")
-    return {
-        "order": order,
-        "values": values,
-        "keys": keys,
-        "set_size": set_size,
-        "ratio": ratio,
-    }

@@ -1,11 +1,14 @@
 """Shared test utilities: small named graphs, random graph draws, the
 one- and two-root cones of a vertex, a brute-force rooted-isomorphism
-oracle for canonical-key checks, a digest of a census's key set, the plain frontier-list cone BFS as an
-oracle for the shell-indexed one, closed-form oracles (the depth-1 edge
-expectation, the spin-basis cost, the tree ball size), the greedy loop as
-it stood before its per-step rework (also the full-recompute oracle), and
-source files outside the package (the benchmark's tracer,
-``scripts/run_bench.py``, ``scripts/bench_pairs.py``) loaded by path."""
+oracle for canonical-key checks, a digest of a census's key set, the
+plain frontier-list cone BFS as an oracle for the shell-indexed one, the
+unpruned cone circuit (the dense oracle's input and pruning's reference),
+closed-form oracles (the depth-1 edge expectation, the occupation- and
+spin-basis costs, the tree ball size), the greedy loop as it stood before
+its per-step rework (also the full-recompute oracle), a reader of the
+solver's trace text, and source files outside the package (the
+benchmark's tracer, ``scripts/run_bench.py``, ``scripts/bench_pairs.py``,
+``scripts/noise_sweep.py``) loaded by path."""
 
 import hashlib
 import importlib.util
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 
 import qgreedy.solver
+from qgreedy.circuits import AngleSchedule, ConeCircuit
 from qgreedy.cones import (
     LightCone,
     canonical_key,
@@ -225,6 +229,27 @@ def reference_extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone
     )
 
 
+def unpruned_circuit(cone: LightCone, schedule: AngleSchedule) -> ConeCircuit:
+    """The cone circuit with no gate pruned: every vertex keeps all p
+    layers and every edge has a ZZ gate in every layer, in
+    ``build_circuit``'s order, so the two differ only in the gates pruning
+    drops."""
+    ising = IsingParams(schedule.lam)
+    layers = list(zip(schedule.gammas, schedule.betas))
+    gates = tuple(
+        tuple((ising.field(d) * gamma, beta) for gamma, beta in layers)
+        for d in cone.in_degrees()
+    )
+    couplings = tuple(
+        (u, v, k, ising.coupling * gamma)
+        for k, gamma in enumerate(schedule.gammas)
+        for u, v in cone.edges
+        if ising.coupling * gamma != 0.0
+    )
+    roots = tuple(v for v, d in enumerate(cone.dists) if d == 0)
+    return ConeCircuit(cone.size, schedule.depth, gates, couplings, roots)
+
+
 def expectation_p1_edge(
     deg_u: int,
     deg_v: int,
@@ -260,8 +285,27 @@ def expectation_p1_edge(
     return cross + both
 
 
+def energy(g: Graph, params: IsingParams, bits) -> float:
+    """Occupation-basis cost over the alive subgraph.
+
+    ``bits`` must assign 0/1 to every node id; entries for dead nodes are
+    ignored.
+    """
+    if len(bits) != g.n:
+        raise ValueError(f"assignment length {len(bits)} != node count {g.n}")
+    occupied = 0
+    conflicts = 0
+    for i in range(g.n):
+        if g.alive[i] and bits[i]:
+            occupied += 1
+    for u, v in g.edges_alive():
+        if bits[u] and bits[v]:
+            conflicts += 1
+    return params.lam * conflicts - float(occupied)
+
+
 def energy_pauli(g: Graph, params: IsingParams, spins) -> float:
-    """Spin-basis cost; must agree with ``graph.energy`` at s_i = 2 n_i - 1."""
+    """Spin-basis cost; must agree with ``energy`` at s_i = 2 n_i - 1."""
     if len(spins) != g.n:
         raise ValueError(f"assignment length {len(spins)} != node count {g.n}")
     total = 0.0
@@ -359,10 +403,42 @@ def reference_loop(full_recompute: bool):
         yield
 
 
+def parse_trace(text: str) -> dict:
+    """The fields of ``solver.format_trace``'s text; raises ValueError on a
+    malformed line or a footer that does not match the step count."""
+    order, values, keys = [], [], []
+    set_size = ratio = None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "set_size":
+            if len(parts) != 4 or parts[2] != "ratio":
+                raise ValueError(f"malformed trace footer: {line!r}")
+            set_size, ratio = int(parts[1]), float(parts[3])
+        else:
+            if len(parts) != 4:
+                raise ValueError(f"malformed trace line: {line!r}")
+            order.append(int(parts[1]))
+            values.append(float(parts[2]))
+            keys.append(parts[3])
+    if set_size is None or set_size != len(order):
+        raise ValueError("trace footer missing or inconsistent")
+    return {
+        "order": order,
+        "values": values,
+        "keys": keys,
+        "set_size": set_size,
+        "ratio": ratio,
+    }
+
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 RUN_BENCH = ROOT / "scripts" / "run_bench.py"
 BENCH_PAIRS = ROOT / "scripts" / "bench_pairs.py"
+NOISE_SWEEP = ROOT / "scripts" / "noise_sweep.py"
 
 
 def _load(path: Path, name: str):
@@ -386,3 +462,8 @@ def load_run_bench():
 def load_bench_pairs():
     """``scripts/bench_pairs.py`` as a module; its ``main`` is not run."""
     return _load(BENCH_PAIRS, "bench_pairs")
+
+
+def load_noise_sweep():
+    """``scripts/noise_sweep.py`` as a module; its ``main`` is not run."""
+    return _load(NOISE_SWEEP, "noise_sweep")

@@ -18,16 +18,18 @@ import numpy as np
 import pytest
 from helpers import (
     census_digest,
+    energy,
     energy_pauli,
     random_degree3_graph,
     random_graph,
     reference_loop,
     relabel_cone,
     rooted_isomorphic,
+    unpruned_circuit,
 )
 
 from qgreedy.angles import load_default_angles, vertex_cone
-from qgreedy.circuits import AngleSchedule, build_circuit
+from qgreedy.circuits import AngleSchedule
 from qgreedy.cones import (
     canonical_key,
     enumerate_cones,
@@ -44,7 +46,6 @@ from qgreedy.engines import (
 )
 from qgreedy.graph import (
     IsingParams,
-    energy,
     generate_regular,
     is_independent,
 )
@@ -109,7 +110,7 @@ def test_a02_depth1_statevector_matches_closed_form():
                 gamma = float(rng.uniform(-math.pi, math.pi))
                 beta = float(rng.uniform(-math.pi, math.pi))
                 sched = AngleSchedule(1, 3, lam, (gamma,), (beta,))
-                sv = expectation_statevector(build_circuit(cone, sched))
+                sv = expectation_statevector(unpruned_circuit(cone, sched))
                 closed = expectation_p1_analytic(
                     d, (lam * d - 2.0) / 4.0, gamma, beta, lam
                 )
@@ -159,8 +160,9 @@ def test_a04_depth1_argmax_equals_minimum_degree_at_every_step(sched_p1):
                 vals[v] = value
             vmax = max(vals.values())
             argmax = sorted(v for v, val in vals.items() if val >= vmax)
-            dmin = min(work.degree(v) for v in alive)
-            mindeg = sorted(v for v in alive if work.degree(v) == dmin)
+            deg = {v: len(work.neighbors_alive(v)) for v in alive}
+            dmin = min(deg.values())
+            mindeg = sorted(v for v in alive if deg[v] == dmin)
             assert argmax == mindeg
             pick = argmax[int(loop_rng.integers(len(argmax)))]
             work.remove_closed_neighborhood(pick)
@@ -232,7 +234,7 @@ def test_a07_every_run_returns_an_independent_set(sched_p1, sched_p2, cache_p2):
 
     def check(g, trace):
         nonlocal runs
-        assert is_independent(g, trace.chosen)
+        assert is_independent(g, trace.order)
         assert sum(s.removed for s in trace.steps) == g.alive_count
         runs += 1
 
@@ -323,8 +325,8 @@ def test_a09_canonical_keys_identify_isomorphic_cones(sched_p1, sched_p2):
         c2 = relabel_cone(c1, rng)
         assert canonical_key(c1) == canonical_key(c2)
         assert rooted_isomorphic(c1, c2)
-        v1 = expectation_statevector(build_circuit(c1, scheds[depth]))
-        v2 = expectation_statevector(build_circuit(c2, scheds[depth]))
+        v1 = expectation_statevector(unpruned_circuit(c1, scheds[depth]))
+        v2 = expectation_statevector(unpruned_circuit(c2, scheds[depth]))
         worst = max(worst, abs(v1 - v2))
     assert worst <= 1e-12
 
@@ -412,7 +414,7 @@ def test_a10c_shrink_sweep_stays_valid_and_zero_shrink_is_noiseless(
         t = solve_quantum_greedy(
             g, SolverConfig(schedule=sched_p3, delta=0.0, seed=seed), cache_p3
         )
-        assert is_independent(g, t.chosen)
+        assert is_independent(g, t.order)
         base_ratios.append(t.ratio)
     means = {}
     for k in range(11):
@@ -424,7 +426,7 @@ def test_a10c_shrink_sweep_stays_valid_and_zero_shrink_is_noiseless(
                 noise=NoiseParams(eta, 0.0, 0.0), seed=seed,
             )
             t = solve_quantum_greedy(g, cfg, cache_p3)
-            assert is_independent(g, t.chosen)
+            assert is_independent(g, t.order)
             ratios.append(t.ratio)
         means[eta] = float(np.mean(ratios))
     print("sweep means " + " ".join(f"{e:g}:{m:.4f}" for e, m in means.items()))
@@ -458,7 +460,7 @@ def test_a12_contraction_agrees_with_statevector_and_fits_budget(
         cone = extract_lightcone(g, int(rng.integers(n)), depth)
         if cone.size > 20:
             continue
-        circ = build_circuit(cone, scheds[depth])
+        circ = unpruned_circuit(cone, scheds[depth])
         diff = abs(expectation_statevector(circ) - expectation_contract(circ))
         worst = max(worst, diff)
         checked += 1
@@ -468,7 +470,7 @@ def test_a12_contraction_agrees_with_statevector_and_fits_budget(
     big = vertex_cone(4, 3)
     assert big.size == 46
     sched4 = load_default_angles(4).schedule
-    circ = build_circuit(big, sched4)
+    circ = unpruned_circuit(big, sched4)
     v1 = expectation_contract(circ)  # default budget; raises if it trips
     assert -1.0 <= v1 <= 1.0
     assert expectation_contract(circ) == v1

@@ -10,6 +10,7 @@ import qgreedy.angles
 from helpers import expectation_p1_edge, tree_ball_size
 from qgreedy.angles import (
     AngleOptimum,
+    _energy,
     delta_cutoff,
     edge_cone,
     load_default_angles,
@@ -17,12 +18,11 @@ from qgreedy.angles import (
     optimize_tree_angles,
     parse_angle_text,
     read_angle_file,
-    tree_energy,
-    tree_expectations,
     vertex_cone,
     write_angle_file,
 )
 from qgreedy.circuits import AngleSchedule
+from qgreedy.engines import expectation
 
 
 def sched(gammas, betas, lam=1.0, degree=3):
@@ -68,7 +68,8 @@ class TestShippedAngles:
     def test_stored_energy_matches_recomputation(self):
         for p in (1, 2, 3, 4):
             opt = load_default_angles(p)
-            assert tree_energy(opt.schedule) == pytest.approx(
+            cones = vertex_cone(p, 3), edge_cone(p, 3)
+            assert _energy(opt.schedule, *cones) == pytest.approx(
                 opt.energy, abs=1e-9
             )
 
@@ -102,10 +103,10 @@ class TestNormalization:
         x = rng.uniform(-1.5, 1.5, size=4)
         a = sched(x[:2], x[2:])
         b = sched(-x[:2], -x[2:])
-        za, zza = tree_expectations(a)
-        zb, zzb = tree_expectations(b)
-        assert za == pytest.approx(zb, abs=1e-12)
-        assert zza == pytest.approx(zzb, abs=1e-12)
+        for cone in (vertex_cone(2, 3), edge_cone(2, 3)):
+            assert expectation(cone, a) == pytest.approx(
+                expectation(cone, b), abs=1e-12
+            )
 
 
 class TestOptimizer:

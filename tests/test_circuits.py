@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete, petersen, random_degree3_graph, root_cones
+from helpers import (
+    complete,
+    petersen,
+    random_degree3_graph,
+    root_cones,
+    unpruned_circuit,
+)
 from qgreedy.circuits import AngleSchedule, build_circuit
 from qgreedy.cones import extract_lightcone, extract_lightcone_multi
 from qgreedy.engines import expectation_statevector
@@ -71,10 +77,8 @@ class TestBuildCircuit:
 
     def test_pruning_drops_outer_gates(self):
         cone = extract_lightcone(petersen(), 0, 2)
-        full = build_circuit(cone, sched((0.3, 0.7), (0.2, 0.4)))
-        pruned = build_circuit(
-            cone, sched((0.3, 0.7), (0.2, 0.4)), prune_layers=True
-        )
+        full = unpruned_circuit(cone, sched((0.3, 0.7), (0.2, 0.4)))
+        pruned = build_circuit(cone, sched((0.3, 0.7), (0.2, 0.4)))
         # layer 0 touches everything; layer 1 only what can reach the root
         def couplings(circ, k):
             return [c for c in circ.couplings if c[2] == k]
@@ -96,9 +100,9 @@ class TestBuildCircuit:
         p = int(rng.integers(1, 4))
         cones = root_cones(g, int(rng.integers(14)), p)
         s = sched(rng.uniform(-1.5, 1.5, p), rng.uniform(-1.5, 1.5, p))
-        for prune in (False, True):
+        for build in (unpruned_circuit, build_circuit):
             for cone in cones:
-                circ = build_circuit(cone, s, prune_layers=prune)
+                circ = build(cone, s)
                 assert all(1 <= len(gates) <= p for gates in circ.gates)
                 layers = [k for _, _, k, _ in circ.couplings]
                 assert layers == sorted(layers)
@@ -122,23 +126,21 @@ class TestBuildCircuit:
         cone = extract_lightcone(g, root, 2)
         angles = rng.uniform(-1.5, 1.5, size=4)
         s = sched(angles[:2], angles[2:])
-        a = expectation_statevector(build_circuit(cone, s))
-        b = expectation_statevector(build_circuit(cone, s, prune_layers=True))
+        a = expectation_statevector(unpruned_circuit(cone, s))
+        b = expectation_statevector(build_circuit(cone, s))
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_observable_is_the_roots(self):
         s = sched((0.3, 0.7), (0.2, 0.4))
-        for prune in (False, True):
-            one = build_circuit(extract_lightcone(petersen(), 0, 2), s, prune)
-            two = build_circuit(
-                extract_lightcone_multi(petersen(), (0, 1), 2), s, prune
-            )
+        for build in (unpruned_circuit, build_circuit):
+            one = build(extract_lightcone(petersen(), 0, 2), s)
+            two = build(extract_lightcone_multi(petersen(), (0, 1), 2), s)
             assert (one.observable, two.observable) == ((0,), (0, 1))
 
     def test_pruning_reads_root_distances(self):
         # a vertex at distance d >= 1 from the roots keeps layers 0..p-d,
         # and a root keeps all p
         for cone in root_cones(petersen(), 0, 2):
-            circ = build_circuit(cone, sched((0.3, 0.7), (0.2, 0.4)), True)
+            circ = build_circuit(cone, sched((0.3, 0.7), (0.2, 0.4)))
             kept = [min(2, 3 - d) for d in cone.dists]
             assert [len(g) for g in circ.gates] == kept

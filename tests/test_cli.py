@@ -2,11 +2,11 @@ from importlib import resources
 
 import pytest
 
+from helpers import parse_trace
 from qgreedy.angles import AngleOptimum, write_angle_file
 from qgreedy.circuits import AngleSchedule
 from qgreedy.cli import main
 from qgreedy.graph import Graph, read_edge_list, write_edge_list
-from qgreedy.solver import parse_trace
 
 P2_FILE = str(resources.files("qgreedy") / "data" / "angles" / "p2_d3_lam1.txt")
 
@@ -16,7 +16,7 @@ class TestGenerate:
         assert main(["generate", "--n", "20", "--seed", "3"]) == 0
         g = read_edge_list(capsys.readouterr().out)
         assert g.n == 20
-        assert all(g.degree(v) == 3 for v in range(20))
+        assert all(len(g.neighbors_alive(v)) == 3 for v in range(20))
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
@@ -205,13 +205,33 @@ class TestExitCodes:
         (["generate", "--n", "20", "--seed", "-7"], "--seed"),
         (["solve", "--n", "20", "--advice", "noise", "--noise-seed", "-2"],
          "--noise-seed"),
+        # no graph has a negative degree; angles wrote p1_d-2_lam1.txt
+        (["angles", "--depth", "1", "--degree", "-2"], "--degree"),
+        (["generate", "--n", "10", "--degree", "-1"], "--degree"),
+        (["solve", "--n", "10", "--degree", "-1", "--solver", "greedy"],
+         "--degree"),
     ])
-    def test_negative_seed_is_usage_error(self, capsys, argv, flag):
+    def test_negative_seed_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                          argv, flag):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert f"argument {flag}: must be an integer >= 0" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n", "10"],
+        ["solve", "--n", "10", "--solver", "greedy"],
+        ["angles", "--depth", "1", "--restarts", "1"],
+    ])
+    def test_degree_zero_is_accepted(self, tmp_path, capsys, argv):
+        # the edgeless graph, and its angles, whose edge term weighs 0
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--degree", "0", "--out", str(out)]) == 0
+        assert out.read_text()
 
     @pytest.mark.parametrize("depth", ["1", "2"])
     @pytest.mark.parametrize("value", ["0", "-1"])

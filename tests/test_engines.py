@@ -13,6 +13,7 @@ from helpers import (
     random_degree3_graph,
     relabel_cone,
     root_cones,
+    unpruned_circuit,
 )
 from qgreedy import engines
 from qgreedy.angles import edge_cone, load_default_angles, vertex_cone
@@ -71,7 +72,7 @@ class TestClosedForms:
         _, cones = enumerate_cones(1)
         cone = next(c for c in cones if c.in_degrees()[0] == degree)
         s = sched((gamma,), (beta,), lam=lam)
-        dense = expectation_statevector(build_circuit(cone, s))
+        dense = expectation_statevector(unpruned_circuit(cone, s))
         h = (lam * degree - 2.0) / 4.0
         closed = expectation_p1_analytic(degree, h, gamma, beta, lam)
         assert dense == pytest.approx(closed, abs=1e-10)
@@ -99,7 +100,7 @@ class TestClosedForms:
         cone = LightCone(depth=1, dists=dists, edges=tuple(sorted(edges)))
         lam = 1.0
         s = sched((gamma,), (beta,), lam=lam)
-        dense = expectation_statevector(build_circuit(cone, s))
+        dense = expectation_statevector(unpruned_circuit(cone, s))
         closed = expectation_p1_edge(
             du, dv, (lam * du - 2.0) / 4.0, (lam * dv - 2.0) / 4.0,
             gamma, beta, lam,
@@ -113,13 +114,13 @@ class TestStatevector:
         cone = extract_lightcone(complete(4), 0, 2)
         with pytest.raises(StatevectorCapExceeded):
             expectation_statevector(
-                build_circuit(cone, sched((0.1, 0.1), (0.1, 0.1)))
+                unpruned_circuit(cone, sched((0.1, 0.1), (0.1, 0.1)))
             )
 
     def test_zero_angles_give_zero(self):
         # |+...+> state: <Z> = 0 exactly
         cone = extract_lightcone(complete(4), 0, 2)
-        circ = build_circuit(cone, sched((0.0, 0.0), (0.0, 0.0)))
+        circ = unpruned_circuit(cone, sched((0.0, 0.0), (0.0, 0.0)))
         assert expectation_statevector(circ) == pytest.approx(0.0, abs=1e-15)
 
     def test_range(self):
@@ -128,7 +129,7 @@ class TestStatevector:
             g = random_degree3_graph(rng, 10)
             cone = extract_lightcone(g, 0, 2)
             s = sched(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
-            v = expectation_statevector(build_circuit(cone, s))
+            v = expectation_statevector(unpruned_circuit(cone, s))
             assert -1.0 - 1e-12 <= v <= 1.0 + 1e-12
 
 
@@ -136,14 +137,14 @@ class TestContraction:
     def test_agrees_with_statevector_census_sample(self, sched_p2):
         _, cones = enumerate_cones(2)
         for cone in cones[::4]:
-            circ = build_circuit(cone, sched_p2)
+            circ = unpruned_circuit(cone, sched_p2)
             assert expectation_contract(circ) == pytest.approx(
                 expectation_statevector(circ), abs=1e-12
             )
 
     def test_edge_observable(self, sched_p2):
         cone = extract_lightcone_multi(complete(4), (0, 1), 2)
-        circ = build_circuit(cone, sched_p2)
+        circ = unpruned_circuit(cone, sched_p2)
         assert circ.observable == (0, 1)
         assert expectation_contract(circ) == pytest.approx(
             expectation_statevector(circ), abs=1e-12
@@ -152,7 +153,7 @@ class TestContraction:
     def test_tree_beyond_statevector_cap(self, sched_p3):
         # the depth-3 bulk tree: 22 qubits, trivially contractable
         cone = vertex_cone(3, 3)
-        circ = build_circuit(cone, sched_p3)
+        circ = unpruned_circuit(cone, sched_p3)
         v = expectation_contract(circ)
         assert -1.0 <= v <= 1.0
         assert v == pytest.approx(expectation_statevector(circ), abs=1e-10)
@@ -160,7 +161,7 @@ class TestContraction:
     def test_budget_enforced(self, sched_p2, monkeypatch):
         monkeypatch.setattr(engines, "CONTRACTION_BUDGET", 16)
         cone = extract_lightcone(complete(4), 0, 2)
-        circ = build_circuit(cone, sched_p2)
+        circ = unpruned_circuit(cone, sched_p2)
         with pytest.raises(ContractionBudgetExceeded):
             expectation_contract(circ)
 
@@ -179,7 +180,7 @@ class TestContraction:
         g = random_degree3_graph(rng, 14)
         cone = extract_lightcone(g, int(rng.integers(14)), 2)
         s = sched(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
-        circ = build_circuit(cone, s)
+        circ = unpruned_circuit(cone, s)
         assert expectation_contract(circ) == pytest.approx(
             expectation_statevector(circ), abs=1e-10
         )
@@ -195,8 +196,8 @@ class TestContraction:
             cones = root_cones(g, int(rng.integers(14)), p)
             s = sched(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
             for cone in cones:
-                pruned = build_circuit(cone, s, prune_layers=True)
-                full = build_circuit(cone, s)
+                pruned = build_circuit(cone, s)
+                full = unpruned_circuit(cone, s)
                 assert expectation_contract(pruned) == pytest.approx(
                     expectation_statevector(full), abs=1e-12
                 ), (p, cone.dists, cone.edges)
@@ -233,8 +234,8 @@ def _contraction_values():
     s4 = load_default_angles(4).schedule
     cases += [(vertex_cone(4, 3), s4), (edge_cone(4, 3), s4)]
     for cone, s in cases:
-        for prune in (True, False):
-            yield expectation_contract(build_circuit(cone, s, prune_layers=prune))
+        for build in (build_circuit, unpruned_circuit):
+            yield expectation_contract(build(cone, s))
 
 
 def _replay(nb, order):
@@ -303,7 +304,7 @@ class TestEliminationOrder:
         monkeypatch.setattr(engines, "_edge_kernel", built)
         monkeypatch.setattr(engines, "CONTRACTION_BUDGET", 16)
         for cone in root_cones(complete(4), 0, 2):
-            circ = build_circuit(cone, sched_p2, prune_layers=True)
+            circ = build_circuit(cone, sched_p2)
             with pytest.raises(ContractionBudgetExceeded) as err:
                 expectation_contract(circ)
             assert err.value.entries > 16
@@ -465,7 +466,7 @@ class TestCacheAndRouting:
     def test_depth1_routes_analytic(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)
         value, _ = evaluate_cone(cone, ExpectationCache(sched_p1))
-        circ = build_circuit(cone, sched_p1)
+        circ = unpruned_circuit(cone, sched_p1)
         assert value == pytest.approx(expectation_statevector(circ), abs=1e-10)
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
@@ -479,7 +480,7 @@ class TestCacheAndRouting:
         s = sched((0.37,), (-0.41,), lam=lam)
         stars = [vertex_cone(1, k) for k in range(9)]
         for cone in stars + [edge_cone(1, 3)]:
-            circ = build_circuit(cone, s, prune_layers=True)
+            circ = build_circuit(cone, s)
             oracle = expectation_contract(circ)
             assert expectation(cone, s) == pytest.approx(oracle, abs=1e-12)
         assert len(closed) == len(stars)
@@ -492,7 +493,7 @@ class TestCacheAndRouting:
         assert value == pytest.approx(expectation(cone, sched_p2), abs=1e-12)
         for cone in root_cones(complete(4), 0, 2):
             value = expectation(cone, sched_p2)
-            oracle = expectation_statevector(build_circuit(cone, sched_p2))
+            oracle = expectation_statevector(unpruned_circuit(cone, sched_p2))
             assert value == pytest.approx(oracle, abs=1e-12), cone.dists
 
     def test_large_tree_routes_contraction(self, sched_p3):
@@ -500,7 +501,7 @@ class TestCacheAndRouting:
         assert [cone.size for cone in cones] == [22, 30]
         for cone in cones:
             value = expectation(cone, sched_p3)
-            oracle = expectation_contract(build_circuit(cone, sched_p3))
+            oracle = expectation_contract(unpruned_circuit(cone, sched_p3))
             assert value == pytest.approx(oracle, abs=1e-12), cone.size
 
     def test_isomorphic_cones_get_equal_values(self, sched_p2, sched_p3):

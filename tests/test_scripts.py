@@ -6,10 +6,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import ROOT, load_bench_pairs
+from helpers import ROOT, load_bench_pairs, load_noise_sweep
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -36,6 +37,25 @@ def test_noise_sweep():
     lines = run_script("noise_sweep.py", "--n", "20", "--depth", "1",
                        "--instances", "1", "--eta-steps", "1")
     assert re.fullmatch(r"eta 0\.000  mean_r 0\.\d{5}  sem 0\.00000", lines[1]), lines
+
+
+def test_noise_sweep_reseeds_every_cell(monkeypatch):
+    # the seed was 1000 * k + i, so cells (0, 1000) and (1, 0) shared one
+    sweep = load_noise_sweep()
+    seeds = []
+
+    def solve(g, cfg, cache):
+        seeds.append(cfg.noise.seed)
+        return SimpleNamespace(ratio=0.5)
+
+    monkeypatch.setattr(sweep, "solve_quantum_greedy", solve)
+    monkeypatch.setattr(sys, "argv", [
+        "noise_sweep.py", "--n", "4", "--depth", "1", "--instances", "1001",
+        "--eta-steps", "2", "--sigma", "0.1",
+    ])
+    assert sweep.main() == 0
+    assert len(seeds) == 2002
+    assert len(set(seeds)) == 2002
 
 
 def run_failing(name: str, *args: str) -> subprocess.CompletedProcess:
@@ -82,20 +102,23 @@ def test_run_bench_bad_workers_is_a_usage_error(value):
 
 
 @pytest.mark.parametrize("args, why", [
-    (("--degree", "x"), "argument --degree: invalid int value: 'x'"),
+    (("--degree", "x"), "argument --degree: invalid nonnegative value: 'x'"),
     (("--max-depth", "0"), "argument --max-depth: must be an integer >= 1"),
     (("--seed", "-1"), "argument --seed: must be an integer >= 0"),
     (("--lambda", "nan"), "argument --lambda: must be a finite number >= 1"),
-], ids=["degree", "max-depth", "seed", "lambda"])
+    # this wrote p1_d-2_lam1.txt
+    (("--max-depth", "1", "--degree", "-2"),
+     "argument --degree: must be an integer >= 0"),
+], ids=["degree", "max-depth", "seed", "lambda", "negative-degree"])
 def test_gen_default_angles_bad_flag_is_a_usage_error(tmp_path, args, why):
     # parsing fails before the optimizer runs or any file is written
-    out = tmp_path / "angles"
-    done = run_failing("gen_default_angles.py", "--out-dir", str(out), *args)
+    done = run_failing("gen_default_angles.py", "--out-dir", str(tmp_path),
+                       *args)
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("usage: ")
     assert f"error: {why}" in done.stderr
     assert done.stdout == ""
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_bench_missing_plan_is_a_runtime_error(tmp_path):

@@ -9,17 +9,20 @@ the one test of which regular graphs exist, ``engines.sample_shots`` is
 the one shot sampler, ``cones.key_digest`` is the one per-cone random
 source (shot words and noise offsets alike), and ``ExpectationCache.value``
 is the one place a missed class is evaluated.  Every expectation measures
-its cone's roots, and no package call sets the contraction budget, the
-statevector cap or a recompute mode.  The package defines none of
-the test oracles (they live in ``tests/helpers.py``) nor the depth-trend
-fits (``scripts/run_bench.py``)."""
+its cone's roots, only pruned circuits are built, and no package call
+sets the contraction budget, the statevector cap or a recompute mode.
+Every public function and class of the package is used by the package,
+a script or the benchmark, or documented in the README: test oracles
+live in ``tests/helpers.py``."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qgreedy").glob("*.py"))
 SOURCES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
+USERS = sorted([*SOURCES, *(ROOT / "perfbench").glob("*.py")])
 
 
 def _functions(tree):
@@ -106,16 +109,17 @@ def test_observable_is_not_a_parameter():
 
 
 def test_one_way_settings_are_not_parameters():
-    # generate_regular's restart count is a module constant, and
-    # evaluate_cone reads the schedule off its cache
+    # generate_regular's restart count is a module constant, evaluate_cone
+    # reads the schedule off its cache, and build_circuit always prunes
     params = {
         node.name: [a.arg for a in (*node.args.args, *node.args.kwonlyargs)]
         for path in PACKAGE
         for node in _functions(ast.parse(path.read_text()))
-        if node.name in ("generate_regular", "evaluate_cone")
+        if node.name in ("generate_regular", "evaluate_cone", "build_circuit")
     }
     assert params == {"generate_regular": ["n", "d", "seed"],
-                      "evaluate_cone": ["cone", "cache"]}
+                      "evaluate_cone": ["cone", "cache"],
+                      "build_circuit": ["cone", "schedule"]}
 
 
 def test_no_call_sets_a_fixed_value():
@@ -148,16 +152,33 @@ def test_closed_form_called_only_by_the_router():
 
 
 def test_package_defines_no_test_only_names():
-    # oracles moved to tests/helpers.py, the fits to scripts/run_bench.py
-    moved = {"expectation_p1_edge", "energy_pauli", "tree_ball_size",
-             "fit_curve", "CurveFit", "BenchmarkReport", "reference_greedy"}
-    found = [
+    # a name counts as used where it appears as a name, an attribute or a
+    # string (perfbench names its span targets in strings), outside its
+    # own definition
+    uses = {}
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            uses.setdefault(name, []).append((path, node.lineno))
+    documented = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    unused = [
         (path.name, node.name)
         for path in PACKAGE
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in moved
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in documented
+        and all(p == path and node.lineno <= line <= node.end_lineno
+                for p, line in uses.get(node.name, ()))
     ]
-    assert found == []
+    assert unused == []
 
 
 def test_one_greedy_loop():
