@@ -234,6 +234,10 @@ def unpruned_circuit(cone: LightCone, schedule: AngleSchedule) -> ConeCircuit:
     layers and every edge has a ZZ gate in every layer, in
     ``build_circuit``'s order, so the two differ only in the gates pruning
     drops."""
+    if schedule.depth != cone.depth:
+        raise ValueError(
+            f"schedule depth {schedule.depth} != cone depth {cone.depth}"
+        )
     ising = IsingParams(schedule.lam)
     layers = list(zip(schedule.gammas, schedule.betas))
     gates = tuple(

@@ -75,6 +75,12 @@ class TestBuildCircuit:
         with pytest.raises(ValueError):
             build_circuit(cone, sched((0.1, 0.2), (0.3, 0.4)))
 
+    def test_reference_depth_mismatch_rejected(self):
+        # the unpruned reference is as strict as the builder it checks
+        cone = extract_lightcone(complete(4), 0, 1)
+        with pytest.raises(ValueError, match="!= cone depth"):
+            unpruned_circuit(cone, sched((0.1, 0.2), (0.3, 0.4)))
+
     def test_pruning_drops_outer_gates(self):
         cone = extract_lightcone(petersen(), 0, 2)
         full = unpruned_circuit(cone, sched((0.3, 0.7), (0.2, 0.4)))

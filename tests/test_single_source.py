@@ -12,8 +12,9 @@ is the one place a missed class is evaluated.  Every expectation measures
 its cone's roots, only pruned circuits are built, and no package call
 sets the contraction budget, the statevector cap or a recompute mode.
 Every public function and class of the package is used by the package,
-a script or the benchmark, or documented in the README: test oracles
-live in ``tests/helpers.py``."""
+a script or the benchmark, or named in the README's code: test oracles
+live in ``tests/helpers.py``, and no name the README places there or in
+a script comes back into the package."""
 
 import ast
 import re
@@ -23,6 +24,12 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qgreedy").glob("*.py"))
 SOURCES = sorted([*PACKAGE, *(ROOT / "scripts").glob("*.py")])
 USERS = sorted([*SOURCES, *(ROOT / "perfbench").glob("*.py")])
+MODULES = {"qgreedy", *(path.stem for path in PACKAGE)}
+HOME = re.compile(
+    r"`(?P<name>\w+)` in\s+`(?P<file>(?:tests|scripts)/\w+\.py)`"
+    r"|`(?P<file2>(?:tests|scripts)/\w+\.py)`\s+(?:\(|as\s+)`(?P<name2>\w+)`"
+)
+CODE = re.compile(r"```.*?```|`[^`\n]+`", re.S)  # fenced blocks, inline spans
 
 
 def _functions(tree):
@@ -151,23 +158,61 @@ def test_closed_form_called_only_by_the_router():
     ]
 
 
-def test_package_defines_no_test_only_names():
-    # a name counts as used where it appears as a name, an attribute or a
-    # string (perfbench names its span targets in strings), outside its
-    # own definition
+def _defined(path):
+    """Module-level function and class names of one file."""
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _module_attribute(node):
+    """Whether ``node`` is ``m.name`` on a package module (``graph.x``,
+    ``qgreedy.solver.x``), not an attribute of some object."""
+    base = node.value
+    while isinstance(base, ast.Attribute):
+        base = base.value
+    return isinstance(base, ast.Name) and base.id in MODULES
+
+
+def _name_uses():
+    """name -> (file, line) of each use: a bare name read (not a local or
+    a field assigned), an attribute of a package module, or a dotted part
+    of a perfbench string (its span targets name what they patch)."""
     uses = {}
     for path in USERS:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                name = node.value
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute) and _module_attribute(node):
+                names = [node.attr]
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and path.parent.name == "perfbench"):
+                names = node.value.split(".")
             else:
                 continue
-            uses.setdefault(name, []).append((path, node.lineno))
-    documented = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+            for name in names:
+                uses.setdefault(name, []).append((path, node.lineno))
+    return uses
+
+
+def _readme_homes():
+    """(name, file) for each name README places outside the package:
+    "`name` in `tests/helpers.py`" or "`scripts/x.py` (`name`)"."""
+    readme = (ROOT / "README.md").read_text()
+    return sorted(
+        (m["name"] or m["name2"], m["file"] or m["file2"])
+        for m in HOME.finditer(readme)
+    )
+
+
+def test_package_defines_no_test_only_names():
+    # every public function or class is used outside its own definition by
+    # the package, a script or perfbench, or named in the README's code (a
+    # prose word such as "energy" is no document, nor is a name the README
+    # places in tests/ or scripts/)
+    uses = _name_uses()
+    code = CODE.findall((ROOT / "README.md").read_text())
+    documented = (set(re.findall(r"\w+", "\n".join(code)))
+                  - {name for name, _ in _readme_homes()})
     unused = [
         (path.name, node.name)
         for path in PACKAGE
@@ -179,6 +224,19 @@ def test_package_defines_no_test_only_names():
                 for p, line in uses.get(node.name, ()))
     ]
     assert unused == []
+
+
+def test_names_kept_outside_the_package_stay_there():
+    # each name README places in tests/helpers.py or a script is defined
+    # there, and no package module defines a name that tests/helpers.py or
+    # a script defines (every entry point is called main)
+    homes = _readme_homes()
+    assert homes
+    assert [(n, f) for n, f in homes if n not in _defined(ROOT / f)] == []
+    outside = set().union(*map(_defined, [ROOT / "tests" / "helpers.py",
+                                          *(ROOT / "scripts").glob("*.py")]))
+    package = set().union(*map(_defined, PACKAGE))
+    assert sorted(package & outside) == ["main"]
 
 
 def test_one_greedy_loop():
