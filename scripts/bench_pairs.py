@@ -13,7 +13,11 @@ speed does not favour one side.  The runs of each side go to
 ``BENCH_<label>-base.json`` and ``BENCH_<label>-change.json`` in the root of
 the working tree.  Each file holds every run's final JSON line, the median
 of each metric over the runs, and the host facts: nproc, Python and numpy
-versions, commit id, seeds and ``--seconds``.
+versions, commit id, seeds and ``--seconds``.  The change-side file also
+holds a ``comparison`` of each end-to-end metric of ``BENCHMARK.json``,
+printed one line per metric: the pairs the change won and tied, both
+medians, the base side's interquartile range, and the signed relative
+change of the medians next to the metric's bound.
 
 Exit status: 0 on success, 1 on a usage error (a revision git does not know
 included), 2 when a run fails or reports a failed check.
@@ -84,6 +88,49 @@ def summarize(results: list[dict]) -> dict:
     return {name: statistics.median(vs) for name, vs in values.items()}
 
 
+def compare(base: list[dict], change: list[dict],
+            end_to_end: list[dict]) -> dict:
+    """Each end-to-end metric, over the pairs whose runs both report it.
+
+    ``base[k]`` and ``change[k]`` are pair k's final lines.  A pair is won
+    when the change's value is better in the metric's ``better`` direction,
+    and tied when the values are equal.  The relative change is
+    (change median - base median) / |base median|, None at a base of 0.
+    """
+    out = {}
+    for metric in end_to_end:
+        name = metric["name"]
+        pairs = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for b, c in zip(base, change)
+                 if name in b["metrics"] and name in c["metrics"]]
+        if not pairs:
+            continue
+        sign = -1 if metric["better"] == "lower" else 1
+        olds = [b for b, _ in pairs]
+        old = statistics.median(olds)
+        new = statistics.median(c for _, c in pairs)
+        q1, _, q3 = (statistics.quantiles(olds, n=4) if len(olds) > 1
+                     else [old] * 3)
+        out[name] = {
+            "better": metric["better"], "bound": metric["bound"],
+            "pairs": len(pairs),
+            "won": sum(sign * (c - b) > 0 for b, c in pairs),
+            "ties": sum(c == b for b, c in pairs),
+            "base_median": old, "change_median": new, "base_iqr": q3 - q1,
+            "relative_change": (new - old) / abs(old) if old else None,
+        }
+    return out
+
+
+def comparison_line(name: str, c: dict) -> str:
+    change = c["relative_change"]
+    change = "n/a" if change is None else f"{change:+.1%}"
+    return (f"{name}: change won {c['won']}/{c['pairs']} pairs "
+            f"({c['ties']} tied, {c['better']} is better), median "
+            f"{c['base_median']:.6g} -> {c['change_median']:.6g} ({change}, "
+            f"bound {c['bound']:.0%}), base IQR {c['base_iqr']:.6g}")
+
+
 def git(*args: str) -> str:
     try:
         done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
@@ -130,7 +177,8 @@ def main(argv=None) -> int:
     ap.add_argument("--label", type=label, required=True)
     args = ap.parse_args(argv)
     with open(ROOT / "BENCHMARK.json") as fh:
-        workloads = [w["name"] for w in json.load(fh)["workloads"]]
+        benchmark = json.load(fh)
+    workloads = [w["name"] for w in benchmark["workloads"]]
     if args.workload not in workloads:
         ap.error(f"--workload must be one of {', '.join(workloads)}")
     try:
@@ -158,6 +206,8 @@ def main(argv=None) -> int:
         return 2
     host = {"nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": numpy.__version__}
+    finals = [[r["result"] for r in results[side]] for side in SIDES]
+    comparison = compare(*finals, benchmark["end_to_end"])
     for side in SIDES:
         medians = summarize([r["result"] for r in results[side]])
         record = {
@@ -167,10 +217,13 @@ def main(argv=None) -> int:
         }
         if side == "change":
             record["uncommitted_changes"] = dirty
+            record["comparison"] = comparison
         path = ROOT / f"BENCH_{args.label}-{side}.json"
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path.name}: " + ", ".join(
             f"{name} {value:.6g}" for name, value in sorted(medians.items())))
+    for name, c in comparison.items():
+        print(comparison_line(name, c))
     return 0
 
 

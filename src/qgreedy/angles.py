@@ -8,7 +8,7 @@ pair, so the energy per vertex reduces to two tree expectations:
 
 with J, h and offset the coupling, field and offset of
 :class:`qgreedy.graph.IsingParams` at degree d.  Both expectations go
-through :func:`qgreedy.engines.expectation`, the router the solver uses.
+through :func:`qgreedy.engines.expectation`, the engine the solver uses.
 Angles minimizing e on the tree are then reused on every instance of the
 same degree bound.
 The minimized energy can only improve with depth since a depth-p schedule
@@ -177,17 +177,19 @@ def delta_cutoff(schedule: AngleSchedule) -> float:
 
     Computed once per schedule; later calls return the memoized value.
 
-    For p >= 2: take the full tree cone and close a cycle across the edge of
-    the cone with one cross edge between two last-shell-but-one vertices in
-    different root branches, dropping one outer-shell child from each so the
-    degree bound survives.  delta is the absolute change in <Z_root>.
+    For p >= 2 and d >= 2: take the full tree cone and close a cycle across
+    the edge of the cone with one cross edge between two last-shell-but-one
+    vertices in different root branches, dropping one outer-shell child from
+    each so the degree bound survives.  delta is the absolute change in
+    <Z_root>.
 
-    At p = 1 cones are stars classified by root degree alone, so the cutoff
-    is the minimum gap between distinct star expectations.
+    At p = 1, or below degree 2 at any depth, the only cones are stars
+    classified by root degree alone (no cycle can close), so the cutoff is
+    the minimum gap between distinct star expectations.
     """
     p, d = schedule.depth, schedule.degree
-    if p == 1:
-        values = sorted(expectation(vertex_cone(1, k), schedule)
+    if p == 1 or d < 2:
+        values = sorted(expectation(vertex_cone(p, k), schedule)
                         for k in range(d + 1))
         gaps = [b - a for a, b in zip(values, values[1:]) if b > a]
         return min(gaps) if gaps else 0.0

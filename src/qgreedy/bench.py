@@ -8,9 +8,10 @@ sorted, and writes the same rows as CSV.  Per-instance results are flushed
 to a sidecar file in the order the instances finish, and reruns skip rows
 already present, so an interrupted run resumes where it stopped.  The
 sidecar's first line holds a digest of the plan fields that decide the
-results (all but ``workers``, ``out`` and ``stamp``); a plan never resumes a
-sidecar written by another plan.  Angle files are read and checked before
-the sidecar is opened.
+results (all but ``workers``, ``out`` and ``stamp``) and of each depth's
+resolved SolverConfig, angles included; a plan never resumes a sidecar
+written by another plan or another angle schedule.  Angle files are read
+and checked before the sidecar is opened.
 
 Reference constants to read the aggregates against: the asymptotic mean
 ratio of the classical min-degree greedy on large random 3-regular graphs,
@@ -240,11 +241,14 @@ def _partial_path(plan: ExperimentPlan) -> str:
     return plan.out + ".partial"
 
 
-def _partial_header(plan: ExperimentPlan) -> str:
-    """First line of the sidecar: a digest of the plan's identity fields."""
+def _partial_header(plan: ExperimentPlan, configs) -> str:
+    """First line of the sidecar: a digest of the plan's identity fields and
+    of each depth's resolved SolverConfig, so a changed angle file counts."""
     identity = dataclasses.asdict(plan)
     for how_or_where in ("workers", "out", "stamp"):
         del identity[how_or_where]
+    identity["configs"] = {depth: dataclasses.asdict(cfg)
+                           for depth, cfg in configs.items()}
     text = json.dumps(identity, sort_keys=True)
     return f"# plan {hashlib.sha256(text.encode()).hexdigest()}\n"
 
@@ -285,7 +289,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[ReportRow, ...]:
             depth, plan.degree, plan.lam, angles,
             advice=plan.advice, shots=plan.shots, noise=plan.noise,
         )
-    header = _partial_header(plan)
+    header = _partial_header(plan, configs)
     done = _load_partial(_partial_path(plan), header)
     todo = [
         (size, index)

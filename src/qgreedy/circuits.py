@@ -45,6 +45,8 @@ class AngleSchedule:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("schedule depth must be >= 1")
+        if self.degree < 0:
+            raise ValueError(f"schedule degree must be >= 0: {self.degree}")
         if len(self.gammas) != self.depth or len(self.betas) != self.depth:
             raise ValueError(
                 f"need {self.depth} angles per family, got "

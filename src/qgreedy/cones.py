@@ -18,10 +18,13 @@ the frozen dataclass ``__init__``, straight into its instance dict.
 Canonical keys realize rooted-isomorphism equality as byte equality, with no
 probabilistic hashing.  They are defined for single-root cones only (edge
 cones of two roots are evaluated, never keyed).  Tree cones (the common case
-during solver runs) use the classic sorted-subtree encoding; general cones
-run color refinement seeded with (distance, degree), then a backtracking
-search over color-class orderings with the root pinned, pruned by
-discovered automorphisms.
+during solver runs) use the classic sorted-subtree encoding, and
+:func:`tree_key` is its one encoder: it holds the ``T`` header, the star
+shortcut at depth 1 and the only outside call to the subtree walk, and
+:func:`canonical_key` keys a tree cone by running it on the cone as a
+graph.  General cones run color refinement seeded with (distance, degree),
+then a backtracking search over color-class orderings with the root
+pinned, pruned by discovered automorphisms.
 
 :func:`tree_key` reads a tree cone's key straight off the alive graph,
 with no cone built, and returns None for a cyclic cone.  Its depth-first
@@ -254,12 +257,7 @@ def canonical_key(cone: LightCone) -> bytes:
     if cone.dists.count(0) != 1 or cone.dists[0] != 0:
         raise ValueError("canonical keys need exactly one root, at local id 0")
     if cone.is_tree:
-        deg = cone.in_degrees()
-        if cone.depth == 1:
-            return b"T\x01(" + b"()" * deg[0] + b")"
-        code = _tree_code(cone.adjacency(), [True] * cone.size, deg, 0, -1,
-                          cone.depth, None)
-        return b"T" + bytes([cone.depth]) + code
+        return tree_key(Graph(cone.size, cone.edges), 0, cone.depth, True)
     if cone.size > 255:
         raise ValueError("canonical keys of cyclic cones are limited to 255 "
                          f"vertices; this cone has {cone.size}")

@@ -1,29 +1,27 @@
-"""Expectation-value engines for cone circuits.
+"""The expectation-value engine for cone circuits.
 
 Every expectation measures the roots of one light cone: <Z_root> on a
 vertex cone for the solver, and also <Z_u Z_v> on the two-root edge cone
-for the angle optimizer.  There are two routes:
-
-* a closed form for single-layer circuits,
-* a path-integral tensor contraction whose cost is set by the cone's
-  treewidth, not its qubit count.
-
-:func:`expectation` is the one routing decision: a depth-1 cone of one
-root takes the closed form, and every other cone contracts its pruned
-circuit, the only form :func:`~qgreedy.circuits.build_circuit` builds,
-raising ContractionBudgetExceeded when the plan's peak-entry estimate
+for the angle optimizer.  There is one route: :func:`expectation`
+contracts the cone's pruned circuit, the only form
+:func:`~qgreedy.circuits.build_circuit` builds, as a path-integral tensor
+network whose cost is set by the cone's treewidth, not its qubit count.
+It raises ContractionBudgetExceeded when the plan's peak-entry estimate
 trips ``CONTRACTION_BUDGET``.  The solver reaches it through
 :meth:`ExpectationCache.value`, which evaluates a missed class on the cone
 its key describes; a tree cone's key is read off the graph, and only a
 cyclic cone is extracted and keyed by :func:`evaluate_cone`.  The angle
-optimizer and the resolution cutoff call the router directly.
-Dense statevector evolution, capped at ``STATEVECTOR_CAP`` qubits, is a
-test oracle that no solve calls: each route agrees with it to tight
-tolerance on overlapping domains, also when it runs the unpruned
+optimizer and the resolution cutoff call :func:`expectation` directly.
+
+Two test oracles stay in this module only because the benchmark tracer
+(``perfbench/tracing.py``) names them as spans; no package code calls
+either.  One is the single-layer closed form on a star,
+:func:`expectation_p1_analytic`; the other is dense statevector evolution,
+capped at ``STATEVECTOR_CAP`` qubits.  Contraction agrees with both to
+tight tolerance on overlapping domains, also when dense runs the unpruned
 reference circuit of ``tests/helpers.py``, which guards against a silent
-convention error and a wrong pruning rule alike.  It stays in this module
-because the benchmark tracer (``perfbench/tracing.py``) names it as a
-span; the other oracles live with the tests.
+convention error and a wrong pruning rule alike.  The other oracles live
+with the tests.
 
 The contraction engine views the expectation as a classical partition
 function on a time-expanded copy of the cone graph: the cost layers are
@@ -62,7 +60,7 @@ STATEVECTOR_CAP = 24
 CONTRACTION_BUDGET = 2**26  # max tensor entries per intermediate, ~1 GB
 
 
-# -- closed forms for p = 1 -------------------------------------------------
+# -- oracles the tracer names: p = 1 closed form, dense statevector ---------
 
 
 def expectation_p1_analytic(
@@ -79,9 +77,6 @@ def expectation_p1_analytic(
         * math.sin(2.0 * gamma * h)
         * math.cos(2.0 * gamma * IsingParams(lam).coupling) ** degree
     )
-
-
-# -- dense statevector ------------------------------------------------------
 
 
 def expectation_statevector(circ: ConeCircuit) -> float:
@@ -422,7 +417,7 @@ def sample_shots(ideal: float, shots: int, word: int) -> float:
     return (2.0 * up - shots) / shots
 
 
-# -- cache and routing ------------------------------------------------------
+# -- cache and the one route ------------------------------------------------
 
 
 class ExpectationCache:
@@ -462,17 +457,11 @@ class ExpectationCache:
 
 
 def expectation(cone: LightCone, schedule: AngleSchedule) -> float:
-    """The product of Z over the cone's roots: the closed form for a
-    depth-1 cone of one root, else a contraction of its pruned circuit.
+    """The product of Z over the cone's roots, by contracting its pruned
+    circuit.
 
     Raises ContractionBudgetExceeded when the plan trips the budget.
     """
-    if cone.depth == 1 and cone.dists.count(0) == 1:
-        deg = cone.in_degrees()[0]
-        return expectation_p1_analytic(
-            deg, IsingParams(schedule.lam).field(deg),
-            schedule.gammas[0], schedule.betas[0], schedule.lam,
-        )
     return expectation_contract(build_circuit(cone, schedule))
 
 

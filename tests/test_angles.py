@@ -146,6 +146,19 @@ class TestDeltaCutoff:
         assert d2 == pytest.approx(0.03379517395650555, abs=1e-9)
         assert 0 < d2 < d1
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_below_degree_two_is_the_star_gap(self, depth):
+        # no cycle can close: degree 0 has the bare root alone, degree 1 the
+        # bare root and the one-leaf star (the cycle branch divided by 0 and
+        # indexed past the tree's shells)
+        angles = [0.3] * depth, [-0.4] * depth
+        assert delta_cutoff(sched(*angles, degree=0)) == 0.0
+        s = sched(*angles, degree=1)
+        gap = abs(expectation(vertex_cone(depth, 1), s)
+                  - expectation(vertex_cone(depth, 0), s))
+        assert gap > 0
+        assert delta_cutoff(s) == gap
+
     def test_memoized_per_schedule(self, sched_p2, monkeypatch):
         # a schedule no other test uses, so the first call computes
         fresh = sched([g + 1e-3 for g in sched_p2.gammas], sched_p2.betas)

@@ -389,6 +389,42 @@ class TestAngleFiles:
         # so the corrected plan starts afresh instead of meeting a sidecar
         run_plan(dataclasses.replace(plan, degree=3))
 
+    @pytest.mark.parametrize("rewritten", [True, False])
+    def test_resume_checks_the_angles(self, tmp_path, monkeypatch, rewritten):
+        # a sweep stopped after instance 0, then its angle file rewritten:
+        # the rerun kept instance 0's ratio and ran instance 1 on the new
+        # angles under the old header
+        path = tmp_path / angle_file_name(1, 3, 1.0)
+        shipped = load_default_angles(1)
+        write_angle_file(path, shipped)
+        plan = ExperimentPlan(sizes=(10,), instances=2, solvers=("qgreedy",),
+                              depths=(1,), angles_dir=str(tmp_path),
+                              out=str(tmp_path / "r.csv"), stamp=False)
+        plain = bench._run_instance
+        ran = []
+
+        def run(plan, configs, size, index):
+            ran.append(index)
+            if len(ran) == 2:
+                raise RuntimeError("interrupted")
+            return plain(plan, configs, size, index)
+
+        monkeypatch.setattr(bench, "_run_instance", run)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_plan(plan)
+        partial = tmp_path / "r.csv.partial"
+        before = partial.read_bytes()
+        if rewritten:
+            other = dataclasses.replace(shipped.schedule, gammas=tuple(
+                g + 0.1 for g in shipped.schedule.gammas))
+            write_angle_file(path, dataclasses.replace(shipped, schedule=other))
+            with pytest.raises(ValueError, match="not written by this plan"):
+                run_plan(plan)
+            assert partial.read_bytes() == before
+        else:
+            run_plan(plan)
+            assert ran == [0, 1, 1]  # instance 0 is not run again
+
     def test_angles_dir_copies_match_shipped(self, tmp_path):
         shipped = resources.files("qgreedy") / "data" / "angles"
         for depth in (1, 2):

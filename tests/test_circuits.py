@@ -46,6 +46,11 @@ class TestAngleSchedule:
         with pytest.raises(ValueError):
             AngleSchedule(0, 3, 1.0, (), ())
 
+    def test_negative_degree_rejected(self):
+        # no graph has one; the resolution cutoff indexed past its tree
+        with pytest.raises(ValueError, match="degree must be >= 0: -2"):
+            AngleSchedule(1, -2, 1.0, (0.1,), (0.2,))
+
     def test_fingerprint_identity(self):
         # the frozen dataclass's == and hash are the schedule's identity
         a = sched((0.1, 0.2), (0.3, 0.4))

@@ -453,6 +453,32 @@ class TestExitCodes:
         assert main(["solve", "--in", str(path), "--depth", "2"]) == 2
         assert "limited to 255 vertices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("degree", ["0", "1"])
+    def test_shot_solve_on_low_degree_angles(self, tmp_path, capsys, degree):
+        # the p = 2 shot cutoff divided by 0 at degree 0 and indexed past
+        # the tree's shells at degree 1, each in a traceback
+        path = tmp_path / "angles.txt"
+        argv = ["angles", "--depth", "2", "--degree", degree, "--out", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        argv = ["solve", "--n", "10", "--angles", str(path), "--advice",
+                "shots", "--shots", "10"]
+        assert main(argv) == 0
+        assert parse_trace(capsys.readouterr().out)["set_size"] > 0
+
+    def test_negative_degree_angle_file_is_runtime_error(self, tmp_path,
+                                                         capsys):
+        # parsed without complaint, it indexed past the tree's shells
+        path = tmp_path / "angles.txt"
+        path.write_text("p=2\nd=-2\nlambda=1\nenergy=0\n"
+                        "gamma 0.3 0.2\nbeta -0.4 -0.3\n")
+        argv = ["solve", "--n", "10", "--angles", str(path), "--advice",
+                "shots", "--shots", "10"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: schedule degree must be >= 0: -2\n"
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -36,7 +36,7 @@ from qgreedy.engines import (
     sample_shots,
 )
 from qgreedy.errors import ContractionBudgetExceeded, StatevectorCapExceeded
-from qgreedy.graph import Graph, generate_regular
+from qgreedy.graph import Graph, IsingParams, generate_regular
 from qgreedy.solver import SolverConfig, solve_quantum_greedy
 
 def sched(gammas, betas, lam=1.0, degree=3):
@@ -463,27 +463,27 @@ class TestCacheAndRouting:
         cache._store[key] = 123.0
         assert evaluate_cone(cone, cache) == (123.0, key)
 
-    def test_depth1_routes_analytic(self, sched_p1):
+    def test_depth1_star_matches_dense(self, sched_p1):
         cone = extract_lightcone(complete(4), 0, 1)
         value, _ = evaluate_cone(cone, ExpectationCache(sched_p1))
         circ = unpruned_circuit(cone, sched_p1)
         assert value == pytest.approx(expectation_statevector(circ), abs=1e-10)
 
     @pytest.mark.parametrize("lam", [1.0, 2.0])
-    def test_depth1_root_takes_closed_form(self, lam, monkeypatch):
-        # the router's closed form agrees with contraction of the pruned
-        # circuit on every star; the two-root edge cone contracts
+    def test_depth1_star_contracts_to_closed_form(self, lam, monkeypatch):
+        # a star contracts like every other cone, to the closed form's
+        # value, and the closed form is never called
         closed = []
         form = engines.expectation_p1_analytic
         monkeypatch.setattr(engines, "expectation_p1_analytic",
                             lambda *a: closed.append(a) or form(*a))
         s = sched((0.37,), (-0.41,), lam=lam)
-        stars = [vertex_cone(1, k) for k in range(9)]
-        for cone in stars + [edge_cone(1, 3)]:
-            circ = build_circuit(cone, s)
-            oracle = expectation_contract(circ)
-            assert expectation(cone, s) == pytest.approx(oracle, abs=1e-12)
-        assert len(closed) == len(stars)
+        ising = IsingParams(lam)
+        for k in range(9):
+            oracle = form(k, ising.field(k), 0.37, -0.41, lam)
+            value = expectation(vertex_cone(1, k), s)
+            assert value == pytest.approx(oracle, abs=1e-12)
+        assert closed == []
 
     def test_small_nontree_routes_contraction(self, sched_p2):
         # a cyclic cone contracts, on its pruned circuit, to the value of

@@ -203,3 +203,43 @@ def test_bench_pairs_refuses_a_failed_run(stdout):
     bench_pairs = load_bench_pairs()
     with pytest.raises(bench_pairs.RunFailed):
         bench_pairs.final_line(stdout)
+
+
+def _final(**values):
+    """A perfbench final line reporting ``values``."""
+    return {"correct": True,
+            "metrics": {name: {"value": v} for name, v in values.items()}}
+
+
+def test_bench_pairs_compares_each_end_to_end_metric():
+    # synthetic runs, no perfbench: op_s is better lower and mean_ratio
+    # higher; setup_s is reported by no run and gets no entry
+    bench_pairs = load_bench_pairs()
+    end_to_end = [
+        {"name": "op_s", "better": "lower", "bound": 0.25},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "mean_ratio", "better": "higher", "bound": 0.03},
+    ]
+    base_op = [1.0 + k / 10 for k in range(10)]
+    change_op = [b - 0.5 for b in base_op[:9]] + [base_op[9]]  # last tied
+    change_r = [0.41] * 9 + [0.39]  # the last pair lost
+    base = [_final(op_s=b, mean_ratio=0.40) for b in base_op]
+    change = [_final(op_s=c, mean_ratio=r) for c, r in zip(change_op, change_r)]
+    got = bench_pairs.compare(base, change, end_to_end)
+    assert sorted(got) == ["mean_ratio", "op_s"]
+    op, ratio = got["op_s"], got["mean_ratio"]
+    assert (op["pairs"], op["won"], op["ties"]) == (10, 9, 1)
+    assert (ratio["pairs"], ratio["won"], ratio["ties"]) == (10, 9, 0)
+    assert op["base_median"] == pytest.approx(1.45)
+    assert op["change_median"] == pytest.approx(0.95)
+    assert op["base_iqr"] == pytest.approx(1.725 - 1.175)  # exclusive method
+    assert op["relative_change"] == pytest.approx(-0.5 / 1.45)
+    assert (op["better"], op["bound"]) == ("lower", 0.25)
+    assert ratio["base_iqr"] == 0.0
+    assert ratio["relative_change"] == pytest.approx(0.025)
+    line = bench_pairs.comparison_line("op_s", op)
+    assert line.startswith("op_s: change won 9/10 pairs (1 tied, lower is "
+                           "better), median 1.45 -> 0.95 (-34.5%, bound 25%)")
+    # one pair has no quartiles: its IQR reads 0
+    one = bench_pairs.compare(base[:1], change[:1], end_to_end)
+    assert one["op_s"]["base_iqr"] == 0.0 and one["op_s"]["won"] == 1

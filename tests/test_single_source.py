@@ -1,19 +1,21 @@
 """Guards for logic that must live in one place: every SolverConfig is built
 by ``bench.solver_config``, the angle file name is spelled out only by
-``angles.angle_file_name``, ``engines.expectation`` is the one routing
-decision (the closed form at depth 1, else contraction; dense statevector
-is a test oracle only), the Ising coefficients come from
+``angles.angle_file_name``, ``engines.expectation`` is one route with no
+branch (it contracts every cone; the p = 1 closed form and dense
+statevector are test oracles that stay in ``engines`` only because the
+benchmark tracer names them), the Ising coefficients come from
 ``graph.IsingParams`` alone, ``solver._greedy`` is the one greedy loop,
-``cones._tree_code`` is the one tree encoder, ``graph.check_regular`` is
-the one test of which regular graphs exist, ``engines.sample_shots`` is
-the one shot sampler, ``cones.key_digest`` is the one per-cone random
-source (shot words and noise offsets alike), and ``ExpectationCache.value``
-is the one place a missed class is evaluated.  Every expectation measures
-its cone's roots, only pruned circuits are built, and no package call
-sets the contraction budget, the statevector cap or a recompute mode.
-Every public function and class of the package is used by the package,
-a script or the benchmark, or named in the README's code: test oracles
-live in ``tests/helpers.py``, and no name the README places there or in
+``cones.tree_key`` is the one tree encoder and the only outside caller of
+``cones._tree_code``, ``graph.check_regular`` is the one test of which
+regular graphs exist, ``engines.sample_shots`` is the one shot sampler,
+``cones.key_digest`` is the one per-cone random source (shot words and
+noise offsets alike), and ``ExpectationCache.value`` is the one place a
+missed class is evaluated.  Every expectation measures its cone's roots,
+only pruned circuits are built, and no package call sets the contraction
+budget, the statevector cap or a recompute mode.  Every public function
+and class of the package is used by the package, a script or the
+benchmark, or named in the README's code: test oracles live in
+``tests/helpers.py``, and no name the README places there or in
 a script comes back into the package."""
 
 import ast
@@ -152,10 +154,18 @@ def test_no_call_sets_a_fixed_value():
     assert [s for s in _sites(parameters) if s[0] != "errors.py"] == []
 
 
-def test_closed_form_called_only_by_the_router():
-    assert _sites(_calls_to("expectation_p1_analytic")) == [
-        ("engines.py", "expectation")
-    ]
+def test_closed_form_is_oracle_only():
+    assert _sites(_calls_to("expectation_p1_analytic")) == []
+
+
+def test_one_engine_route():
+    # engines.expectation contracts every cone: no branch picks a route
+    tree = ast.parse((ROOT / "src" / "qgreedy" / "engines.py").read_text())
+    body = next(f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name == "expectation")
+    branches = [type(n).__name__ for n in ast.walk(body)
+                if isinstance(n, (ast.If, ast.IfExp, ast.Match))]
+    assert branches == []
 
 
 def _defined(path):
@@ -262,9 +272,9 @@ def test_regular_sizes_checked_in_one_place():
 
 
 def test_one_tree_encoder():
+    # canonical_key keys a tree cone through tree_key, not a second walk
     assert sorted(_sites(_calls_to("_tree_code"))) == [
         ("cones.py", "_tree_code"),
-        ("cones.py", "canonical_key"),
         ("cones.py", "tree_key"),
     ]
 

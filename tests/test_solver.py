@@ -376,9 +376,9 @@ class TestTraceDigest:
 
     # SHA-256 over each source's format_trace texts, in grid order
     DIGEST = {
-        "ideal": "698b60a87fe034d133a4756ccf63fc2ef9e610d5afc78e508951664ee149cafc",
+        "ideal": "e06ab8e1ddb9ad40c71218f6169d9f2bf51d8b742222f02f916fa79c5abf5da7",
         "shots": "1484d480fb309584388a31414c81e4ea82ff123c34096cdc4ef8f1ccb558234d",
-        "noise": "bf93ec5d50729e076da9aca9e1a14b5ec8eec987958130b25bc3570e0beffc9d",
+        "noise": "00f849656a0b4731de50c4328fa7634ebf8e580865b8d25c9b2dded99f38535e",
     }
     # SHA-256 over the same traces' picks (see _picks)
     PICK_DIGEST = {
@@ -406,7 +406,7 @@ class TestTraceDigest:
     # the same over the classical texts and the sparse-graph quantum texts
     SPARSE_DIGEST = {
         "classical": "784f32edcf5f7f6633593cde51f858215c368aa904b7ddaba2f09d61c79b63c6",
-        "ideal": "bf9850f5b3b92d539672e5083adfcdaf826ebc35c8e4c898574bd0382c64dd77",
+        "ideal": "4a853e7c145f18f32c75cd7482740f10a3fd842a3fc2c2b87ea8b5e74b92fd0f",
         "shots": "bf02b9eb9cf899dd47b51d2e674bcbf0158a4a57718e399e117c0f2c6e014f94",
         "noise": "4071a218f93dfdc192386046ef0e3b96fea88aab14eb69d8f2bcb29f3da88cb2",
     }
