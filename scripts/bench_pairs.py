@@ -16,8 +16,11 @@ of each metric over the runs, and the host facts: nproc, Python and numpy
 versions, commit id, seeds and ``--seconds``.  The change-side file also
 holds a ``comparison`` of each end-to-end metric of ``BENCHMARK.json``,
 printed one line per metric: the pairs the change won and tied, both
-medians, the base side's interquartile range, and the signed relative
-change of the medians next to the metric's bound.
+medians, the base side's interquartile range, the signed relative change
+of the medians next to the metric's bound, and two verdicts.  ``gain``: the
+change won at least 9 of 10 pairs and its median is better than the base
+median by more than the base IQR.  ``regressed``: its median is worse than
+the base median by more than the bound times the base median.
 
 Exit status: 0 on success, 1 on a usage error (a revision git does not know
 included), 2 when a run fails or reports a failed check.
@@ -96,6 +99,7 @@ def compare(base: list[dict], change: list[dict],
     when the change's value is better in the metric's ``better`` direction,
     and tied when the values are equal.  The relative change is
     (change median - base median) / |base median|, None at a base of 0.
+    ``gain`` and ``regressed`` are the verdicts the module docstring names.
     """
     out = {}
     for metric in end_to_end:
@@ -111,13 +115,17 @@ def compare(base: list[dict], change: list[dict],
         new = statistics.median(c for _, c in pairs)
         q1, _, q3 = (statistics.quantiles(olds, n=4) if len(olds) > 1
                      else [old] * 3)
+        won = sum(sign * (c - b) > 0 for b, c in pairs)
         out[name] = {
             "better": metric["better"], "bound": metric["bound"],
             "pairs": len(pairs),
-            "won": sum(sign * (c - b) > 0 for b, c in pairs),
+            "won": won,
             "ties": sum(c == b for b, c in pairs),
             "base_median": old, "change_median": new, "base_iqr": q3 - q1,
             "relative_change": (new - old) / abs(old) if old else None,
+            "gain": 10 * won >= 9 * len(pairs)
+                    and sign * (new - old) > q3 - q1,
+            "regressed": -sign * (new - old) > metric["bound"] * abs(old),
         }
     return out
 
@@ -128,7 +136,8 @@ def comparison_line(name: str, c: dict) -> str:
     return (f"{name}: change won {c['won']}/{c['pairs']} pairs "
             f"({c['ties']} tied, {c['better']} is better), median "
             f"{c['base_median']:.6g} -> {c['change_median']:.6g} ({change}, "
-            f"bound {c['bound']:.0%}), base IQR {c['base_iqr']:.6g}")
+            f"bound {c['bound']:.0%}), base IQR {c['base_iqr']:.6g}, "
+            f"gain {c['gain']}, regressed {c['regressed']}")
 
 
 def git(*args: str) -> str:

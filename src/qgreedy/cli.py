@@ -6,9 +6,11 @@ A flag that no run of its subcommand would read, given the other flags, is
 a usage error, and so is a flag value that no run can use: the flag's type
 function decides that (``--lambda`` takes only finite values >= 1, ``--delta``
 only "auto" or finite values >= 0, ``--depth`` only integers >= 1,
-``--degree`` only integers >= 0), before anything runs, and so does the
-subcommand where its range is narrower (``census`` is tabulated for
-``--depth`` 1..3).
+``--degree`` only integers >= 0, ``--eps`` only values in (0, 1), ``--gap``
+only values in (0, 2], ``--eta`` only values in [0, 1), ``--alpha`` only
+finite values and ``--sigma`` only finite values >= 0), before anything
+runs, and so does the subcommand where its range is narrower (``census`` is
+tabulated for ``--depth`` 1..3).
 """
 
 from __future__ import annotations
@@ -63,6 +65,19 @@ def penalty(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a finite number >= 1, got {text!r}")
     return value
+
+
+def real(what: str, ok):
+    """The type function of a float flag whose usable values pass ``ok``."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not ok(value):  # NaN fails every comparison
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    parse.__name__ = "real"  # argparse names it in "invalid real value"
+    return parse
 
 
 def nonnegative(text: str) -> int:
@@ -128,9 +143,13 @@ def build_parser() -> _Parser:
     sol.add_argument("--delta", type=cutoff, default=unset,
                      help='cutoff; a number, or "auto" (default: auto for '
                           "shot/noise advice, 0 for ideal)")
-    sol.add_argument("--eta", type=float, default=unset)
-    sol.add_argument("--alpha", type=float, default=unset)
-    sol.add_argument("--sigma", type=float, default=unset)
+    sol.add_argument("--eta", default=unset,
+                     type=real("a number in [0, 1)", lambda v: 0 <= v < 1))
+    sol.add_argument("--alpha", default=unset,
+                     type=real("a finite number", math.isfinite))
+    sol.add_argument("--sigma", default=unset,
+                     type=real("a finite number >= 0",
+                               lambda v: math.isfinite(v) and v >= 0))
     sol.add_argument("--noise-seed", type=nonnegative, default=unset)
     sol.add_argument("--node-limit", type=count, default=unset)
 
@@ -145,8 +164,11 @@ def build_parser() -> _Parser:
 
     sho = add("shots", help="Hoeffding shot budget")
     sho.add_argument("--n", type=count, required=True)
-    sho.add_argument("--eps", type=float, required=True)
-    sho.add_argument("--gap", type=float, required=True)
+    sho.add_argument("--eps", required=True,
+                     type=real("a number in (0, 1)", lambda v: 0 < v < 1))
+    # two expectations in [-1, 1] are at most 2 apart
+    sho.add_argument("--gap", required=True,
+                     type=real("a number in (0, 2]", lambda v: 0 < v <= 2))
     return ap
 
 
@@ -233,11 +255,13 @@ def _usage_error(args) -> str | None:
 
 
 def _cmd_solve(args) -> int:
+    cfg = _solve_config(args) if args.solver == "qgreedy" else None
     if args.infile is not None:
         with open(args.infile) as fh:
             g = read_edge_list(fh.read())
-    else:
-        g = generate_regular(args.n, args.degree, args.seed)
+    else:  # at the schedule's degree, which an unset --degree takes
+        degree = args.degree if cfg is None else cfg.schedule.degree
+        g = generate_regular(args.n, degree, args.seed)
     if args.solver == "exact":
         nodes = solve_exact(g, node_limit=args.node_limit)
         ratio = len(nodes) / g.alive_count
@@ -251,20 +275,25 @@ def _cmd_solve(args) -> int:
         trace = solve_classical_greedy(g, seed=args.seed)
         _emit(format_trace(trace), args.out)
         return 0
+    trace = solve_quantum_greedy(g, cfg)
+    _emit(format_trace(trace), args.out)
+    return 0
+
+
+def _solve_config(args):
+    """The quantum solver's config; with --angles, an unset --depth,
+    --degree or --lambda is None here and takes the file's value."""
     noise = None
     if args.advice == "noise":
         noise = NoiseParams(args.eta, args.alpha, args.sigma, args.noise_seed)
     fields = dict(advice=args.advice, shots=args.shots, noise=noise, seed=args.seed)
     if hasattr(args, "delta"):
         fields["delta"] = args.delta
-    degree = None if args.angles else args.degree  # else --degree is the graph's
     try:
-        cfg = solver_config(args.depth, degree, args.lam, args.angles, **fields)
-    except AngleFileMismatch as exc:  # only a given --depth or --lambda differs
+        return solver_config(args.depth, args.degree, args.lam, args.angles,
+                             **fields)
+    except AngleFileMismatch as exc:  # only a given flag can differ
         args.parser.error(f"--{exc.name} disagrees with {exc}")
-    trace = solve_quantum_greedy(g, cfg)
-    _emit(format_trace(trace), args.out)
-    return 0
 
 
 def _cmd_census(args) -> int:
@@ -323,8 +352,9 @@ def main(argv=None) -> int:
     problem = _usage_error(args)
     if problem:
         args.parser.error(problem)
-    # with --angles, an unset --depth or --lambda takes the file's value
-    from_file = dict(depth=None, lam=None) if hasattr(args, "angles") else {}
+    # with --angles, an unset --depth, --degree or --lambda takes the file's
+    from_file = (dict(depth=None, degree=None, lam=None)
+                 if hasattr(args, "angles") else {})
     args = argparse.Namespace(**{**_DEFAULTS, **from_file, **vars(args)})
     try:
         return _COMMANDS[args.command](args)

@@ -129,29 +129,29 @@ class Graph:
 
     # -- traversal ----------------------------------------------------------
 
-    def ball(self, i: int, radius: int) -> list[tuple[int, int]]:
-        """Alive nodes within ``radius`` of i as (node, distance), BFS order."""
-        if not self.alive[i]:
-            raise ValueError(f"node {i} is not alive")
+    def ball(self, sources, radius: int) -> list[int]:
+        """Alive nodes other than ``sources`` within ``radius`` of any of
+        them, in BFS order.  The walk steps through alive nodes only, and a
+        source may be dead: the greedy loop walks out from the nodes a
+        deletion has just removed."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         adj, alive = self.adj, self.alive
-        seen = {i}
-        order = [(i, 0)]
-        frontier = [i]
-        for r in range(1, radius + 1):
+        seen = set(sources)
+        order: list[int] = []
+        frontier = sources
+        for _ in range(radius):
             nxt = []
             for u in frontier:
                 for v in adj[u]:
                     if alive[v] and v not in seen:
                         seen.add(v)
-                        order.append((v, r))
                         nxt.append(v)
             if not nxt:
                 break
+            order += nxt
             frontier = nxt
         return order
-
 
 def is_independent(g: Graph, nodes) -> bool:
     """True iff no edge of the original graph joins two of the given nodes."""

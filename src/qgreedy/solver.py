@@ -5,9 +5,14 @@ vertex: the quantum-enhanced score is the advice value of <Z_i> on the
 depth-p cone of i, the classical one is minus the degree of i (depth 1).
 Each step picks the top score (scores within delta of it count as tied),
 adds the winner to the set and deletes its closed neighborhood.  That
-only disturbs scores within distance depth+1 of the pick, so only that
-ball is rescored.  The loop never adds two adjacent vertices, so the
-output is independent no matter how wrong the scores are.
+only disturbs scores within distance depth+1 of the pick, so the loop
+rescores the live nodes within depth of a removed vertex, walking out
+from them after the deletion.  These are exactly the live part of the
+pick's depth+1 ball: a path of length at most depth+1 from the pick to a
+survivor leaves the removed vertices at most depth steps before its end,
+and every removed vertex is the pick or one of its neighbours.
+The loop never adds two adjacent vertices, so the output is independent
+no matter how wrong the scores are.
 
 Selection reads an index, not every live score: an ascending list of live
 nodes per distinct rank, and the ranks in ascending order.  The first pass
@@ -171,7 +176,8 @@ def _greedy(g: Graph, depth: int, score, delta: float, seed: int) -> SolveTrace:
     alive = work.alive
     rng = np.random.default_rng(seed)
     trace = SolveTrace(n=work.alive_count)
-    scored: dict[int, tuple[float, float, bytes | None]] = {}
+    # (rank, value, key) by node id; a dead node's entry is never read
+    scored: list[tuple[float, float, bytes | None] | None] = [None] * work.n
     # selection index: rank -> live nodes holding it in ascending id order,
     # and the distinct ranks in ascending order
     buckets: dict[float, list[int]] = {}
@@ -189,10 +195,10 @@ def _greedy(g: Graph, depth: int, score, delta: float, seed: int) -> SolveTrace:
             pick = candidates[0]
         else:
             pick = candidates[int(rng.integers(len(candidates)))]
-        # neighborhood whose scores the deletion can touch, taken pre-deletion
-        affected = work.ball(pick, depth + 1)
         _, value, key = scored[pick]
         removed = work.remove_closed_neighborhood(pick)
+        # the live nodes whose scores the deletion can touch
+        pending = work.ball(removed, depth)
         step = _new(TraceStep)  # the frozen __init__ is slow; see cones._extract
         fields = step.__dict__
         fields["step"] = len(trace.steps)
@@ -201,11 +207,10 @@ def _greedy(g: Graph, depth: int, score, delta: float, seed: int) -> SolveTrace:
         fields["key_hex"] = "-" if key is None else key.hex()
         fields["removed"] = len(removed)
         trace.steps.append(step)
-        pending = [x for x, _ in affected if alive[x]]
         # every removed and pending node is scored: take its old rank out,
         # and give a live one its new rank
         for i in removed + pending:
-            rank = scored.pop(i)[0]
+            rank = scored[i][0]
             bucket = buckets[rank]
             del bucket[bisect_left(bucket, i)]
             if not bucket:
@@ -260,8 +265,8 @@ def solve_classical_greedy(g: Graph, seed: int = 0) -> SolveTrace:
         d = work._deg[i]
         return -d, float(d), None
 
-    # a deletion changes degrees only at distance 2 from the pick, inside
-    # the depth-1 loop's rescored ball
+    # a deletion changes degrees only at the removed vertices' live
+    # neighbours, which the depth-1 loop's walk from them rescores
     return _greedy(g, 1, score, 0, seed)
 
 

@@ -4,8 +4,9 @@ oracle for canonical-key checks, a digest of a census's key set, the
 plain frontier-list cone BFS as an oracle for the shell-indexed one, the
 unpruned cone circuit (the dense oracle's input and pruning's reference),
 closed-form oracles (the depth-1 edge expectation, the occupation- and
-spin-basis costs, the tree ball size), the greedy loop as it stood before
-its per-step rework (also the full-recompute oracle), a reader of the
+spin-basis costs, the tree ball size), the pick's ball and the greedy loop
+as they stood before the loop's per-step reworks (the loop also the
+full-recompute oracle), a reader of the
 solver's trace text, and source files outside the package (the
 benchmark's tracer, ``scripts/run_bench.py``, ``scripts/bench_pairs.py``,
 ``scripts/noise_sweep.py``) loaded by path."""
@@ -329,6 +330,33 @@ def tree_ball_size(depth: int, d: int) -> int:
     return 1 + d * ((d - 1) ** depth - 1) // (d - 2)
 
 
+# Graph.ball as it stood before the loop walked out from the removed
+# vertices, kept verbatim as a function: the reference loop walks the
+# pick's ball with it, so it shares no walk with the loop it checks
+def reference_ball(g: Graph, i: int, radius: int) -> list[tuple[int, int]]:
+    """Alive nodes within ``radius`` of i as (node, distance), BFS order."""
+    if not g.alive[i]:
+        raise ValueError(f"node {i} is not alive")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    adj, alive = g.adj, g.alive
+    seen = {i}
+    order = [(i, 0)]
+    frontier = [i]
+    for r in range(1, radius + 1):
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if alive[v] and v not in seen:
+                    seen.add(v)
+                    order.append((v, r))
+                    nxt.append(v)
+        if not nxt:
+            break
+        frontier = nxt
+    return order
+
+
 # the greedy loop as it stood before its per-step rework, kept verbatim as
 # the oracle that the reworked loop's traces are compared against
 def reference_greedy(g: Graph, depth: int, score, delta: float, seed: int,
@@ -380,7 +408,7 @@ def reference_greedy(g: Graph, depth: int, score, delta: float, seed: int,
         else:
             pick = candidates[int(rng.integers(len(candidates)))]
         # neighborhood whose scores the deletion can touch, taken pre-deletion
-        affected = work.ball(pick, depth + 1)
+        affected = reference_ball(work, pick, depth + 1)
         _, value, key = scored[pick]
         removed = work.remove_closed_neighborhood(pick)
         for r in removed:

@@ -5,8 +5,9 @@ import pytest
 from helpers import parse_trace
 from qgreedy.angles import AngleOptimum, write_angle_file
 from qgreedy.circuits import AngleSchedule
+import qgreedy.cli
 from qgreedy.cli import main
-from qgreedy.graph import Graph, read_edge_list, write_edge_list
+from qgreedy.graph import Graph, generate_regular, read_edge_list, write_edge_list
 
 P2_FILE = str(resources.files("qgreedy") / "data" / "angles" / "p2_d3_lam1.txt")
 
@@ -113,7 +114,7 @@ class TestSolve:
             assert capsys.readouterr().out == shipped
 
     def test_angles_file_sets_schedule_degree(self, tmp_path, capsys):
-        # --degree shapes the generated graph; the file's degree is not checked
+        # an unset --degree takes the file's: the graph is 4-regular
         path = tmp_path / "p1_d4.txt"
         sched = AngleSchedule(1, 4, 1.0, (0.5,), (-0.3,))
         write_angle_file(path, AngleOptimum(sched, 0.0))
@@ -389,6 +390,8 @@ class TestExitCodes:
         (["--depth", "1", "solve"], "--depth", "depth 2"),
         (["solve", "--lambda", "2"], "--lambda", "lambda 1"),
         (["--lambda", "1.5", "solve", "--depth", "2"], "--lambda", "lambda 1"),
+        # the generated graph ran d=3 angles at degree 4
+        (["solve", "--degree", "4"], "--degree", "degree 3"),
     ])
     def test_angles_mismatch_is_usage_error(self, capsys, argv, flag, found):
         with pytest.raises(SystemExit) as exc:
@@ -411,17 +414,46 @@ class TestExitCodes:
         assert main(["solve", "--n", "20", "--angles", missing]) == 2
         assert "p2_d3_lam1.txt" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--sigma", "--alpha"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_nonfinite_noise_is_runtime_error(self, capsys, flag, value):
-        argv = ["solve", "--n", "20", "--advice", "noise", flag, value]
-        assert main(argv) == 2
+    @staticmethod
+    def _assert_value_usage_error(capsys, argv, flag, what):
+        # each exited 2 with a runtime error line, after parsing
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and flag[2:] in err
+        assert err.startswith(f"usage: qgreedy {argv[0]} ")
+        last = err.splitlines()[-1]
+        assert last == f"error: argument {flag}: must be {what}, got {argv[-1]!r}"
 
-    # 1e-300 and 1e-160 square to 0 and to a subnormal: no finite budget
-    @pytest.mark.parametrize("gap", ["0", "3", "inf", "1e-300", "1e-160"])
+    @pytest.mark.parametrize("flag", ["--sigma", "--alpha"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_noise_is_usage_error(self, capsys, flag, value):
+        argv = ["solve", "--n", "20", "--advice", "noise", flag, value]
+        what = "a finite number" + (" >= 0" if flag == "--sigma" else "")
+        self._assert_value_usage_error(capsys, argv, flag, what)
+
+    @pytest.mark.parametrize("gap", ["0", "nan", "3", "inf"])
+    def test_shots_gap_outside_range_is_usage_error(self, capsys, gap):
+        argv = ["shots", "--n", "10", "--eps", "0.05", "--gap", gap]
+        self._assert_value_usage_error(capsys, argv, "--gap", "a number in (0, 2]")
+
+    @pytest.mark.parametrize("argv, flag, what", [
+        (["shots", "--n", "10", "--gap", "0.1", "--eps", "2"], "--eps",
+         "a number in (0, 1)"),
+        (["shots", "--n", "10", "--gap", "0.1", "--eps", "0"], "--eps",
+         "a number in (0, 1)"),
+        (["solve", "--n", "10", "--advice", "noise", "--eta", "1.5"], "--eta",
+         "a number in [0, 1)"),
+        (["solve", "--n", "10", "--advice", "noise", "--eta", "-0.1"], "--eta",
+         "a number in [0, 1)"),
+    ], ids=["eps-2", "eps-0", "eta-1.5", "eta-neg"])
+    def test_out_of_range_value_is_usage_error(self, capsys, argv, flag, what):
+        self._assert_value_usage_error(capsys, argv, flag, what)
+
+    # in (0, 2], but 1e-300 and 1e-160 square to 0 and to a subnormal: no
+    # finite budget
+    @pytest.mark.parametrize("gap", ["1e-300", "1e-160"])
     def test_shots_gap_outside_range_is_runtime_error(self, capsys, gap):
         argv = ["shots", "--n", "10", "--eps", "0.05", "--gap", gap]
         assert main(argv) == 2
@@ -465,6 +497,27 @@ class TestExitCodes:
                 "shots", "--shots", "10"]
         assert main(argv) == 0
         assert parse_trace(capsys.readouterr().out)["set_size"] > 0
+
+    def test_low_degree_angles_generate_their_degree(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # an unset --degree was 3: degree-0 angles ran on a 3-regular graph
+        path = tmp_path / "d0.txt"
+        argv = ["angles", "--depth", "2", "--degree", "0", "--out", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        degrees = []
+
+        def generate(n, d, seed):
+            degrees.append(d)
+            return generate_regular(n, d, seed)
+
+        monkeypatch.setattr(qgreedy.cli, "generate_regular", generate)
+        argv = ["solve", "--n", "10", "--angles", str(path), "--advice",
+                "shots", "--shots", "10"]
+        assert main(argv) == 0
+        assert degrees == [0]
+        # every node of the edgeless graph is in the set
+        assert parse_trace(capsys.readouterr().out)["set_size"] == 10
 
     def test_negative_degree_angle_file_is_runtime_error(self, tmp_path,
                                                          capsys):

@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgreedy
-from helpers import complete, energy, energy_pauli, path, petersen, random_graph
+from helpers import (
+    complete,
+    energy,
+    energy_pauli,
+    path,
+    petersen,
+    random_graph,
+    reference_ball,
+)
 from qgreedy.errors import RestartBudgetExceeded
 from qgreedy.graph import (
     Graph,
@@ -99,19 +107,84 @@ class TestMutation:
         assert h.alive_count == 6
 
 
+def bounded_degree_graph(rng, n: int, max_degree: int, fill: float) -> Graph:
+    """Random graph with every degree <= ``max_degree``: each pair, in a
+    random order, becomes an edge with probability ``fill`` while both
+    ends have room.  Isolated nodes are allowed."""
+    deg = [0] * n
+    edges = []
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for k in rng.permutation(len(pairs)):
+        a, b = pairs[k]
+        if deg[a] < max_degree and deg[b] < max_degree and rng.random() < fill:
+            deg[a] += 1
+            deg[b] += 1
+            edges.append((a, b))
+    return Graph(n, edges)
+
+
 class TestBall:
+    # the pick's ball as the greedy loop took it before the deletion
     def test_path_radii(self):
         g = path(5)
-        assert g.ball(2, 0) == [(2, 0)]
-        assert g.ball(2, 1) == [(2, 0), (1, 1), (3, 1)]
-        assert g.ball(2, 2) == [(2, 0), (1, 1), (3, 1), (0, 2), (4, 2)]
+        assert reference_ball(g, 2, 0) == [(2, 0)]
+        assert reference_ball(g, 2, 1) == [(2, 0), (1, 1), (3, 1)]
+        assert reference_ball(g, 2, 2) == [(2, 0), (1, 1), (3, 1), (0, 2), (4, 2)]
         # radius beyond the graph saturates
-        assert len(g.ball(2, 50)) == 5
+        assert len(reference_ball(g, 2, 50)) == 5
 
     def test_ball_respects_alive_mask(self):
         g = path(5)
         g.remove_closed_neighborhood(2)
-        assert g.ball(0, 5) == [(0, 0)]
+        assert reference_ball(g, 0, 5) == [(0, 0)]
+
+    # Graph.ball: the walk out from a set of sources
+    def test_walk_radii(self):
+        g = path(5)
+        assert g.ball([2], 0) == []
+        assert g.ball([2], 1) == [1, 3]
+        assert g.ball([2], 2) == [1, 3, 0, 4]
+        assert g.ball([2], 50) == [1, 3, 0, 4]
+        assert g.ball([0, 4], 1) == [1, 3]
+        # a source reached from another is not returned
+        assert g.ball([0, 1], 2) == [2, 3]
+        with pytest.raises(ValueError):
+            g.ball([2], -1)
+
+    def test_walk_from_dead_sources(self):
+        g = path(5)
+        removed = g.remove_closed_neighborhood(2)
+        assert removed == [2, 1, 3]
+        assert g.ball(removed, 0) == []
+        assert g.ball(removed, 1) == [0, 4]
+        # the walk steps through alive nodes only
+        assert g.ball([2], 5) == []
+        assert g.ball([1], 5) == [0]
+
+    @given(
+        n=st.integers(1, 40),
+        max_degree=st.integers(0, 4),
+        fill=st.floats(0.0, 1.0),
+        depth=st.integers(1, 4),
+        seed=st.integers(0, 10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_walk_from_removed_is_alive_part_of_pick_ball(
+        self, n, max_degree, fill, depth, seed
+    ):
+        # the greedy loop rescores the walk out from the deletion in place
+        # of the live part of the pick's depth+1 ball taken before it
+        rng = np.random.default_rng(seed)
+        g = bounded_degree_graph(rng, n, max_degree, fill)
+        while g.alive_count:
+            alive = g.alive_nodes()
+            pick = alive[int(rng.integers(len(alive)))]
+            ball = reference_ball(g, pick, depth + 1)
+            removed = g.remove_closed_neighborhood(pick)
+            walk = g.ball(removed, depth)
+            assert len(set(walk)) == len(walk)
+            assert set(walk).isdisjoint(removed)
+            assert set(walk) == {v for v, _ in ball if g.alive[v]}
 
 
 class TestEnergy:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import qgreedy.solver
-from helpers import complete, load_tracing
+from helpers import complete, load_tracing, reference_ball
 from qgreedy import engines
 from qgreedy.angles import vertex_cone
 from qgreedy.cones import extract_lightcone
@@ -104,7 +104,7 @@ def test_traced_warm_resolve_counts_the_tree_path(tracing, sched_p2,
     # scores: every node once, then the alive part of each pick's ball
     work, scores = g.copy(), g.n
     for pick in warm.order:
-        ball = work.ball(pick, cfg.depth + 1)
+        ball = reference_ball(work, pick, cfg.depth + 1)
         work.remove_closed_neighborhood(pick)
         scores += sum(1 for v, _ in ball if work.alive[v])
     counters = tracer.counters["ops"]

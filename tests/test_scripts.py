@@ -243,3 +243,45 @@ def test_bench_pairs_compares_each_end_to_end_metric():
     # one pair has no quartiles: its IQR reads 0
     one = bench_pairs.compare(base[:1], change[:1], end_to_end)
     assert one["op_s"]["base_iqr"] == 0.0 and one["op_s"]["won"] == 1
+
+
+BASE_M = [1.0 + k / 100 for k in range(10)]  # median 1.045, IQR 0.055
+
+
+def _verdict(change_values, better="lower", bound=0.25):
+    """``compare``'s entry for one metric over ten synthetic pairs whose
+    base values are ``BASE_M``."""
+    base = [_final(m=b) for b in BASE_M]
+    change = [_final(m=c) for c in change_values]
+    metric = {"name": "m", "better": better, "bound": bound}
+    return load_bench_pairs().compare(base, change, [metric])["m"]
+
+
+@pytest.mark.parametrize("change, won, gain", [
+    # 9 of 10 won, median 0.2 below the base's, beyond the IQR
+    ([b - 0.2 for b in BASE_M[:9]] + [BASE_M[9] + 0.01], 9, True),
+    # 8 of 10 won: not enough pairs, however far the medians are
+    ([b - 0.2 for b in BASE_M[:8]] + [b + 0.01 for b in BASE_M[8:]], 8, False),
+    # 10 of 10 won, but the medians are 0.01 apart, within the IQR
+    ([b - 0.01 for b in BASE_M], 10, False),
+], ids=["9-of-10-beyond-iqr", "8-of-10", "10-of-10-within-iqr"])
+def test_bench_pairs_gain_needs_nine_wins_beyond_the_iqr(change, won, gain):
+    got = _verdict(change)
+    assert got["base_iqr"] == pytest.approx(0.055)
+    assert (got["won"], got["gain"], got["regressed"]) == (won, gain, False)
+    line = load_bench_pairs().comparison_line("m", got)
+    assert line.endswith(f"gain {gain}, regressed False")
+
+
+@pytest.mark.parametrize("better, bound, factor, regressed, gain", [
+    ("lower", 0.25, 1.30, True, False),
+    ("lower", 0.25, 1.20, False, False),  # worse, within the bound
+    ("lower", 0.25, 0.70, False, True),  # better by more than the bound
+    ("higher", 0.03, 0.96, True, False),
+    ("higher", 0.03, 0.98, False, False),
+    ("higher", 0.03, 1.10, False, True),
+])
+def test_bench_pairs_regressed_beyond_the_bound(better, bound, factor,
+                                                regressed, gain):
+    got = _verdict([b * factor for b in BASE_M], better, bound)
+    assert (got["regressed"], got["gain"]) == (regressed, gain)
