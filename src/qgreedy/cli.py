@@ -67,17 +67,16 @@ def penalty(text: str) -> float:
     return value
 
 
-def real(what: str, ok):
+def ranged(what: str, ok):
     """The type function of a float flag whose usable values pass ``ok``."""
 
-    def parse(text: str) -> float:
+    def real(text: str) -> float:
         value = float(text)
         if not ok(value):  # NaN fails every comparison
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
-    parse.__name__ = "real"  # argparse names it in "invalid real value"
-    return parse
+    return real
 
 
 def nonnegative(text: str) -> int:
@@ -144,11 +143,11 @@ def build_parser() -> _Parser:
                      help='cutoff; a number, or "auto" (default: auto for '
                           "shot/noise advice, 0 for ideal)")
     sol.add_argument("--eta", default=unset,
-                     type=real("a number in [0, 1)", lambda v: 0 <= v < 1))
+                     type=ranged("a number in [0, 1)", lambda v: 0 <= v < 1))
     sol.add_argument("--alpha", default=unset,
-                     type=real("a finite number", math.isfinite))
+                     type=ranged("a finite number", math.isfinite))
     sol.add_argument("--sigma", default=unset,
-                     type=real("a finite number >= 0",
+                     type=ranged("a finite number >= 0",
                                lambda v: math.isfinite(v) and v >= 0))
     sol.add_argument("--noise-seed", type=nonnegative, default=unset)
     sol.add_argument("--node-limit", type=count, default=unset)
@@ -165,10 +164,10 @@ def build_parser() -> _Parser:
     sho = add("shots", help="Hoeffding shot budget")
     sho.add_argument("--n", type=count, required=True)
     sho.add_argument("--eps", required=True,
-                     type=real("a number in (0, 1)", lambda v: 0 < v < 1))
+                     type=ranged("a number in (0, 1)", lambda v: 0 < v < 1))
     # two expectations in [-1, 1] are at most 2 apart
     sho.add_argument("--gap", required=True,
-                     type=real("a number in (0, 2]", lambda v: 0 < v <= 2))
+                     type=ranged("a number in (0, 2]", lambda v: 0 < v <= 2))
     return ap
 
 

@@ -176,7 +176,7 @@ def _greedy(g: Graph, depth: int, score, delta: float, seed: int) -> SolveTrace:
     alive = work.alive
     rng = np.random.default_rng(seed)
     trace = SolveTrace(n=work.alive_count)
-    # (rank, value, key) by node id; a dead node's entry is never read
+    # (rank, value, key) by node id; a removed node's entry stays in place
     scored: list[tuple[float, float, bytes | None] | None] = [None] * work.n
     # selection index: rank -> live nodes holding it in ascending id order,
     # and the distinct ranks in ascending order
