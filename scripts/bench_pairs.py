@@ -44,7 +44,7 @@ import numpy
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from qgreedy.cli import _Parser, count, nonnegative  # noqa: E402
+from qgreedy.cli import _Parser, count, nonnegative, ranged  # noqa: E402
 
 SIDES = ("base", "change")
 
@@ -53,12 +53,8 @@ class RunFailed(Exception):
     """A perfbench run exited non-zero or reported a failed check."""
 
 
-def seconds(text: str) -> float:
-    """--seconds value: a finite number > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(text)
-    return value
+seconds = ranged("a finite number > 0",
+                 lambda v: math.isfinite(v) and v > 0, name="seconds")
 
 
 def label(text: str) -> str:

@@ -18,11 +18,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from qgreedy import angles  # noqa: E402
 from qgreedy.cli import (  # noqa: E402
-    RUNTIME_ERRORS,
     _Parser,
     count,
     nonnegative,
     penalty,
+    run_command,
 )
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src/qgreedy/data/angles"
@@ -53,20 +53,14 @@ def generate(args) -> None:
         prev = opt.schedule
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = _Parser(description=__doc__)  # usage errors exit 1, as in the CLI
     ap.add_argument("--max-depth", type=count, default=4)
     ap.add_argument("--degree", type=nonnegative, default=3)
     ap.add_argument("--lambda", dest="lam", type=penalty, default=1.0)
     ap.add_argument("--seed", type=nonnegative, default=0)
     ap.add_argument("--out-dir", type=pathlib.Path, default=DATA_DIR)
-    args = ap.parse_args()
-    try:
-        generate(args)
-    except RUNTIME_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    return 0
+    return run_command(generate, ap.parse_args(argv))
 
 
 if __name__ == "__main__":

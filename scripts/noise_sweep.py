@@ -16,7 +16,15 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from qgreedy.bench import solver_config  # noqa: E402
-from qgreedy.cli import RUNTIME_ERRORS, _Parser, count, nonnegative  # noqa: E402
+from qgreedy.cli import (  # noqa: E402
+    _Parser,
+    bias,
+    count,
+    nonnegative,
+    run_command,
+    shrink,
+    spread,
+)
 from qgreedy.engines import ExpectationCache  # noqa: E402
 from qgreedy.graph import generate_regular  # noqa: E402
 from qgreedy.noise import NoiseParams  # noqa: E402
@@ -24,7 +32,6 @@ from qgreedy.solver import solve_quantum_greedy  # noqa: E402
 
 
 def sweep(args) -> None:
-    # the base carries eta_max, so a grid outside [0, 1) fails before any line
     base = solver_config(args.depth, 3, 1.0, advice="noise", delta=0.0,
                          noise=NoiseParams(args.eta_max, args.alpha, args.sigma))
     cache = ExpectationCache(base.schedule)
@@ -47,23 +54,17 @@ def sweep(args) -> None:
         print(f"eta {eta:5.3f}  mean_r {mean:.5f}  sem {sem:.5f}")
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = _Parser(description=__doc__)  # usage errors exit 1, as in the CLI
     ap.add_argument("--n", type=count, default=200)
     ap.add_argument("--depth", type=count, default=3)
     ap.add_argument("--instances", type=count, default=20)
-    ap.add_argument("--eta-max", type=float, default=0.1)
+    ap.add_argument("--eta-max", type=shrink, default=0.1)
     ap.add_argument("--eta-steps", type=count, default=11)
-    ap.add_argument("--alpha", type=float, default=0.0)
-    ap.add_argument("--sigma", type=float, default=0.0)
+    ap.add_argument("--alpha", type=bias, default=0.0)
+    ap.add_argument("--sigma", type=spread, default=0.0)
     ap.add_argument("--seed", type=nonnegative, default=0)
-    args = ap.parse_args()
-    try:
-        sweep(args)
-    except RUNTIME_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    return 0
+    return run_command(sweep, ap.parse_args(argv))
 
 
 if __name__ == "__main__":

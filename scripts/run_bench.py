@@ -23,7 +23,7 @@ from qgreedy.bench import (  # noqa: E402
     load_plan,
     run_plan,
 )
-from qgreedy.cli import RUNTIME_ERRORS, _Parser, count  # noqa: E402
+from qgreedy.cli import _Parser, count, run_command  # noqa: E402
 
 PLANS = pathlib.Path(__file__).resolve().parent / "plans"
 
@@ -117,18 +117,12 @@ def run(args) -> None:
     print(f"\nwrote {plan.out}")
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = _Parser(description=__doc__)  # usage errors exit 1, as in the CLI
     ap.add_argument("--plan", default="desk")
     ap.add_argument("--workers", type=count, default=None,
                     help="override the plan's worker count")
-    args = ap.parse_args()
-    try:
-        run(args)
-    except RUNTIME_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    return 0
+    return run_command(run, ap.parse_args(argv))
 
 
 if __name__ == "__main__":

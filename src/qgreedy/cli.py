@@ -1,16 +1,21 @@
-"""Command-line interface.
+"""Command-line interface, and the flag contract the scripts share.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 
 A flag that no run of its subcommand would read, given the other flags, is
 a usage error, and so is a flag value that no run can use: the flag's type
-function decides that (``--lambda`` takes only finite values >= 1, ``--delta``
-only "auto" or finite values >= 0, ``--depth`` only integers >= 1,
-``--degree`` only integers >= 0, ``--eps`` only values in (0, 1), ``--gap``
-only values in (0, 2], ``--eta`` only values in [0, 1), ``--alpha`` only
-finite values and ``--sigma`` only finite values >= 0), before anything
-runs, and so does the subcommand where its range is narrower (``census`` is
-tabulated for ``--depth`` 1..3).
+decides that before anything runs (``--lambda`` takes only finite values
+>= 1, ``--delta`` only "auto" or finite values >= 0, ``--depth`` only
+integers >= 1, ``--degree`` only integers >= 0, ``--shots`` only integers
+in [1, MAX_SHOTS], ``--eps`` only values in (0, 1), ``--gap`` only values in
+(0, 2], ``--eta`` only values in [0, 1), ``--alpha`` only finite values and
+``--sigma`` only finite values >= 0), and so does the subcommand where its
+range is narrower (``census`` is tabulated for ``--depth`` 1..3).
+
+The scripts under ``scripts/`` keep the same contract through the same two
+pieces: every value type is made by :func:`ranged`, and every command runs
+through :func:`run_command`, the one place a runtime error becomes an
+``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -46,53 +51,55 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def cutoff(text: str) -> float | None:
-    """--delta value: "auto" (None) or a finite number >= 0."""
-    if text == "auto":
-        return None
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"must be \"auto\" or a finite number >= 0, got {text!r}"
-        )
-    return value
+def ranged(what: str, ok, kind=float, name: str | None = None):
+    """The type function of a flag: it parses the text with ``kind`` and
+    refuses a value that fails ``ok``.  argparse names the flag, and calls
+    text that ``kind`` cannot parse an invalid ``name`` (default: the
+    kind's) value."""
 
-
-def penalty(text: str) -> float:
-    """--lambda value: a finite number >= 1, as the MIS cost needs."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 1):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 1, got {text!r}")
-    return value
-
-
-def ranged(what: str, ok):
-    """The type function of a float flag whose usable values pass ``ok``."""
-
-    def real(text: str) -> float:
-        value = float(text)
+    def parse(text: str):
+        value = kind(text)
         if not ok(value):  # NaN fails every comparison
             raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
         return value
 
-    return real
+    parse.__name__ = name or kind.__name__
+    return parse
 
 
-def nonnegative(text: str) -> int:
-    """An integer >= 0, such as --seed, --noise-seed or --degree."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
+def _finite_at_least(low):
+    return lambda v: math.isfinite(v) and v >= low
 
 
-def count(text: str) -> int:
-    """An integer >= 1, such as --n, --restarts or --depth."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+# --lambda: the MIS cost needs a finite penalty weight >= 1
+penalty = ranged("a finite number >= 1", _finite_at_least(1), name="penalty")
+# --seed, --noise-seed, --degree
+nonnegative = ranged("an integer >= 0", lambda v: v >= 0, int, "nonnegative")
+# --n, --depth, --restarts, --node-limit and the scripts' sizes
+count = ranged("an integer >= 1", lambda v: v >= 1, int, "count")
+shots = ranged(f"an integer in [1, {MAX_SHOTS}]",
+               lambda v: 1 <= v <= MAX_SHOTS, int)
+# the noise model's shrink rate eta, bias alpha and offset spread sigma
+shrink = ranged("a number in [0, 1)", lambda v: 0 <= v < 1)
+bias = ranged("a finite number", math.isfinite)
+spread = ranged("a finite number >= 0", _finite_at_least(0))
+_cutoff = ranged('"auto" or a finite number >= 0', _finite_at_least(0))
+
+
+def cutoff(text: str) -> float | None:
+    """--delta value: "auto" (None) or a finite number >= 0."""
+    return None if text == "auto" else _cutoff(text)
+
+
+def run_command(command, args) -> int:
+    """Exit status of ``command(args)``: 0, or 2 after one ``error:`` line
+    when it raises one of ``RUNTIME_ERRORS``."""
+    try:
+        command(args)
+    except RUNTIME_ERRORS as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    return 0
 
 
 def build_parser() -> _Parser:
@@ -138,17 +145,13 @@ def build_parser() -> _Parser:
                           "(default: 3)")
     sol.add_argument("--angles", default=unset, help="angle file (default: shipped)")
     sol.add_argument("--advice", choices=("ideal", "shots", "noise"), default=unset)
-    sol.add_argument("--shots", type=int, default=unset)
+    sol.add_argument("--shots", type=shots, default=unset)
     sol.add_argument("--delta", type=cutoff, default=unset,
                      help='cutoff; a number, or "auto" (default: auto for '
                           "shot/noise advice, 0 for ideal)")
-    sol.add_argument("--eta", default=unset,
-                     type=ranged("a number in [0, 1)", lambda v: 0 <= v < 1))
-    sol.add_argument("--alpha", default=unset,
-                     type=ranged("a finite number", math.isfinite))
-    sol.add_argument("--sigma", default=unset,
-                     type=ranged("a finite number >= 0",
-                               lambda v: math.isfinite(v) and v >= 0))
+    sol.add_argument("--eta", type=shrink, default=unset)
+    sol.add_argument("--alpha", type=bias, default=unset)
+    sol.add_argument("--sigma", type=spread, default=unset)
     sol.add_argument("--noise-seed", type=nonnegative, default=unset)
     sol.add_argument("--node-limit", type=count, default=unset)
 
@@ -179,20 +182,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> None:
     g = generate_regular(args.n, args.degree, args.seed)
     _emit(write_edge_list(g), args.out)
-    return 0
 
 
-def _cmd_angles(args) -> int:
+def _cmd_angles(args) -> None:
     opt = optimize_tree_angles(
         args.depth, args.degree, args.lam, seed=args.seed, restarts=args.restarts
     )
     out = args.out or angle_file_name(args.depth, args.degree, args.lam)
     write_angle_file(out, opt)
     print(f"wrote {out} energy {opt.energy:.17g}")
-    return 0
 
 
 # values of unset flags; an unset --delta leaves SolverConfig's auto
@@ -239,9 +240,8 @@ def _usage_error(args) -> str | None:
             unread.update(dict.fromkeys(_QUANTUM_FLAGS, f"--solver {solver}"))
         else:
             advice = getattr(args, "advice", _DEFAULTS["advice"])
-            shots = getattr(args, "shots", _DEFAULTS["shots"])
-            if advice == "shots" and not 1 <= shots <= MAX_SHOTS:
-                return f"--advice shots needs 1 <= --shots <= {MAX_SHOTS}"
+            if advice == "shots" and not hasattr(args, "shots"):
+                return "--advice shots needs --shots"
             if advice != "shots":
                 unread["shots"] = f"--advice {advice}"
             if advice != "noise":
@@ -253,7 +253,7 @@ def _usage_error(args) -> str | None:
     return None
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     cfg = _solve_config(args) if args.solver == "qgreedy" else None
     if args.infile is not None:
         with open(args.infile) as fh:
@@ -269,14 +269,16 @@ def _cmd_solve(args) -> int:
             + f"\nset_size {len(nodes)} ratio {ratio:.17g}\n",
             args.out,
         )
-        return 0
+        return
     if args.solver == "greedy":
         trace = solve_classical_greedy(g, seed=args.seed)
-        _emit(format_trace(trace), args.out)
-        return 0
-    trace = solve_quantum_greedy(g, cfg)
+    else:  # a vertex of higher degree has cones the angles were not fit to
+        top = max(map(len, map(g.neighbors_alive, g.alive_nodes())), default=0)
+        if top > cfg.schedule.degree:
+            raise ValueError(f"the graph has maximum degree {top}, above the "
+                             f"angle schedule's degree {cfg.schedule.degree}")
+        trace = solve_quantum_greedy(g, cfg)
     _emit(format_trace(trace), args.out)
-    return 0
 
 
 def _solve_config(args):
@@ -295,13 +297,12 @@ def _solve_config(args):
         args.parser.error(f"--{exc.name} disagrees with {exc}")
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> None:
     report, _cones = enumerate_cones(args.depth)
     print(f"total {report.total} trees {report.trees} nontrees {report.nontrees}")
-    return 0
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> None:
     plan = load_plan(args.plan)
     for r in run_plan(plan):
         print(
@@ -309,10 +310,9 @@ def _cmd_bench(args) -> int:
             f"instances {r.instances} mean_r {r.mean_r:.6f} 3sem {r.sem3:.6f}"
         )
     print(f"wrote {plan.out}")
-    return 0
 
 
-def _cmd_fit_noise(args) -> int:
+def _cmd_fit_noise(args) -> None:
     triples = []
     with open(args.pairs) as fh:
         for raw in fh:
@@ -323,12 +323,10 @@ def _cmd_fit_noise(args) -> int:
             triples.append((float(x), float(y), int(s)))
     params = fit_noise(triples)
     print(f"eta {params.eta:.17g} alpha {params.alpha:.17g} sigma {params.sigma:.17g}")
-    return 0
 
 
-def _cmd_shots(args) -> int:
+def _cmd_shots(args) -> None:
     print(required_shots(args.n, args.eps, args.gap))
-    return 0
 
 
 _COMMANDS = {
@@ -355,11 +353,7 @@ def main(argv=None) -> int:
     from_file = (dict(depth=None, degree=None, lam=None)
                  if hasattr(args, "angles") else {})
     args = argparse.Namespace(**{**_DEFAULTS, **from_file, **vars(args)})
-    try:
-        return _COMMANDS[args.command](args)
-    except RUNTIME_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    return run_command(_COMMANDS[args.command], args)
 
 
 if __name__ == "__main__":

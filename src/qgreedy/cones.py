@@ -103,9 +103,6 @@ def extract_lightcone_multi(g: Graph, roots, depth: int) -> LightCone:
     return _extract(g, tuple(roots), depth)
 
 
-_new = object.__new__
-
-
 def _extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone:
     """BFS from the roots, recording causal edges as they are seen.
 
@@ -153,15 +150,7 @@ def _extract(g: Graph, roots: tuple[int, ...], depth: int) -> LightCone:
         dists += [k] * (n - end)
         start, end = end, n
     edges.sort()
-    # the frozen __init__ routes each field through object.__setattr__,
-    # which takes longer than the rest of building a small cone
-    cone = _new(LightCone)
-    fields = cone.__dict__
-    fields["depth"] = depth
-    fields["dists"] = tuple(dists)
-    fields["edges"] = tuple(edges)
-    fields["source_ids"] = tuple(order)
-    return cone
+    return LightCone(depth, tuple(dists), tuple(edges), tuple(order))
 
 
 def tree_key(g: Graph, root: int, depth: int,

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,11 +59,8 @@ from .errors import NodeLimitExceeded
 from .graph import Graph, is_independent
 from .noise import NoiseParams, apply_noise, noise_offset
 
-_new = object.__new__
 
-
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     step: int
     node: int
     value: float
@@ -199,14 +197,9 @@ def _greedy(g: Graph, depth: int, score, delta: float, seed: int) -> SolveTrace:
         removed = work.remove_closed_neighborhood(pick)
         # the live nodes whose scores the deletion can touch
         pending = work.ball(removed, depth)
-        step = _new(TraceStep)  # the frozen __init__ is slow; see cones._extract
-        fields = step.__dict__
-        fields["step"] = len(trace.steps)
-        fields["node"] = pick
-        fields["value"] = value
-        fields["key_hex"] = "-" if key is None else key.hex()
-        fields["removed"] = len(removed)
-        trace.steps.append(step)
+        trace.steps.append(TraceStep(len(trace.steps), pick, value,
+                                     "-" if key is None else key.hex(),
+                                     len(removed)))
         # every removed and pending node is scored: take its old rank out,
         # and give a live one its new rank
         for i in removed + pending:

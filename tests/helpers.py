@@ -9,7 +9,8 @@ as they stood before the loop's per-step reworks (the loop also the
 full-recompute oracle), a reader of the
 solver's trace text, and source files outside the package (the
 benchmark's tracer, ``scripts/run_bench.py``, ``scripts/bench_pairs.py``,
-``scripts/noise_sweep.py``) loaded by path."""
+``scripts/noise_sweep.py``, ``scripts/gen_default_angles.py``) loaded by
+path."""
 
 import hashlib
 import importlib.util
@@ -471,6 +472,7 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 RUN_BENCH = ROOT / "scripts" / "run_bench.py"
 BENCH_PAIRS = ROOT / "scripts" / "bench_pairs.py"
 NOISE_SWEEP = ROOT / "scripts" / "noise_sweep.py"
+GEN_DEFAULT_ANGLES = ROOT / "scripts" / "gen_default_angles.py"
 
 
 def _load(path: Path, name: str):
@@ -499,3 +501,9 @@ def load_bench_pairs():
 def load_noise_sweep():
     """``scripts/noise_sweep.py`` as a module; its ``main`` is not run."""
     return _load(NOISE_SWEEP, "noise_sweep")
+
+
+def load_gen_default_angles():
+    """``scripts/gen_default_angles.py`` as a module; its ``main`` is not
+    run."""
+    return _load(GEN_DEFAULT_ANGLES, "gen_default_angles")

@@ -478,11 +478,16 @@ class TestExitCodes:
     def test_cyclic_cone_over_255_vertices_is_runtime_error(self, tmp_path,
                                                             capsys):
         # a 300-leaf star with one leaf-leaf edge: the hub's depth-2 cone
-        # is cyclic and has all 301 vertices
+        # is cyclic and has all 301 vertices; the angles are for degree 300,
+        # since the graph's degree is checked against the schedule's first
         path = tmp_path / "star.txt"
         edges = [(0, i) for i in range(1, 301)] + [(1, 2)]
         path.write_text(write_edge_list(Graph(301, edges)))
-        assert main(["solve", "--in", str(path), "--depth", "2"]) == 2
+        angles = tmp_path / "p2_d300.txt"
+        angles.write_text("p=2\nd=300\nlambda=1\nenergy=0\n"
+                          "gamma 0.3 0.2\nbeta -0.4 -0.3\n")
+        argv = ["solve", "--in", str(path), "--angles", str(angles)]
+        assert main(argv) == 2
         assert "limited to 255 vertices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("degree", ["0", "1"])
@@ -531,6 +536,49 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: schedule degree must be >= 0: -2\n"
+
+    @pytest.mark.parametrize("angle_degree, graph_degree", [
+        # the degree-0 auto delta, 0.0, on a 3-regular graph
+        ("0", "3"),
+        # the shipped d=3 angles on a 4-regular graph
+        (None, "4"),
+    ])
+    def test_graph_above_schedule_degree_is_runtime_error(
+            self, tmp_path, capsys, angle_degree, graph_degree):
+        graph = tmp_path / "g.txt"
+        assert main(["generate", "--n", "10", "--degree", graph_degree,
+                     "--seed", "1", "--out", str(graph)]) == 0
+        argv = ["solve", "--in", str(graph), "--depth", "2"]
+        schedule_degree = angle_degree or "3"
+        if angle_degree is not None:
+            angles = tmp_path / "angles.txt"
+            assert main(["angles", "--depth", "2", "--degree", angle_degree,
+                         "--out", str(angles)]) == 0
+            argv = ["solve", "--in", str(graph), "--angles", str(angles),
+                    "--advice", "shots", "--shots", "10"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: the graph has maximum degree {graph_degree}, "
+                       f"above the angle schedule's degree {schedule_degree}\n")
+
+    @pytest.mark.parametrize("argv", [
+        # a path, of maximum degree 2, under the d=3 angles
+        ["--depth", "2"],
+        # the solvers that read no angles
+        ["--solver", "greedy"],
+        ["--solver", "exact"],
+    ])
+    def test_graph_within_schedule_degree_runs(self, tmp_path, capsys, argv):
+        path = tmp_path / "g.txt"
+        if argv[0] == "--depth":
+            graph = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        else:
+            graph = generate_regular(10, 4, 1)
+        path.write_text(write_edge_list(graph))
+        assert main(["solve", "--in", str(path), *argv]) == 0
+        assert "set_size" in capsys.readouterr().out
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -84,12 +84,28 @@ def test_noise_sweep_empty_grid_is_a_usage_error(flag):
 
 @pytest.mark.parametrize("args, why", [
     (("--n", "21"), "n*d must be even"),
-    (("--eta-max", "2"), "eta must lie in [0, 1)"),
 ])
 def test_noise_sweep_bad_run_is_a_runtime_error(args, why):
     done = run_failing("noise_sweep.py", "--depth", "1", *args)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and why in done.stderr
+    assert done.stdout == ""
+
+
+@pytest.mark.parametrize("flag, value, what", [
+    ("--sigma", "nan", "a finite number >= 0"),
+    ("--alpha", "inf", "a finite number"),
+    ("--eta-max", "2", "a number in [0, 1)"),
+    ("--eta-max", "-0.5", "a number in [0, 1)"),
+])
+def test_noise_sweep_unusable_noise_is_a_usage_error(flag, value, what):
+    # each printed the NoiseParams error and exited 2, as a failed run did;
+    # solve's --eta, --alpha and --sigma exited 1
+    done = run_failing("noise_sweep.py", "--depth", "1", flag, value)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("usage: ")
+    last = done.stderr.splitlines()[-1]
+    assert last == f"error: argument {flag}: must be {what}, got {value!r}"
     assert done.stdout == ""
 
 
@@ -155,8 +171,9 @@ BENCH_ARGS = {"--workload": "classical", "--base": "HEAD", "--pairs": "1",
     ("--workload", "nope", "--workload must be one of cold-p3, warm-p2"),
     ("--base", "no-such-revision", "--base: git knows no commit"),
     ("--pairs", "0", "argument --pairs: must be an integer >= 1"),
-    ("--seconds", "nan", "argument --seconds: invalid seconds value"),
-    ("--seconds", "0", "argument --seconds: invalid seconds value"),
+    ("--seconds", "nan",
+     "argument --seconds: must be a finite number > 0, got 'nan'"),
+    ("--seconds", "0", "argument --seconds: must be a finite number > 0, got '0'"),
     ("--seed", "-1", "argument --seed: must be an integer >= 0"),
     ("--label", "a/b", "argument --label: invalid label value"),
     ("--label", None, "the following arguments are required: --label"),

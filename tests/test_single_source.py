@@ -10,7 +10,10 @@ benchmark tracer names them), the Ising coefficients come from
 regular graphs exist, ``engines.sample_shots`` is the one shot sampler,
 ``cones.key_digest`` is the one per-cone random source (shot words and
 noise offsets alike), and ``ExpectationCache.value`` is the one place a
-missed class is evaluated.  Every expectation measures its cone's roots,
+missed class is evaluated.  ``cli.ranged`` is the one factory of flag
+value types and ``cli.run_command`` the one place a runtime error becomes
+exit 2, for the CLI and the scripts alike.  Every expectation measures its
+cone's roots,
 only pruned circuits are built, and no package call sets the contraction
 budget, the statevector cap or a recompute mode.  Every public function
 and class of the package is used by the package, a script or the
@@ -82,6 +85,30 @@ def _divisions_by_four(text, tree):
             yield node.lineno
 
 
+def _raises(exception):
+    def raises(text, tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc
+                exc = exc.func if isinstance(exc, ast.Call) else exc
+                name = getattr(exc, "attr", None) or getattr(exc, "id", None)
+                if name == exception:
+                    yield node.lineno
+
+    return raises
+
+
+def _catches(name):
+    def catches(text, tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if name in {n.id for n in ast.walk(node.type)
+                            if isinstance(n, ast.Name)}:
+                    yield node.lineno
+
+    return catches
+
+
 def test_solver_config_built_in_one_place():
     assert _sites(_calls_to("SolverConfig")) == [("bench.py", "solver_config")]
 
@@ -103,6 +130,24 @@ def test_contraction_called_only_by_the_router():
 def test_miss_evaluated_in_one_place():
     # a missed class is evaluated on the cone its key describes, by the cache
     assert _sites(_calls_to("cone_from_key")) == [("engines.py", "value")]
+
+
+def test_one_value_type_factory():
+    # every flag value type, the scripts' included, is made by cli.ranged:
+    # the type function it returns is the one place a value is refused
+    cli = ROOT / "src" / "qgreedy" / "cli.py"
+    ranged = next(f for f in _functions(ast.parse(cli.read_text()))
+                  if f.name == "ranged")
+    found = [(path.name, ranged.lineno <= line <= ranged.end_lineno)
+             for path in SOURCES
+             for line in _raises("ArgumentTypeError")(
+                 path.read_text(), ast.parse(path.read_text()))]
+    assert found == [("cli.py", True)]
+
+
+def test_one_runtime_error_boundary():
+    # the CLI and every script turn a runtime error into exit 2 in one place
+    assert _sites(_catches("RUNTIME_ERRORS")) == [("cli.py", "run_command")]
 
 
 def test_observable_is_not_a_parameter():
