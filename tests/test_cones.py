@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -470,6 +471,30 @@ class TestHighSymmetryKeys:
         for _ in range(5):
             assert canonical_key(relabel_cone(cone, rng)) == key
 
+    # _refine calls of each key's search, pinned from the search that
+    # merged orbits with a union-find: a leaner search must walk the same
+    # tree (depth-2 Petersen and flowers are trees, keyed with no search)
+    REFINES = {
+        ("petersen", 2): 0, ("petersen", 3): 12, ("Q3", 2): 7, ("Q3", 3): 7,
+        ("Q4", 2): 14, ("Q4", 3): 14, ("Q5", 2): 25, ("Q5", 3): 25,
+        ("K33", 2): 12, ("K33", 3): 12, ("K44", 2): 32, ("K44", 3): 32,
+        ("K55", 2): 68, ("K55", 3): 68, ("C5x4", 2): 0, ("C5x4", 3): 31,
+        ("C5x5", 2): 0, ("C5x5", 3): 51,
+    }
+
+    @pytest.mark.parametrize("name, depth", list(REFINES))
+    def test_search_size_is_pinned(self, monkeypatch, name, depth):
+        refines = []
+        plain = qgreedy.cones._refine
+
+        def refine(*args):
+            refines.append(1)
+            return plain(*args)
+
+        monkeypatch.setattr(qgreedy.cones, "_refine", refine)
+        canonical_key(extract_lightcone(_SYMMETRIC[name], 0, depth))
+        assert len(refines) == self.REFINES[name, depth]
+
     def test_k33_and_prism_differ(self):
         # both 3-regular on 6 nodes; the prism has triangles, K3,3 does not
         a = extract_lightcone(k33(), 0, 2)
@@ -477,6 +502,50 @@ class TestHighSymmetryKeys:
         assert a.size == b.size and not a.is_tree and not b.is_tree
         assert canonical_key(a) != canonical_key(b)
         assert not rooted_isomorphic(a, b)
+
+
+def _key_corpus():
+    """Cyclic cones at depths 2..4 of five 3-regular graphs, intact and
+    after two rounds of closed-neighbourhood removals, then the symmetric
+    cores and K5, K3,3 and the prism at depths 2 and 3."""
+    for n, seed in ((16, 1), (24, 2), (40, 3), (100, 4), (200, 5)):
+        g = generate_regular(n, 3, seed)
+        for state in range(3):
+            if state:
+                for v in g.alive_nodes()[::5]:
+                    if g.alive[v]:
+                        g.remove_closed_neighborhood(v)
+            for depth in (2, 3, 4):
+                for v in g.alive_nodes():
+                    cone = extract_lightcone(g, v, depth)
+                    if not cone.is_tree:
+                        yield cone
+    graphs = [*_SYMMETRIC.values(), complete(5), k33(), prism()]
+    for g in graphs:
+        for depth in (2, 3):
+            cone = extract_lightcone(g, 0, depth)
+            if not cone.is_tree:
+                yield cone
+
+
+class TestKeyCorpus:
+    # SHA-256 over the length-prefixed keys of _key_corpus, pinned from the
+    # search that merged orbits with a union-find; any change to a cyclic
+    # key's bytes shows here
+    DIGEST = (
+        "ac78c04d942916ba38b12645021373b39ac1cac63cdab4cd21dd9076e679e8f7"
+    )
+
+    def test_cyclic_keys_match_pinned_digest(self):
+        h = hashlib.sha256()
+        count = 0
+        for cone in _key_corpus():
+            key = canonical_key(cone)
+            assert key[:1] == b"G"
+            h.update(len(key).to_bytes(2, "little") + key)
+            count += 1
+        assert count == 716
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestKeyDigest:
