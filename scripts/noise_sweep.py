@@ -59,12 +59,16 @@ def main(argv=None) -> int:
     ap.add_argument("--n", type=count, default=200)
     ap.add_argument("--depth", type=count, default=3)
     ap.add_argument("--instances", type=count, default=20)
-    ap.add_argument("--eta-max", type=shrink, default=0.1)
+    ap.add_argument("--eta-max", type=shrink)
     ap.add_argument("--eta-steps", type=count, default=11)
     ap.add_argument("--alpha", type=bias, default=0.0)
     ap.add_argument("--sigma", type=spread, default=0.0)
     ap.add_argument("--seed", type=nonnegative, default=0)
-    return run_command(sweep, ap.parse_args(argv))
+    args = ap.parse_args(argv)
+    if args.eta_max is not None and args.eta_steps == 1:
+        ap.error("--eta-max is not read with --eta-steps 1")  # eta is 0.0
+    args.eta_max = 0.1 if args.eta_max is None else args.eta_max
+    return run_command(sweep, args)
 
 
 if __name__ == "__main__":

@@ -313,7 +313,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[ReportRow, ...]:
             partial.flush()
 
         if plan.workers > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+            # never more workers than instances: under fork every one starts
+            with ProcessPoolExecutor(min(plan.workers, len(todo))) as pool:
                 futures = [
                     pool.submit(_run_instance, plan, configs, size, index)
                     for size, index in todo

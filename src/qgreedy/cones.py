@@ -11,9 +11,7 @@ affect the root expectation, which is what makes the cone self-contained.
 
 Extraction is one BFS pass.  Local ids are handed out in BFS order, so each
 shell is a contiguous range of ids and a neighbor's shell is read from its
-id alone; causal edges are recorded as they are seen.  The greedy solver
-extracts a cone for every rescore, so the cone object is also built without
-the frozen dataclass ``__init__``, straight into its instance dict.
+id alone; causal edges are recorded as they are seen.
 
 Canonical keys realize rooted-isomorphism equality as byte equality, with no
 probabilistic hashing.  They are defined for single-root cones only (edge
@@ -23,8 +21,10 @@ during solver runs) use the classic sorted-subtree encoding, and
 shortcut at depth 1 and the only outside call to the subtree walk, and
 :func:`canonical_key` keys a tree cone by running it on the cone as a
 graph.  General cones run color refinement seeded with (distance, degree),
-then a backtracking search over color-class orderings with the root
-pinned, pruned by discovered automorphisms.
+then an individualization-refinement search with the root pinned.  It
+skips a branch when the orbit of its vertex (the closure under the
+automorphisms found so far that fix every individualized vertex) meets a
+vertex already tried.
 
 :func:`tree_key` reads a tree cone's key straight off the alive graph,
 with no cone built, and returns None for a cyclic cone.  Its depth-first
@@ -47,7 +47,9 @@ one edge at a time and keeps one cone per canonical key.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .graph import Graph
 
@@ -310,109 +312,65 @@ def _refine(n: int, adj: list[list[int]], colors: list[int]) -> list[int]:
 
 
 def _search_encoding(cone: LightCone) -> bytes:
-    """Canonical encoding by individualization-refinement.
+    """Canonical encoding by individualization-refinement (McKay & Piperno,
+    "Practical graph isomorphism, II", 2014).
 
-    Explores orderings of the first non-singleton color class at each node
-    and returns the minimum adjacency encoding over all discrete refinements
-    reached.  Whenever two leaves produce the same encoding, the composed
-    permutation is an automorphism; sibling branches equivalent under the
-    subgroup of discovered automorphisms that fixes the already
-    individualized vertices are skipped.  Restricting to that stabilizer is
-    what keeps the pruning sound.
+    Each node of the search individualizes, in turn, every vertex of the
+    target cell (the least color held by two or more vertices) and refines.
+    A discrete coloring is a labeling, and the least adjacency encoding
+    over all leaves is the key.  A leaf whose encoding equals the best one
+    gives an automorphism: each vertex maps to the vertex that held its
+    label at the best leaf.  A sibling is skipped when its orbit meets a
+    vertex already tried, the orbit being its closure under the stabilizer
+    generators, i.e. the automorphisms found so far that fix every
+    individualized vertex.  Restricting to that stabilizer is what keeps
+    the pruning sound.
     """
     n = cone.size
     adj = cone.adjacency()
+    dists = cone.dists
     deg = cone.in_degrees()
-    init_pairs = sorted({(cone.dists[v], deg[v]) for v in range(n)})
-    rank = {p: i for i, p in enumerate(init_pairs)}
-    colors0 = _refine(n, adj, [rank[(cone.dists[v], deg[v])] for v in range(n)])
-
-    best: list[bytes | None] = [None]
-    best_label: list[list[int] | None] = [None]
-    autos: list[tuple[int, ...]] = []
-
-    def encode_discrete(colors: list[int]) -> tuple[bytes, list[int]]:
-        label = colors  # discrete coloring is already a bijection to 0..n-1
-        body = bytearray([n])
-        inv = [0] * n
-        for v in range(n):
-            inv[label[v]] = v
-        body.extend(cone.dists[inv[c]] for c in range(n))
-        edges = sorted(
-            (label[u], label[v]) if label[u] < label[v] else (label[v], label[u])
-            for u, v in cone.edges
-        )
-        for a, b in edges:
-            body.append(a)
-            body.append(b)
-        return bytes(body), list(label)
-
-    def orbit_reps(members: list[int], fixed: list[int]) -> list[int]:
-        gens = [
-            phi for phi in autos if all(phi[x] == x for x in fixed)
-        ]
-        if not gens:
-            return members
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for phi in gens:
-            for v in range(n):
-                rv, rp = find(v), find(phi[v])
-                if rv != rp:
-                    parent[rv] = rp
-        reps = []
-        seen = set()
-        for v in members:
-            r = find(v)
-            if r not in seen:
-                seen.add(r)
-                reps.append(v)
-        return reps
+    rank = {p: i for i, p in enumerate(sorted(set(zip(dists, deg))))}
+    autos: list[list[int]] = []
+    best = best_inv = None
 
     def search(colors: list[int], fixed: list[int]) -> None:
-        cell = None
-        for c in sorted(set(colors)):
-            members = [v for v in range(n) if colors[v] == c]
-            if len(members) > 1:
-                cell = members
-                break
-        if cell is None:
-            enc, label = encode_discrete(colors)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-                best_label[0] = label
-            elif enc == best[0]:
-                prev = best_label[0]
-                inv_prev = [0] * n
-                for v in range(n):
-                    inv_prev[prev[v]] = v
-                phi = tuple(inv_prev[label[v]] for v in range(n))
-                if any(phi[v] != v for v in range(n)):
-                    autos.append(phi)
+        nonlocal best, best_inv
+        pivot = min((c for c, k in Counter(colors).items() if k > 1),
+                    default=None)
+        if pivot is None:  # discrete: colors is a labeling
+            inv = [0] * n
+            for v, c in enumerate(colors):
+                inv[c] = v
+            pairs = sorted((colors[u], colors[v]) if colors[u] < colors[v]
+                           else (colors[v], colors[u]) for u, v in cone.edges)
+            enc = bytes([n, *(dists[v] for v in inv), *chain(*pairs)])
+            if best is None or enc < best:
+                best, best_inv = enc, inv
+            elif enc == best:  # another leaf, so phi moves some vertex
+                autos.append([best_inv[c] for c in colors])
             return
         tried: list[int] = []
-        for v in cell:
-            # orbits are re-derived per sibling: exploring the first branch
-            # usually surfaces the automorphisms that let us skip the rest
-            if tried and v not in orbit_reps(tried + [v], fixed):
-                continue
+        for v in [w for w, c in enumerate(colors) if c == pivot]:
+            # the stabilizer is re-read per sibling: exploring the first
+            # branch usually surfaces the automorphisms that skip the rest
+            if tried:
+                gens = [phi for phi in autos if all(phi[x] == x for x in fixed)]
+                orbit, todo = {v}, [v]
+                while todo:
+                    u = todo.pop()
+                    for phi in gens:
+                        if phi[u] not in orbit:
+                            orbit.add(phi[u])
+                            todo.append(phi[u])
+                if not orbit.isdisjoint(tried):
+                    continue
             tried.append(v)
-            pivot = colors[v]
-            nxt = list(colors)
-            for w in range(n):
-                if nxt[w] > pivot or (nxt[w] == pivot and w != v):
-                    nxt[w] += 1
+            nxt = [c + (c >= pivot and w != v) for w, c in enumerate(colors)]
             search(_refine(n, adj, nxt), fixed + [v])
 
-    search(colors0, [])
-    assert best[0] is not None
-    return best[0]
+    search(_refine(n, adj, [rank[p] for p in zip(dists, deg)]), [])
+    return best
 
 
 # -- census -----------------------------------------------------------------

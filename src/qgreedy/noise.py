@@ -70,6 +70,10 @@ def fit_noise(pairs) -> NoiseParams:
     winner.  eta is unidentifiable when all ideals or all sizes coincide.
     """
     data = [(float(x), float(y), int(s)) for x, y, s in pairs]
+    for x, y, s in data:  # the range apply_noise takes, and a finite noisy
+        if not (-1.0 <= x <= 1.0 and math.isfinite(y) and s >= 1):
+            raise ValueError(f"triple ({x!r}, {y!r}, {s}) is outside the noise "
+                             "model: ideal in [-1, 1], noisy finite, size >= 1")
     if len(data) < 3:
         raise ValueError("need at least 3 (ideal, noisy, cone_size) triples")
     x = np.array([t[0] for t in data])

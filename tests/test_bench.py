@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+from concurrent.futures import Future
 from importlib import resources
 
 import pytest
@@ -355,6 +356,38 @@ class TestRunPlan:
             run_plan(plan)
         _, *rows = open(plan.out + ".partial")
         assert sorted(row.split()[3] for row in rows) == ["1", "2", "3"]
+
+    def test_pool_opens_no_more_workers_than_instances(
+        self, tmp_path, monkeypatch
+    ):
+        # under fork a pool starts every worker at once, so workers=2**64
+        # asked for that many processes; a recorder stands in for the pool
+        opened = []
+
+        class InlinePool:
+            def __init__(self, max_workers=None):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+        plan = ExperimentPlan(sizes=(10,), instances=3, workers=2**64,
+                              out=str(tmp_path / "many.csv"), stamp=False)
+        run_plan(plan)
+        assert opened == [3]
+        one = dataclasses.replace(plan, workers=1, out=str(tmp_path / "one.csv"))
+        run_plan(one)
+        assert opened == [3]
+        assert open(plan.out).read() == open(one.out).read()
 
 
 class TestAngleFiles:

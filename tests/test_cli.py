@@ -162,6 +162,18 @@ class TestFitNoise:
         assert fields["alpha"] == pytest.approx(0.1, abs=1e-9)
         assert fields["sigma"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_nan_is_named_in_one_error_line(self, tmp_path, capsys):
+        # it ended in "error: alpha must be finite, got nan"
+        path = tmp_path / "pairs.txt"
+        path.write_text("0.6 0.5 3\n-0.4 nan 4\n0.2 0.2 5\n")
+        assert main(["fit-noise", "--pairs", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: triple (-0.4, nan, 4) is outside the noise model: "
+            "ideal in [-1, 1], noisy finite, size >= 1\n"
+        )
+
 
 class TestBench:
     def test_tiny_plan(self, tmp_path, capsys):

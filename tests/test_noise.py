@@ -174,6 +174,21 @@ class TestFitNoise:
         with pytest.raises(ValueError):
             fit_noise([(0.1, 0.1, 4), (0.3, 0.3, 4), (0.5, 0.59, 4)])
 
+    @pytest.mark.parametrize("bad", [
+        (0.1, 0.2, 0), (0.1, 0.2, -1), (5.0, 0.2, 4), (-1.5, 0.2, 4),
+        (math.nan, 0.2, 4), (0.1, math.nan, 4), (0.1, math.inf, 4),
+        (math.inf, 0.2, 4),
+    ])
+    def test_triple_outside_the_model_rejected(self, bad):
+        # sizes 0 and -1 and an ideal of 5 were fitted; a nan ended in
+        # "alpha must be finite"
+        good = [(0.6, 0.5, 3), (-0.4, -0.3, 4), (0.2, 0.2, 5)]
+        x, y, s = bad
+        with pytest.raises(ValueError, match=(
+            rf"^triple \({x!r}, {y!r}, {s}\) is outside the noise model"
+        )):
+            fit_noise(good[:1] + [bad] + good[1:] + [(0.1, math.nan, 0)])
+
 
 class TestRequiredShots:
     def test_frozen_values(self):

@@ -109,6 +109,19 @@ def test_noise_sweep_unusable_noise_is_a_usage_error(flag, value, what):
     assert done.stdout == ""
 
 
+def test_noise_sweep_eta_max_with_one_step_is_a_usage_error():
+    # the one grid point is eta 0.0, so --eta-max 0.1 and 0.9 printed the
+    # same line; left unset, one step still runs (test_noise_sweep)
+    done = run_failing("noise_sweep.py", "--n", "10", "--depth", "1",
+                       "--instances", "2", "--eta-steps", "1",
+                       "--eta-max", "0.9")
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("usage: ")
+    last = done.stderr.splitlines()[-1]
+    assert last == "error: --eta-max is not read with --eta-steps 1"
+    assert done.stdout == ""
+
+
 @pytest.mark.parametrize("value", ["x", "0"])
 def test_run_bench_bad_workers_is_a_usage_error(value):
     done = run_failing("run_bench.py", "--workers", value)
